@@ -4,7 +4,8 @@ Every subcommand answers the same underlying question about some graph: does
 an orientation with a magic labeling exist?  Exit codes are uniform across
 subcommands: 0 means yes (or the requested artifact was produced), 1 means a
 proven no (or a certificate that fails verification), 2 means undecided, bad
-input, or a usage error.
+input, or a usage error, and 3 means an internal error: a defect in dmagic,
+never a verdict.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ import io
 import os
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 from time import perf_counter
 from typing import List, Optional, Sequence
 
+from . import __version__
 from .constructors import (
     STATUS_MAGIC,
     STATUS_NOT_MAGIC,
@@ -28,7 +31,6 @@ from .constructors import (
     kmokn_graph,
 )
 from .graphs import (
-    FormatError,
     UndirectedGraph,
     complete,
     complete_multipartite,
@@ -47,7 +49,6 @@ from .search import (
     decide_existence,
 )
 from .verifier import (
-    NotALabelingError,
     Violation,
     bind_certificate,
     certificate_to_text,
@@ -56,11 +57,10 @@ from .verifier import (
 )
 from .zero_sum import zero_sum_partition
 
-__version__ = "0.1.0"
-
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_UNDECIDED = 2
+EXIT_INTERNAL = 3
 
 
 def _write_text(target: Optional[str], text: str) -> None:
@@ -370,12 +370,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (FormatError, NotALabelingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
     except (ValueError, OSError) as exc:
+        # FormatError and NotALabelingError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

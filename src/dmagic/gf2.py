@@ -4,22 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["gf2_rank", "solve_affine", "span_iter"]
-
-
-def gf2_rank(rows: Sequence[int]) -> int:
-    """Rank of the matrix whose rows are the given bitsets."""
-    work = [r for r in rows if r]
-    rank = 0
-    while work:
-        pivot_row = work.pop()
-        if pivot_row == 0:
-            continue
-        rank += 1
-        low = pivot_row & -pivot_row
-        work = [r ^ pivot_row if r & low else r for r in work]
-        work = [r for r in work if r]
-    return rank
+__all__ = ["solve_affine", "span_iter"]
 
 
 def solve_affine(rows: Sequence[int], rhs: Sequence[int], n_cols: int) -> Optional[Tuple[int, List[int]]]:

@@ -58,9 +58,11 @@ class UndirectedGraph:
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
             raise ValueError(f"vertex_count must be non-negative, got {self.vertex_count}")
-        canonical = _canonical_edges(self.vertex_count, self.edges)
-        if canonical != tuple(tuple(e) for e in self.edges):
-            raise ValueError("edge list is not canonical; use UndirectedGraph.from_edges")
+        prev = (-1, -1)
+        for u, v in self.edges:
+            if not (0 <= u < v < self.vertex_count and prev < (u, v)):
+                raise ValueError("edge list is not canonical; use UndirectedGraph.from_edges")
+            prev = u, v
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[Sequence[int]]) -> "UndirectedGraph":

@@ -12,7 +12,8 @@ for any orientation, since weights mod 2 do not depend on arc directions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from . import gf2
 from .graphs import UndirectedGraph, prism, regularity
@@ -82,6 +83,27 @@ def _neighbor_masks(graph: UndirectedGraph) -> List[int]:
     return masks
 
 
+def _parity_vectors(graph: UndirectedGraph, kernel_cap: int,
+                    require_cardinality: bool = True) -> Iterator[Tuple[int, Optional[Iterator[int]]]]:
+    """Yield (c, vectors) for c = 0 then 1: the solutions of the parity system.
+
+    vectors iterates the solution bitmasks, only those with exactly N/2 ones
+    under require_cardinality; it is None when the kernel exceeds kernel_cap.
+    """
+    n = graph.vertex_count
+    rows = _neighbor_masks(graph)
+    target_ones = n // 2
+    for c in (0, 1):
+        solved = gf2.solve_affine(rows, [c] * n, n)
+        if solved is None:
+            yield c, iter(())
+        elif len(solved[1]) > kernel_cap:
+            yield c, None
+        else:
+            yield c, (v for v in gf2.span_iter(*solved)
+                      if not require_cardinality or v.bit_count() == target_ones)
+
+
 def parity_solutions(graph: UndirectedGraph, *, kernel_cap: int = KERNEL_CAP,
                      require_cardinality: bool = True,
                      max_solutions: Optional[int] = None) -> Optional[Dict[int, List[int]]]:
@@ -92,28 +114,15 @@ def parity_solutions(graph: UndirectedGraph, *, kernel_cap: int = KERNEL_CAP,
     Z_N for even N).  Returns None when a kernel exceeds kernel_cap or a
     solution list would exceed max_solutions.
     """
-    n = graph.vertex_count
-    if n % 2 != 0:
+    if graph.vertex_count % 2 != 0:
         return None
-    rows = _neighbor_masks(graph)
-    target_ones = n // 2
     out: Dict[int, List[int]] = {}
-    for c in (0, 1):
-        solved = gf2.solve_affine(rows, [c] * n, n)
-        if solved is None:
-            out[c] = []
-            continue
-        origin, basis = solved
-        if len(basis) > kernel_cap:
+    for c, vectors in _parity_vectors(graph, kernel_cap, require_cardinality):
+        if vectors is None:
             return None
-        vectors = []
-        for v in gf2.span_iter(origin, basis):
-            if require_cardinality and v.bit_count() != target_ones:
-                continue
-            vectors.append(v)
-            if max_solutions is not None and len(vectors) > max_solutions:
-                return None
-        out[c] = vectors
+        out[c] = list(islice(vectors, None if max_solutions is None else max_solutions + 1))
+        if max_solutions is not None and len(out[c]) > max_solutions:
+            return None
     return out
 
 
@@ -123,20 +132,8 @@ def parity_feasibility(graph: UndirectedGraph, *,
     n = graph.vertex_count
     if n % 2 != 0:
         return None
-    rows = _neighbor_masks(graph)
-    target_ones = n // 2
-    feasible: List[Optional[bool]] = []
-    for c in (0, 1):
-        solved = gf2.solve_affine(rows, [c] * n, n)
-        if solved is None:
-            feasible.append(False)
-            continue
-        origin, basis = solved
-        if len(basis) > kernel_cap:
-            feasible.append(None)
-            continue
-        feasible.append(any(v.bit_count() == target_ones
-                            for v in gf2.span_iter(origin, basis)))
+    feasible = [None if vectors is None else next(vectors, None) is not None
+                for _, vectors in _parity_vectors(graph, kernel_cap)]
     return ParityWitnessSpace(n, (feasible[0], feasible[1]))
 
 

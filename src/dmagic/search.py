@@ -2,8 +2,18 @@
 
 The search interleaves label choices with arc choices: vertices are visited in
 maximum-adjacency order, and each edge is oriented at the moment its second
-endpoint is labeled.  The magic constant is never enumerated; it is pinned by
-the first vertex whose incident arcs are all decided.  Pruning rules:
+endpoint is labeled.  Each choice point is one step, N + E in all, and the
+search walks them with a single loop over an explicit stack, never by
+recursion, so a deep graph costs memory rather than interpreter stack.  Every
+depth keeps an iterator over its remaining choices and the choice it applied,
+which is its undo record: the step data names what the choice changed.
+
+After a choice is applied, one check block runs over the vertices the step
+touched: the labeled vertex and its earlier-visited neighbours for a label
+step, tail and head for an arc step.  The magic constant is never enumerated;
+the first touched vertex whose incident arcs are all decided pins it, and the
+loop keeps the depth of that pin so that undoing the choice there unpins it.
+Pruning rules:
 
   weight    a fully decided vertex whose weight differs from the pinned constant
   interval  a partly decided vertex whose achievable weights, bounded through
@@ -21,9 +31,10 @@ one representative per unit-scaling orbit is available behind a toggle.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .graphs import Orientation, UndirectedGraph
 from .obstructions import parity_solutions
@@ -87,8 +98,8 @@ class SearchOutcome:
     stats: SearchStats
 
 
-class _OutOfBudget(Exception):
-    pass
+# A parity candidate is (vertex parity mask, weight parity c).
+_ParityList = Optional[List[Tuple[int, int]]]
 
 
 def _visit_order(graph: UndirectedGraph) -> List[int]:
@@ -114,109 +125,72 @@ def _visit_order(graph: UndirectedGraph) -> List[int]:
     return order
 
 
-def _unit_orbit_reps(modulus: int) -> frozenset:
-    reps = {0}
-    for d in range(1, modulus):
-        if modulus % d == 0:
-            reps.add(d)
-    return frozenset(reps)
+def _steps(graph: UndirectedGraph, config: SearchConfig,
+           pinned: Dict[int, int]) -> List[Tuple]:
+    """Step data in visit order, each ending with its candidate choices.
+
+    A label step is (True, v, touched, labels): touched is v followed by its
+    earlier-visited neighbours in incidence order.  An arc step is
+    (False, e, u, v, bits) for edge e = (u, v); bit 0 orients it u -> v.
+    pinned maps a step index to the only label that step may take.
+    """
+    order = _visit_order(graph)
+    pos = {v: i for i, v in enumerate(order)}
+    n = graph.vertex_count
+    labels = list(range(n))
+    if config.seed != 0:
+        random.Random(config.seed).shuffle(labels)
+    first = labels
+    if config.unit_scaling:
+        # one representative per unit-scaling orbit: 0 and the divisors of N
+        first = [lam for lam in labels if lam == 0 or n % lam == 0]
+    arc_bits: Tuple[int, ...] = (0,) if config.fix_first_arc else (0, 1)
+    steps: List[Tuple] = []
+    for v in order:
+        si = len(steps)
+        cands = (pinned[si],) if si in pinned else (first if si == 0 else labels)
+        back = [(e, u) for e, u in graph.incident(v) if pos[u] < pos[v]]
+        steps.append((True, v, (v,) + tuple(u for _, u in back), cands))
+        for e, _ in back:
+            steps.append((False, e) + graph.edges[e] + (arc_bits,))
+            arc_bits = (0, 1)
+    return steps
 
 
-class _Engine:
-    def __init__(self, graph: UndirectedGraph, config: SearchConfig,
-                 pinned: Optional[Dict[int, int]] = None) -> None:
-        self.graph = graph
-        self.config = config
-        self.pinned = pinned or {}
-        n = graph.vertex_count
-        self.n = n
-        self.mod = n
-        self.edges = graph.edges
-        self.incident = [graph.incident(v) for v in range(n)]
-        self.deg = [graph.degree(v) for v in range(n)]
-        order = _visit_order(graph)
-        pos = {v: i for i, v in enumerate(order)}
-        self.steps: List[Tuple] = []
-        for v in order:
-            self.steps.append((0, v))
-            back = sorted((e, u) for e, u in self.incident[v] if pos[u] < pos[v])
-            for e, u in back:
-                self.steps.append((1, e, u, v))
-        self.first_orient_si = next(
-            (i for i, s in enumerate(self.steps) if s[0] == 1), -1)
-        self.labels = [-1] * n
-        self.used = 0
-        self.bits = [-1] * len(self.edges)
-        self.pw = [0] * n
-        self.und = list(self.deg)
-        self.mu: Optional[int] = None
-        self.stats = SearchStats()
-        self.witness: Optional[MagicCertificate] = None
-        base = list(range(n))
-        if config.seed != 0:
-            random.Random(config.seed).shuffle(base)
-        self.base_label_order = base
-        self.unit_reps = _unit_orbit_reps(n) if config.unit_scaling else None
-        self.t0 = 0.0
+def _root_parity_candidates(graph: UndirectedGraph, config: SearchConfig) -> _ParityList:
+    if not config.parity_prune or graph.vertex_count % 2 != 0:
+        return None
+    sols = parity_solutions(graph, max_solutions=config.parity_list_cap)
+    if sols is None:
+        return None
+    return [(mask, c) for c in (0, 1) for mask in sols[c]]
 
-    def run(self) -> SearchOutcome:
-        self.t0 = perf_counter()
-        psols = self._root_parity_candidates()
-        if psols is not None and not psols:
-            self.stats.prunes["parity"] += 1
-            self.stats.elapsed = perf_counter() - self.t0
-            return SearchOutcome(VERDICT_EXHAUSTED, None, self.stats)
-        try:
-            found = self._dfs(0, psols)
-        except _OutOfBudget:
-            self.stats.elapsed = perf_counter() - self.t0
-            return SearchOutcome(VERDICT_INCONCLUSIVE, None, self.stats)
-        self.stats.elapsed = perf_counter() - self.t0
-        if found:
-            return SearchOutcome(VERDICT_WITNESS, self.witness, self.stats)
-        return SearchOutcome(VERDICT_EXHAUSTED, None, self.stats)
 
-    def _root_parity_candidates(self) -> Optional[List[Tuple[int, int]]]:
-        if not self.config.parity_prune or self.mod % 2 != 0:
-            return None
-        sols = parity_solutions(self.graph, max_solutions=self.config.parity_list_cap)
-        if sols is None:
-            return None
-        return [(mask, c) for c in (0, 1) for mask in sols[c]]
+def _search(graph: UndirectedGraph, config: SearchConfig, psols: _ParityList,
+            t0: float, pinned: Optional[Dict[int, int]] = None) -> SearchOutcome:
+    """Run the step loop from the root; budgets count from t0."""
+    steps = _steps(graph, config, pinned or {})
+    mod = graph.vertex_count
+    incident = [graph.incident(v) for v in range(mod)]
+    labels = [-1] * mod
+    bits = [-1] * graph.edge_count
+    pw = [0] * mod
+    und = [graph.degree(v) for v in range(mod)]
+    stats = SearchStats()
+    prunes = stats.prunes
 
-    def _tick(self) -> None:
-        self.stats.nodes += 1
-        cfg = self.config
-        if cfg.node_budget is not None and self.stats.nodes > cfg.node_budget:
-            raise _OutOfBudget()
-        if cfg.time_budget is not None and (self.stats.nodes & 1023) == 0:
-            if perf_counter() - self.t0 > cfg.time_budget:
-                raise _OutOfBudget()
-
-    def _label_candidates(self, si: int) -> Sequence[int]:
-        if si in self.pinned:
-            lam = self.pinned[si]
-            return [lam] if not (self.used >> lam) & 1 else []
-        used = self.used
-        out = [lam for lam in self.base_label_order if not (used >> lam) & 1]
-        if si == 0 and self.unit_reps is not None:
-            out = [lam for lam in out if lam in self.unit_reps]
-        return out
-
-    def _interval_ok(self, x: int) -> bool:
-        """Can the pending contributions to x still reach the pinned constant?"""
+    def interval_ok(x: int, need: int, used: int) -> bool:
+        """Can the pending contributions to x still add up to need mod N?"""
         pending: List[int] = []
         k_unlabeled = 0
-        for e, y in self.incident[x]:
-            if self.bits[e] != -1:
+        for e, y in incident[x]:
+            if bits[e] != -1:
                 continue
-            ly = self.labels[y]
+            ly = labels[y]
             if ly >= 0:
                 pending.append(ly)
             else:
                 k_unlabeled += 1
-        mod = self.mod
-        need = (self.mu - self.pw[x]) % mod
         if k_unlabeled == 0 and len(pending) <= 3:
             achievable = {0}
             for val in pending:
@@ -228,7 +202,6 @@ class _Engine:
             total = 0
             count = 0
             lam = mod - 1
-            used = self.used
             while count < k_unlabeled and lam >= 0:
                 if not (used >> lam) & 1:
                     total += lam
@@ -238,143 +211,133 @@ class _Engine:
             hi += total
         if hi - lo + 1 >= mod:
             return True
-        t0 = lo + ((need - lo) % mod)
-        return t0 <= hi
+        return lo + ((need - lo) % mod) <= hi
 
-    def _dfs(self, si: int, psols: Optional[List[Tuple[int, int]]]) -> bool:
-        if si == len(self.steps):
-            return self._record_witness()
-        step = self.steps[si]
-        if step[0] == 0:
-            v = step[1]
-            for lam in self._label_candidates(si):
-                self._tick()
-                self.labels[v] = lam
-                self.used |= 1 << lam
-                mu_was = self.mu
-                ok = True
-                newp = psols
-                if psols is not None:
-                    bit = lam & 1
-                    newp = [s for s in psols if (s[0] >> v) & 1 == bit]
-                    if not newp:
-                        self.stats.prunes["parity"] += 1
-                        ok = False
-                if ok and self.deg[v] == 0:
-                    if self.mu is None:
-                        self.mu = 0
-                        if newp is not None:
-                            newp = [s for s in newp if s[1] == 0]
-                            if not newp:
-                                self.stats.prunes["parity"] += 1
-                                ok = False
-                    elif self.mu != 0:
-                        self.stats.prunes["weight"] += 1
-                        ok = False
-                if ok and self.mu is not None:
-                    if self.und[v] > 0 and not self._interval_ok(v):
-                        self.stats.prunes["interval"] += 1
-                        ok = False
-                    else:
-                        for _, y in self.incident[v]:
-                            if self.labels[y] >= 0 and self.und[y] > 0 and not self._interval_ok(y):
-                                self.stats.prunes["interval"] += 1
-                                ok = False
-                                break
-                if ok and self._dfs(si + 1, newp):
-                    return True
-                self.labels[v] = -1
-                self.used &= ~(1 << lam)
-                self.mu = mu_was
-            return False
-        _, e, u, v = step
-        eu, ev = self.edges[e]
-        if self.config.fix_first_arc and si == self.first_orient_si:
-            candidates: Tuple[int, ...] = (0,)
+    def finish(verdict: str, nodes: int,
+               certificate: Optional[MagicCertificate] = None) -> SearchOutcome:
+        stats.nodes = nodes
+        stats.elapsed = perf_counter() - t0
+        return SearchOutcome(verdict, certificate, stats)
+
+    node_limit = config.node_budget if config.node_budget is not None else sys.maxsize
+    time_budget = config.time_budget
+    last = len(steps) - 1
+    todo = [iter(())] * len(steps)
+    applied = [-1] * len(steps)
+    plist: List[_ParityList] = [None] * len(steps)
+    todo[0] = iter(steps[0][-1])  # no label is used yet
+    plist[0] = psols
+    used = 0
+    mu: Optional[int] = None
+    mu_depth = -1
+    nodes = 0
+    d = 0
+    while True:
+        # undo the choice this depth applied last, then take its next one
+        step = steps[d]
+        x = applied[d]
+        if x >= 0:
+            if step[0]:
+                labels[step[1]] = -1
+                used ^= 1 << x
+            else:
+                _, e, u, v, _ = step
+                tail, head = (u, v) if x == 0 else (v, u)
+                bits[e] = -1
+                pw[head] -= labels[tail]
+                pw[tail] += labels[head]
+                und[tail] += 1
+                und[head] += 1
+            if mu_depth == d:
+                mu = None
+                mu_depth = -1
+        x = applied[d] = next(todo[d], -1)
+        if x < 0:
+            if d == 0:
+                return finish(VERDICT_EXHAUSTED, nodes)
+            d -= 1
+            continue
+        nodes += 1
+        if nodes > node_limit or (time_budget is not None and not nodes & 1023
+                                  and perf_counter() - t0 > time_budget):
+            return finish(VERDICT_INCONCLUSIVE, nodes)
+        newp = plist[d]
+        if step[0]:
+            _, v, touched, _ = step
+            labels[v] = x
+            used |= 1 << x
+            if newp is not None:
+                newp = [s for s in newp if (s[0] >> v) & 1 == x & 1]
+                if not newp:
+                    prunes["parity"] += 1
+                    continue
         else:
-            candidates = (0, 1)
-        for b in candidates:
-            self._tick()
-            tail, head = (eu, ev) if b == 0 else (ev, eu)
-            lt = self.labels[tail]
-            lh = self.labels[head]
-            self.bits[e] = b
-            self.pw[head] += lt
-            self.pw[tail] -= lh
-            self.und[tail] -= 1
-            self.und[head] -= 1
-            mu_was = self.mu
-            ok = True
-            newp = psols
-            for x in (tail, head):
-                if self.und[x] == 0:
-                    wx = self.pw[x] % self.mod
-                    if self.mu is None:
-                        self.mu = wx
-                        if newp is not None:
-                            newp = [s for s in newp if s[1] == wx & 1]
-                            if not newp:
-                                self.stats.prunes["parity"] += 1
-                                ok = False
-                                break
-                    elif wx != self.mu:
-                        self.stats.prunes["weight"] += 1
-                        ok = False
-                        break
-            if ok and self.mu is not None:
-                for x in (tail, head):
-                    if self.und[x] > 0 and not self._interval_ok(x):
-                        self.stats.prunes["interval"] += 1
-                        ok = False
-                        break
-            if ok and self._dfs(si + 1, newp):
-                return True
-            self.bits[e] = -1
-            self.pw[head] -= lt
-            self.pw[tail] += lh
-            self.und[tail] += 1
-            self.und[head] += 1
-            self.mu = mu_was
-        return False
-
-    def _record_witness(self) -> bool:
-        labeling = Labeling(self.mod, tuple(self.labels))
-        orientation = Orientation(self.graph, tuple(self.bits))
-        result = verify(self.graph, orientation, labeling)
-        if not isinstance(result, MagicCertificate):
-            raise RuntimeError("search reached a non-magic full assignment; this is a defect")
-        self.witness = result
-        return True
+            _, e, u, v, _ = step
+            tail, head = touched = (u, v) if x == 0 else (v, u)
+            bits[e] = x
+            pw[head] += labels[tail]
+            pw[tail] -= labels[head]
+            und[tail] -= 1
+            und[head] -= 1
+        # one check block for both kinds of step
+        failed = None
+        for y in touched:
+            if und[y] == 0:
+                w = pw[y] % mod
+                if mu is None:
+                    mu = w
+                    mu_depth = d
+                    if newp is not None:
+                        newp = [s for s in newp if s[1] == w & 1]
+                        if not newp:
+                            failed = "parity"
+                            break
+                elif w != mu:
+                    failed = "weight"
+                    break
+        if failed is None and mu is not None:
+            for y in touched:
+                if und[y] and not interval_ok(y, (mu - pw[y]) % mod, used):
+                    failed = "interval"
+                    break
+        if failed is not None:
+            prunes[failed] += 1
+            continue
+        if d == last:
+            result = verify(graph, Orientation(graph, tuple(bits)), Labeling(mod, tuple(labels)))
+            if not isinstance(result, MagicCertificate):
+                raise RuntimeError("search reached a non-magic full assignment; this is a defect")
+            return finish(VERDICT_WITNESS, nodes, result)
+        # descend; a label step skips the labels used above it
+        d += 1
+        step = steps[d]
+        todo[d] = iter(step[-1] if not step[0] else
+                       [lam for lam in step[-1] if not (used >> lam) & 1])
+        applied[d] = -1
+        plist[d] = newp
 
 
 def _run_job(args: Tuple) -> Tuple[str, Optional[Tuple], int, Dict[str, int]]:
-    vertex_count, edges, cfg_kwargs, pinned = args
+    vertex_count, edges, cfg_kwargs, psols, pinned = args
     graph = UndirectedGraph(vertex_count, edges)
-    config = SearchConfig(**cfg_kwargs)
-    outcome = _Engine(graph, config, pinned=pinned).run()
+    outcome = _search(graph, SearchConfig(**cfg_kwargs), psols, perf_counter(), pinned)
     cert = None
     if outcome.certificate is not None:
         cert = (outcome.certificate.labeling.labels, outcome.certificate.orientation.bits)
     return outcome.verdict, cert, outcome.stats.nodes, outcome.stats.prunes
 
 
-def _run_parallel(graph: UndirectedGraph, config: SearchConfig) -> SearchOutcome:
+def _run_parallel(graph: UndirectedGraph, config: SearchConfig, psols: _ParityList,
+                  t0: float) -> SearchOutcome:
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    t0 = perf_counter()
     stats = SearchStats()
-    probe = _Engine(graph, config)
-    psols = probe._root_parity_candidates()
-    if psols is not None and not psols:
-        stats.prunes["parity"] += 1
-        stats.elapsed = perf_counter() - t0
-        return SearchOutcome(VERDICT_EXHAUSTED, None, stats)
-    first = list(probe._label_candidates(0))
     n = graph.vertex_count
+    first = _steps(graph, config, {})[0][-1]
     jobs = [(lam0, lam1) for lam0 in first for lam1 in range(n) if lam1 != lam0]
     cfg_kwargs = asdict(config)
     cfg_kwargs["workers"] = 1
-    payloads = [(n, graph.edges, cfg_kwargs, {0: lam0, 1: lam1}) for lam0, lam1 in jobs]
+    payloads = [(n, graph.edges, cfg_kwargs, psols, {0: lam0, 1: lam1}) for lam0, lam1 in jobs]
     witness: Optional[MagicCertificate] = None
     verdicts: List[str] = []
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -419,6 +382,13 @@ def decide_existence(graph: UndirectedGraph, config: Optional[SearchConfig] = No
     if graph.vertex_count < 1:
         raise ValueError("search needs at least one vertex")
     config = config or SearchConfig()
+    t0 = perf_counter()
+    psols = _root_parity_candidates(graph, config)
+    if psols is not None and not psols:
+        stats = SearchStats()
+        stats.prunes["parity"] += 1
+        stats.elapsed = perf_counter() - t0
+        return SearchOutcome(VERDICT_EXHAUSTED, None, stats)
     if config.workers > 1 and graph.vertex_count >= 2:
-        return _run_parallel(graph, config)
-    return _Engine(graph, config).run()
+        return _run_parallel(graph, config, psols, t0)
+    return _search(graph, config, psols, t0)

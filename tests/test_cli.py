@@ -187,6 +187,25 @@ def test_search_inconclusive_budget(tmp_path, capsys):
     assert out.startswith("inconclusive")
 
 
+def test_search_deep_graph_is_inconclusive(tmp_path, capsys):
+    graph = tmp_path / "k11_5.graph"
+    run(capsys, "graph", "--family", "kmokn", "--m", "11", "--n", "5", "-o", str(graph))
+    code, out, _ = run(capsys, "search", "--graph", str(graph), "--nodes", "20000")
+    assert code == 2
+    assert out.startswith("inconclusive nodes=20001 ")
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(m, n):
+        raise RuntimeError("injected defect")
+
+    monkeypatch.setattr("dmagic.cli.decide_kmokn", broken)
+    code, out, err = run(capsys, "decide", "--family", "kmokn", "--m", "4", "--n", "3")
+    assert code == 3
+    assert out == ""
+    assert "internal error: RuntimeError: injected defect" in err
+
+
 def test_obstruct(tmp_path, capsys):
     graph = tmp_path / "p4.graph"
     run(capsys, "graph", "--family", "prism", "--n", "4", "-o", str(graph))

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from dmagic.constructors import kmokn_graph
 from dmagic.graphs import (
     UndirectedGraph,
     complete,
@@ -181,3 +184,38 @@ def test_parallel_root_parity_closure():
     out = decide_existence(complete(6), SearchConfig(workers=2))
     assert out.verdict == VERDICT_EXHAUSTED
     assert out.stats.nodes == 0
+
+
+# Reference search trees: verdict, nodes, prunes (weight, interval, parity)
+# and the first 8 hex characters of the md5 of the certificate text.  Any
+# change to the visit order, the candidate order or a pruning rule shows up
+# here.
+_BUDGETED = SearchConfig(seed=1, node_budget=100000)
+
+
+@pytest.mark.parametrize("graph, config, verdict, nodes, prunes, digest", [
+    (path(12), SearchConfig(), VERDICT_EXHAUSTED, 34393, (3443, 9903, 12398), None),
+    (complete(9), SearchConfig(), VERDICT_WITNESS, 37414, (16616, 0, 0), "df17a29c"),
+    (complete(7), _BUDGETED, VERDICT_WITNESS, 31565, (14004, 220, 0), "60ce4f39"),
+    (kmokn_graph(3, 3), _BUDGETED, VERDICT_WITNESS, 86585, (29243, 12008, 0), "d1583f27"),
+    (kmokn_graph(3, 4), _BUDGETED, VERDICT_WITNESS, 14286, (4893, 1436, 73), "b56cd933"),
+    (kmokn_graph(2, 6), _BUDGETED, VERDICT_WITNESS, 1405, (618, 46, 0), "e1d8ca16"),
+    (kmokn_graph(5, 2), _BUDGETED, VERDICT_INCONCLUSIVE, 100001, (0, 38448, 2), None),
+], ids=["P12", "K9", "K7", "K3[3]", "K3[4]", "K2[6]", "K5[2]"])
+def test_same_tree(graph, config, verdict, nodes, prunes, digest):
+    out = decide_existence(graph, config)
+    assert out.verdict == verdict
+    assert out.stats.nodes == nodes
+    assert out.stats.prunes == dict(zip(("weight", "interval", "parity"), prunes))
+    if digest is None:
+        assert out.certificate is None
+    else:
+        text = certificate_to_text(out.certificate)
+        assert hashlib.md5(text.encode()).hexdigest()[:8] == digest
+
+
+def test_deep_graph_stops_at_the_budget():
+    # K11[5] has 1,430 steps, far beyond the interpreter's recursion limit
+    out = decide_existence(kmokn_graph(11, 5), SearchConfig(node_budget=20000))
+    assert out.verdict == VERDICT_INCONCLUSIVE
+    assert out.stats.nodes == 20001
