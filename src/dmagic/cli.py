@@ -327,11 +327,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--graph", required=True, metavar="FILE")
     _add_output_option(p_search)
     p_search.add_argument("--nodes", type=int, default=None, metavar="B",
-                          help="stop as inconclusive after B search nodes")
+                          help="stop as inconclusive after B search nodes, counted over "
+                               "all workers; with --threads each worker may run up to "
+                               "1024 nodes past B")
     p_search.add_argument("--seconds", type=float, default=None, metavar="S",
-                          help="stop as inconclusive after S seconds")
+                          help="stop as inconclusive after S seconds of the whole run; "
+                               "with --threads each worker may run up to 1024 nodes past S")
     p_search.add_argument("--threads", type=int, default=1, metavar="T",
-                          help="parallel workers over the root label split")
+                          help="parallel workers over the root label split; the first "
+                               "witness stops them all")
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--no-reduce", dest="fix_first_arc", action="store_false",
                           help="disable the first-arc symmetry reduction")

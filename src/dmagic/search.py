@@ -34,7 +34,7 @@ import random
 import sys
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .graphs import Orientation, UndirectedGraph
 from .obstructions import parity_solutions
@@ -62,8 +62,12 @@ class SearchConfig:
     """Budgets, reductions, and determinism knobs for the search.
 
     With workers > 1 the top two label choices are expanded into independent
-    subtree jobs; budgets then apply per subtree, and which witness is found
-    first is no longer determined by the config alone.
+    subtree jobs.  The budgets still bound the whole run: the node budget
+    counts the nodes of all workers together and the time budget is one
+    deadline, and the first witness stops the run.  Each running worker
+    notices a stop on its next poll, every 1024 nodes, so a parallel run may
+    overshoot its budgets by up to one such tick per worker.  Which witness
+    is found first is no longer determined by the config alone.
     """
 
     node_budget: Optional[int] = None
@@ -167,8 +171,14 @@ def _root_parity_candidates(graph: UndirectedGraph, config: SearchConfig) -> _Pa
 
 
 def _search(graph: UndirectedGraph, config: SearchConfig, psols: _ParityList,
-            t0: float, pinned: Optional[Dict[int, int]] = None) -> SearchOutcome:
-    """Run the step loop from the root; budgets count from t0."""
+            t0: float, pinned: Optional[Dict[int, int]] = None,
+            poll: Optional[Callable[[], bool]] = None) -> SearchOutcome:
+    """Run the step loop from the root; budgets count from t0.
+
+    poll, if given, is called every 1024 nodes, and the search stops as
+    inconclusive once it returns true.  Without one, a time budget is polled
+    there instead.
+    """
     steps = _steps(graph, config, pinned or {})
     mod = graph.vertex_count
     incident = [graph.incident(v) for v in range(mod)]
@@ -221,6 +231,9 @@ def _search(graph: UndirectedGraph, config: SearchConfig, psols: _ParityList,
 
     node_limit = config.node_budget if config.node_budget is not None else sys.maxsize
     time_budget = config.time_budget
+    if poll is None and time_budget is not None:
+        def poll() -> bool:
+            return perf_counter() - t0 > time_budget
     last = len(steps) - 1
     todo = [iter(())] * len(steps)
     applied = [-1] * len(steps)
@@ -258,8 +271,7 @@ def _search(graph: UndirectedGraph, config: SearchConfig, psols: _ParityList,
             d -= 1
             continue
         nodes += 1
-        if nodes > node_limit or (time_budget is not None and not nodes & 1023
-                                  and perf_counter() - t0 > time_budget):
+        if nodes > node_limit or (poll is not None and not nodes & 1023 and poll()):
             return finish(VERDICT_INCONCLUSIVE, nodes)
         newp = plist[d]
         if step[0]:
@@ -317,10 +329,40 @@ def _search(graph: UndirectedGraph, config: SearchConfig, psols: _ParityList,
         plist[d] = newp
 
 
+# What a pool process shares with the rest of the run: the stop signal, the
+# node count of all workers and the run's node budget.  Set in each pool
+# process by _init_worker; a serial search never reads it.
+_worker: Optional[Tuple] = None
+
+
+def _init_worker(stop, shared_nodes, node_budget: Optional[int]) -> None:
+    global _worker
+    _worker = (stop, shared_nodes, node_budget)
+
+
+def _add_nodes(k: int) -> bool:
+    """Add k nodes to the run's count; true once the run is to stop.
+
+    The worker whose nodes take the count past the node budget sets the stop
+    signal itself, at the moment the count passes it.
+    """
+    stop, shared_nodes, node_budget = _worker
+    with shared_nodes.get_lock():
+        shared_nodes.value += k
+        over = node_budget is not None and shared_nodes.value > node_budget
+    if over:
+        stop.set()
+    return stop.is_set()
+
+
 def _run_job(args: Tuple) -> Tuple[str, Optional[Tuple], int, Dict[str, int]]:
     vertex_count, edges, cfg_kwargs, psols, pinned = args
+    if _worker[0].is_set():  # a job already queued when the run stopped
+        return VERDICT_INCONCLUSIVE, None, 0, {k: 0 for k in _PRUNE_KEYS}
     graph = UndirectedGraph(vertex_count, edges)
-    outcome = _search(graph, SearchConfig(**cfg_kwargs), psols, perf_counter(), pinned)
+    outcome = _search(graph, SearchConfig(**cfg_kwargs), psols, perf_counter(), pinned,
+                      lambda: _add_nodes(1024))
+    _add_nodes(outcome.stats.nodes & 1023)  # the nodes since the last poll
     cert = None
     if outcome.certificate is not None:
         cert = (outcome.certificate.labeling.labels, outcome.certificate.orientation.bits)
@@ -329,6 +371,14 @@ def _run_job(args: Tuple) -> Tuple[str, Optional[Tuple], int, Dict[str, int]]:
 
 def _run_parallel(graph: UndirectedGraph, config: SearchConfig, psols: _ParityList,
                   t0: float) -> SearchOutcome:
+    """Search the root subtrees in a process pool under one stop signal.
+
+    The signal is set by the first witness, by the run's deadline, or by the
+    worker whose nodes take the shared count past the node budget.  Jobs not
+    yet started are cancelled; running ones see the signal on their next
+    poll and return, and their nodes and prunes are counted too.
+    """
+    import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     stats = SearchStats()
@@ -336,41 +386,50 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, psols: _ParityLi
     first = _steps(graph, config, {})[0][-1]
     jobs = [(lam0, lam1) for lam0 in first for lam1 in range(n) if lam1 != lam0]
     cfg_kwargs = asdict(config)
-    cfg_kwargs["workers"] = 1
+    cfg_kwargs.update(workers=1, node_budget=None, time_budget=None)
     payloads = [(n, graph.edges, cfg_kwargs, psols, {0: lam0, 1: lam1}) for lam0, lam1 in jobs]
+    deadline = None if config.time_budget is None else t0 + config.time_budget
+    stop = multiprocessing.Event()
+    shared_nodes = multiprocessing.Value("q", 0)
     witness: Optional[MagicCertificate] = None
-    verdicts: List[str] = []
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        futures = [pool.submit(_run_job, p) for p in payloads]
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            stop = False
-            for fut in done:
-                verdict, cert, nodes, prunes = fut.result()
-                verdicts.append(verdict)
-                stats.nodes += nodes
-                for k, x in prunes.items():
-                    stats.prunes[k] = stats.prunes.get(k, 0) + x
-                if verdict == VERDICT_WITNESS and witness is None:
-                    labels, bits = cert
-                    labeling = Labeling(n, tuple(labels))
-                    orientation = Orientation(graph, tuple(bits))
-                    result = verify(graph, orientation, labeling)
-                    if not isinstance(result, MagicCertificate):
-                        raise RuntimeError("parallel worker returned a bad witness; this is a defect")
-                    witness = result
-                    stop = True
-            if stop:
-                for fut in pending:
-                    fut.cancel()
-                break
+    exhausted = 0  # jobs that searched their whole subtree
+    with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker,
+                             initargs=(stop, shared_nodes, config.node_budget)) as pool:
+        try:
+            pending = {pool.submit(_run_job, p) for p in payloads}
+            while pending:
+                timeout = None
+                if deadline is not None and not stop.is_set():
+                    timeout = max(0.0, deadline - perf_counter())
+                done, pending = wait(pending, timeout, FIRST_COMPLETED)
+                for fut in done:
+                    verdict, cert, nodes, prunes = fut.result()
+                    exhausted += verdict == VERDICT_EXHAUSTED
+                    stats.nodes += nodes
+                    for k, x in prunes.items():
+                        stats.prunes[k] += x
+                    if verdict == VERDICT_WITNESS and witness is None:
+                        labels, bits = cert
+                        labeling = Labeling(n, tuple(labels))
+                        orientation = Orientation(graph, tuple(bits))
+                        result = verify(graph, orientation, labeling)
+                        if not isinstance(result, MagicCertificate):
+                            raise RuntimeError("parallel worker returned a bad witness; this is a defect")
+                        witness = result
+                        stop.set()
+                if deadline is not None and perf_counter() >= deadline:
+                    stop.set()
+                if stop.is_set():
+                    # cancel() is false for a running job: wait for its result
+                    pending = {fut for fut in pending if not fut.cancel()}
+        finally:
+            stop.set()  # also on an error, so that shutdown need not wait for the jobs
     stats.elapsed = perf_counter() - t0
     if witness is not None:
         return SearchOutcome(VERDICT_WITNESS, witness, stats)
-    if any(v == VERDICT_INCONCLUSIVE for v in verdicts):
-        return SearchOutcome(VERDICT_INCONCLUSIVE, None, stats)
-    return SearchOutcome(VERDICT_EXHAUSTED, None, stats)
+    if exhausted == len(jobs):
+        return SearchOutcome(VERDICT_EXHAUSTED, None, stats)
+    return SearchOutcome(VERDICT_INCONCLUSIVE, None, stats)
 
 
 def decide_existence(graph: UndirectedGraph, config: Optional[SearchConfig] = None) -> SearchOutcome:

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -195,6 +196,16 @@ def test_search_deep_graph_is_inconclusive(tmp_path, capsys):
     code, out, _ = run(capsys, "search", "--graph", str(graph), "--nodes", "20000")
     assert code == 2
     assert out.startswith("inconclusive nodes=20001 ")
+
+
+def test_search_parallel_seconds_bound_the_whole_run(tmp_path, capsys):
+    graph = tmp_path / "k5_3.graph"
+    run(capsys, "graph", "--family", "kmokn", "--m", "5", "--n", "3", "-o", str(graph))
+    start = perf_counter()
+    code, out, _ = run(capsys, "search", "--graph", str(graph), "--threads", "2",
+                       "--seconds", "0.2")
+    assert perf_counter() - start <= 1.2
+    assert code in (0, 2), out
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):

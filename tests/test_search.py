@@ -1,7 +1,11 @@
 import hashlib
+import multiprocessing
+from dataclasses import asdict
+from time import perf_counter
 
 import pytest
 
+from dmagic import search
 from dmagic.constructors import kmokn_graph
 from dmagic.graphs import (
     UndirectedGraph,
@@ -184,6 +188,56 @@ def test_parallel_root_parity_closure():
     out = decide_existence(complete(6), SearchConfig(workers=2))
     assert out.verdict == VERDICT_EXHAUSTED
     assert out.stats.nodes == 0
+
+
+def _worker_state(monkeypatch, node_budget=None):
+    stop = multiprocessing.Event()
+    shared_nodes = multiprocessing.Value("q", 0)
+    monkeypatch.setattr(search, "_worker", (stop, shared_nodes, node_budget))
+    return stop, shared_nodes
+
+
+def _worker_search(graph, config):
+    return search._search(graph, config, None, perf_counter(), None,
+                          lambda: search._add_nodes(1024))
+
+
+def test_stopped_worker_returns_within_one_poll(monkeypatch):
+    stop, shared_nodes = _worker_state(monkeypatch)
+    stop.set()
+    config = SearchConfig(parity_prune=False)
+    out = _worker_search(complete(6), config)
+    assert out.verdict == VERDICT_INCONCLUSIVE
+    assert out.stats.nodes == 1024
+    assert shared_nodes.value == 1024
+    # a job taken from the queue after the stop visits no node at all
+    job = (6, complete(6).edges, asdict(config), None, {0: 0, 1: 1})
+    verdict, cert, nodes, _ = search._run_job(job)
+    assert (verdict, cert, nodes) == (VERDICT_INCONCLUSIVE, None, 0)
+
+
+def test_worker_past_the_shared_budget_sets_the_stop(monkeypatch):
+    stop, shared_nodes = _worker_state(monkeypatch, node_budget=1500)
+    out = _worker_search(complete(6), SearchConfig(parity_prune=False))
+    assert out.verdict == VERDICT_INCONCLUSIVE
+    assert out.stats.nodes == shared_nodes.value == 2048
+    assert stop.is_set()
+
+
+def test_parallel_time_budget_bounds_the_whole_run():
+    start = perf_counter()
+    out = decide_existence(kmokn_graph(5, 3), SearchConfig(time_budget=0.2, workers=2))
+    assert perf_counter() - start <= 1.2
+    assert out.verdict != VERDICT_EXHAUSTED
+
+
+@pytest.mark.parametrize("workers", [2, 4])  # 4 contend for the shared count
+def test_parallel_node_budget_is_shared_by_the_workers(workers):
+    config = SearchConfig(node_budget=20000, workers=workers)
+    out = decide_existence(kmokn_graph(5, 3), config)
+    assert out.verdict == VERDICT_INCONCLUSIVE
+    # each worker may run on for up to one poll interval after the count passes
+    assert out.stats.nodes <= 20000 + workers * 1024
 
 
 # Reference search trees: verdict, nodes, prunes (weight, interval, parity)
