@@ -13,7 +13,6 @@ from .constructors import (
     FamilyDecision,
     STATUS_MAGIC,
     STATUS_NOT_MAGIC,
-    STATUS_SEARCH_REQUIRED,
     case2_expected_mu,
     construct_case1,
     construct_case2,
@@ -99,7 +98,7 @@ __all__ = [
     "Labeling", "MagicCertificate", "Violation", "NotALabelingError",
     "verify", "weight", "all_weights",
     "certificate_to_text", "parse_certificate", "bind_certificate",
-    "FamilyDecision", "STATUS_MAGIC", "STATUS_NOT_MAGIC", "STATUS_SEARCH_REQUIRED",
+    "FamilyDecision", "STATUS_MAGIC", "STATUS_NOT_MAGIC",
     "construct_complete", "construct_empty", "construct_case1", "construct_case2",
     "case2_expected_mu", "decide_kmokn", "kmokn_graph",
     "NonexistenceCertificate", "ParityWitnessSpace", "KERNEL_CAP",

@@ -123,10 +123,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         if decision.status == STATUS_NOT_MAGIC:
             print(f"not-magic {decision.obstruction}", file=sys.stderr)
             return EXIT_NO
-        if decision.status != STATUS_MAGIC:
-            print("search-required: no closed-form construction covers this cell; try the search command",
-                  file=sys.stderr)
-            return EXIT_UNDECIDED
         cert = decision.certificate
         stem = f"kmokn-{args.m}-{args.n}"
     _write_text(args.graph_out or f"{stem}.graph", graph_to_text(cert.graph))
@@ -156,11 +152,8 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     if decision.status == STATUS_MAGIC:
         print(f"magic {decision.method} mu={decision.certificate.mu.value}")
         return EXIT_YES
-    if decision.status == STATUS_NOT_MAGIC:
-        print(f"not-magic {decision.obstruction}")
-        return EXIT_NO
-    print("search-required")
-    return EXIT_UNDECIDED
+    print(f"not-magic {decision.obstruction}")
+    return EXIT_NO
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -172,7 +165,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         fix_first_arc=args.fix_first_arc,
         unit_scaling=args.unit_scaling,
         parity_prune=args.parity_prune,
-        parity_list_cap=args.parity_list_cap,
         seed=args.seed,
     )
     outcome = decide_existence(graph, config)
@@ -217,7 +209,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["family", "m", "n", "order", "status", "mu", "method", "nodes", "time_ms"])
+    writer.writerow(["family", "m", "n", "order", "status", "mu", "method", "time_ms"])
     cert_dir = args.cert_dir
     if cert_dir:
         os.makedirs(cert_dir, exist_ok=True)
@@ -225,41 +217,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for n in range(1, args.max_n + 1):
             started = perf_counter()
             decision = decide_kmokn(m, n)
-            order = m * n
-            nodes: object = ""
-            mu: object = ""
-            cert = None
-            if decision.status == STATUS_MAGIC:
-                status = "magic"
-                method = decision.method
-                cert = decision.certificate
-                mu = cert.mu.value
-            elif decision.status == STATUS_NOT_MAGIC:
-                status = "not-magic"
-                method = decision.obstruction
-                if method == "theorem2":
-                    # theorem1 does not apply when m = 0 mod 4; the checkable
-                    # obstruction for those cells is the parity system
-                    space = parity_feasibility(complete(m))
-                    if space is not None and space.certifies_nonexistence:
-                        method = "parity"
-            elif order <= args.search_limit:
-                outcome = decide_existence(kmokn_graph(m, n), SearchConfig())
-                method = "search"
-                nodes = outcome.stats.nodes
-                if outcome.verdict == VERDICT_WITNESS:
-                    status = "magic"
-                    cert = outcome.certificate
-                    mu = cert.mu.value
-                elif outcome.verdict == VERDICT_EXHAUSTED:
-                    status = "not-magic"
-                else:
-                    status = "unknown"
-            else:
-                status = "unknown"
-                method = ""
+            cert = decision.certificate
+            mu = "" if cert is None else cert.mu.value
+            method = decision.method or decision.obstruction
             elapsed_ms = (perf_counter() - started) * 1000
-            writer.writerow(["kmokn", m, n, order, status, mu, method, nodes, f"{elapsed_ms:.1f}"])
+            writer.writerow(["kmokn", m, n, m * n, decision.status, mu, method, f"{elapsed_ms:.1f}"])
             if cert is not None and cert_dir:
                 stem = os.path.join(cert_dir, f"kmokn-{m}-{n}")
                 _write_text(stem + ".graph", graph_to_text(cert.graph))
@@ -341,7 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="disable the first-arc symmetry reduction")
     p_search.add_argument("--unit-scaling", action="store_true")
     p_search.add_argument("--no-parity-prune", dest="parity_prune", action="store_false")
-    p_search.add_argument("--parity-list-cap", type=int, default=4096)
     p_search.set_defaults(handler=_cmd_search)
 
     p_obstruct = sub.add_parser("obstruct", help="look for a nonexistence certificate")
@@ -359,8 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="CSV classification of the family grid")
     p_table.add_argument("--max-m", type=int, default=8)
     p_table.add_argument("--max-n", type=int, default=8)
-    p_table.add_argument("--search-limit", type=int, default=8,
-                         help="run the search oracle on undecided cells up to this order")
     p_table.add_argument("--cert-dir", default=None,
                          help="write graph and certificate files for every magic cell")
     _add_output_option(p_table)

@@ -1,9 +1,11 @@
 """Constructive labelings for complete graphs and blown-up cliques.
 
-construct_case1 handles orders divisible by 4, construct_case2 handles an odd
-number of blocks with block size 2 mod 4, construct_complete handles odd
-complete graphs via the rotational tournament.  Every constructor re-verifies
-its output before returning; an unverified certificate is never produced.
+construct_case1 handles orders divisible by 4; construct_case2 handles an odd
+number of blocks of any size, and construct_complete odd complete graphs, both
+through the rotational tournament with identity labels.  Together with the
+theorem1 and parity obstructions they decide every cell of the blown-up clique
+family.  Every constructor re-verifies its output before returning; an
+unverified certificate is never produced.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "FamilyDecision",
     "STATUS_MAGIC",
     "STATUS_NOT_MAGIC",
-    "STATUS_SEARCH_REQUIRED",
     "construct_complete",
     "construct_case1",
     "construct_case2",
@@ -31,7 +32,6 @@ __all__ = [
 
 STATUS_MAGIC = "magic"
 STATUS_NOT_MAGIC = "not-magic"
-STATUS_SEARCH_REQUIRED = "search-required"
 
 
 @dataclass(frozen=True)
@@ -56,17 +56,25 @@ def _checked(graph: UndirectedGraph, orientation: Orientation, labeling: Labelin
     return result
 
 
+def _rotational(graph: UndirectedGraph, blocks: int, size: int) -> MagicCertificate:
+    """Identity labels on consecutive blocks of size vertices, oriented by block.
+
+    Block l points into block k exactly when k - l mod blocks lies in
+    1..(blocks-1)/2 (a rotational tournament on the blocks).
+    """
+    window = (blocks - 1) // 2
+    bits = tuple(0 if (v // size - u // size) % blocks <= window else 1 for u, v in graph.edges)
+    order = graph.vertex_count
+    return _checked(graph, Orientation(graph, bits), Labeling(order, tuple(range(order))))
+
+
 def construct_complete(n: int) -> MagicCertificate:
     """Rotational tournament on an odd complete graph, labeled by vertex index."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n % 2 == 0:
         raise ValueError(f"no such labeling exists for even complete graphs, got n={n}")
-    graph = complete(n)
-    half = (n - 1) // 2
-    bits = tuple(0 if (v - u) % n <= half else 1 for u, v in graph.edges)
-    labeling = Labeling(n, tuple(range(n)))
-    return _checked(graph, Orientation(graph, bits), labeling)
+    return _rotational(complete(n), n, 1)
 
 
 def construct_empty(n: int) -> MagicCertificate:
@@ -119,24 +127,20 @@ def construct_case1(m: int, n: int) -> MagicCertificate:
 
 
 def construct_case2(m: int, n: int) -> MagicCertificate:
-    """Labeling of the blown-up clique for odd m >= 3 and n = 2 mod 4.
+    """Labeling of the blown-up clique for odd m >= 3 and any n >= 1.
 
     Vertex i of block k is labeled (i-1) + (k-1)n, and block l points into
-    block k exactly when k - l mod m lies in 1..(m-1)/2 (a rotational
-    tournament on the blocks).
+    block k exactly when k - l mod m lies in 1..(m-1)/2.  Block l's labels
+    sum to n^2 (l-1) + n(n-1)/2, and every block has (m-1)/2 in-blocks and
+    as many out-blocks, so each vertex of block k weighs n^2 times a sum of
+    (l-1) terms that is -(m^2-1)/4 mod m for every k: every weight is
+    case2_expected_mu(m, n) mod mn.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"need odd m >= 3, got m={m}")
-    if n < 2 or n % 4 != 2:
-        raise ValueError(f"need n = 2 mod 4, got n={n}")
-    order = m * n
-    graph = kmokn_graph(m, n)
-    window = (m - 1) // 2
-    bits = []
-    for u, v in graph.edges:
-        bu, bv = u // n + 1, v // n + 1
-        bits.append(0 if (bv - bu) % m <= window else 1)
-    return _checked(graph, Orientation(graph, tuple(bits)), Labeling(order, tuple(range(order))))
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
+    return _rotational(kmokn_graph(m, n), m, n)
 
 
 def case2_expected_mu(m: int, n: int) -> int:
@@ -145,11 +149,14 @@ def case2_expected_mu(m: int, n: int) -> int:
 
 
 def decide_kmokn(m: int, n: int) -> FamilyDecision:
-    """Decide the blown-up clique family cell (m, n).
+    """Decide the blown-up clique family cell (m, n); every cell is decided.
 
-    Magic decisions come with a verified certificate.  The only analytically
-    not-magic cells are odd n with m = 2 mod 4 (and even complete graphs when
-    n = 1); odd m*n with m, n >= 3 is left to the search oracle.
+    Magic decisions come with a verified certificate: complete for odd m and
+    n = 1, empty for m = 1, case1 when 4 divides mn, and case2 for the rest,
+    all of which have odd m.  Not-magic cells are those where theorem1
+    applies (odd n with m = 2 mod 4) and the even complete graphs with
+    m = 0 mod 4, where the only solutions of the parity system are constant,
+    so none has the m/2 odd labels a labeling needs (reason "parity").
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
@@ -157,7 +164,7 @@ def decide_kmokn(m: int, n: int) -> FamilyDecision:
         if m % 2 == 1:
             return FamilyDecision(m, n, STATUS_MAGIC, method="complete",
                                   certificate=construct_complete(m))
-        obstruction = "theorem1" if m % 4 == 2 else "theorem2"
+        obstruction = "theorem1" if m % 4 == 2 else "parity"
         return FamilyDecision(m, n, STATUS_NOT_MAGIC, obstruction=obstruction)
     if m == 1:
         return FamilyDecision(m, n, STATUS_MAGIC, method="empty",
@@ -167,7 +174,5 @@ def decide_kmokn(m: int, n: int) -> FamilyDecision:
     if (m * n) % 4 == 0:
         return FamilyDecision(m, n, STATUS_MAGIC, method="case1",
                               certificate=construct_case1(m, n))
-    if m % 2 == 1 and n % 4 == 2:
-        return FamilyDecision(m, n, STATUS_MAGIC, method="case2",
-                              certificate=construct_case2(m, n))
-    return FamilyDecision(m, n, STATUS_SEARCH_REQUIRED)
+    return FamilyDecision(m, n, STATUS_MAGIC, method="case2",
+                          certificate=construct_case2(m, n))

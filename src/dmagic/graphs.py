@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -222,31 +223,52 @@ def complete_multipartite(sizes: Sequence[int]) -> UndirectedGraph:
     return UndirectedGraph.from_edges(n, edges)
 
 
+def _upper_neighbors(g: UndirectedGraph) -> List[List[int]]:
+    """Each vertex's higher-numbered neighbours, ascending: read off the sorted edges."""
+    up: List[List[int]] = [[] for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        up[u].append(v)
+    return up
+
+
 def lexicographic(g: UndirectedGraph, h: UndirectedGraph) -> UndirectedGraph:
-    """Lexicographic product: (g1, h1) ~ (g2, h2) iff g1 ~ g2, or g1 = g2 and h1 ~ h2."""
-    idx = ProductIndexing(g.vertex_count, h.vertex_count)
-    edges = []
-    for gu, gv in g.edges:
-        for hu in range(1, h.vertex_count + 1):
-            for hv in range(1, h.vertex_count + 1):
-                edges.append((idx.vertex(gu + 1, hu), idx.vertex(gv + 1, hv)))
-    for gu in range(1, g.vertex_count + 1):
-        for hu, hv in h.edges:
-            edges.append((idx.vertex(gu, hu + 1), idx.vertex(gu, hv + 1)))
-    return UndirectedGraph.from_edges(g.vertex_count * h.vertex_count, edges)
+    """Lexicographic product: (g1, h1) ~ (g2, h2) iff g1 ~ g2, or g1 = g2 and h1 ~ h2.
+
+    Vertices are numbered as by ProductIndexing, so vertex u's higher
+    neighbours are its block mates through h, then every vertex of each later
+    block g joins to u's block; the edges come out in canonical order.
+    """
+    n = h.vertex_count
+    ProductIndexing(g.vertex_count, n)  # rejects an empty factor
+    g_up, h_up = _upper_neighbors(g), _upper_neighbors(h)
+    edges: List[Tuple[int, int]] = []
+    for a in range(g.vertex_count):
+        base = a * n
+        across = [c * n + j for c in g_up[a] for j in range(n)]
+        for b in range(n):
+            u = base + b
+            edges.extend((u, base + x) for x in h_up[b])
+            edges.extend(zip(repeat(u), across))
+    return UndirectedGraph(g.vertex_count * n, tuple(edges))
 
 
 def cartesian(g: UndirectedGraph, h: UndirectedGraph) -> UndirectedGraph:
-    """Cartesian product: one coordinate adjacent, the other equal."""
-    idx = ProductIndexing(g.vertex_count, h.vertex_count)
-    edges = []
-    for gu, gv in g.edges:
-        for hu in range(1, h.vertex_count + 1):
-            edges.append((idx.vertex(gu + 1, hu), idx.vertex(gv + 1, hu)))
-    for gu in range(1, g.vertex_count + 1):
-        for hu, hv in h.edges:
-            edges.append((idx.vertex(gu, hu + 1), idx.vertex(gu, hv + 1)))
-    return UndirectedGraph.from_edges(g.vertex_count * h.vertex_count, edges)
+    """Cartesian product: one coordinate adjacent, the other equal.
+
+    Numbered as lexicographic is; vertex u's higher neighbours are its block
+    mates through h, then its copies in the later blocks g joins to u's block.
+    """
+    n = h.vertex_count
+    ProductIndexing(g.vertex_count, n)  # rejects an empty factor
+    g_up, h_up = _upper_neighbors(g), _upper_neighbors(h)
+    edges: List[Tuple[int, int]] = []
+    for a in range(g.vertex_count):
+        base = a * n
+        for b in range(n):
+            u = base + b
+            edges.extend((u, base + x) for x in h_up[b])
+            edges.extend((u, c * n + b) for c in g_up[a])
+    return UndirectedGraph(g.vertex_count * n, tuple(edges))
 
 
 def prism(n: int) -> UndirectedGraph:

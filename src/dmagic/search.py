@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -56,6 +56,11 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 _PRUNE_KEYS = ("weight", "interval", "parity")
 
+# The search runs without the parity rule when either constant of the root
+# parity system has more solutions than this, so that the candidate lists it
+# filters at every label step stay short.
+PARITY_LIST_CAP = 4096
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -76,7 +81,6 @@ class SearchConfig:
     fix_first_arc: bool = True
     unit_scaling: bool = False
     parity_prune: bool = True
-    parity_list_cap: int = 4096
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -164,7 +168,7 @@ def _steps(graph: UndirectedGraph, config: SearchConfig,
 def _root_parity_candidates(graph: UndirectedGraph, config: SearchConfig) -> _ParityList:
     if not config.parity_prune or graph.vertex_count % 2 != 0:
         return None
-    sols = parity_solutions(graph, max_solutions=config.parity_list_cap)
+    sols = parity_solutions(graph, max_solutions=PARITY_LIST_CAP)
     if sols is None:
         return None
     return [(mask, c) for c in (0, 1) for mask in sols[c]]
@@ -330,14 +334,20 @@ def _search(graph: UndirectedGraph, config: SearchConfig, psols: _ParityList,
 
 
 # What a pool process shares with the rest of the run: the stop signal, the
-# node count of all workers and the run's node budget.  Set in each pool
-# process by _init_worker; a serial search never reads it.
+# node count of all workers and the run's node budget; and what every job of
+# the run searches: the graph, the worker config and the root parity list.
+# Set once in each pool process by _init_worker; a serial search never reads
+# them.
 _worker: Optional[Tuple] = None
+_subtrees: Optional[Tuple[UndirectedGraph, SearchConfig, _ParityList]] = None
 
 
-def _init_worker(stop, shared_nodes, node_budget: Optional[int]) -> None:
-    global _worker
+def _init_worker(stop, shared_nodes, node_budget: Optional[int], vertex_count: int,
+                 edges: Tuple[Tuple[int, int], ...], config: SearchConfig,
+                 psols: _ParityList) -> None:
+    global _worker, _subtrees
     _worker = (stop, shared_nodes, node_budget)
+    _subtrees = (UndirectedGraph(vertex_count, edges), config, psols)
 
 
 def _add_nodes(k: int) -> bool:
@@ -355,12 +365,12 @@ def _add_nodes(k: int) -> bool:
     return stop.is_set()
 
 
-def _run_job(args: Tuple) -> Tuple[str, Optional[Tuple], int, Dict[str, int]]:
-    vertex_count, edges, cfg_kwargs, psols, pinned = args
+def _run_job(pair: Tuple[int, int]) -> Tuple[str, Optional[Tuple], int, Dict[str, int]]:
+    """Search the subtree whose first two labels are the pinned pair."""
     if _worker[0].is_set():  # a job already queued when the run stopped
         return VERDICT_INCONCLUSIVE, None, 0, {k: 0 for k in _PRUNE_KEYS}
-    graph = UndirectedGraph(vertex_count, edges)
-    outcome = _search(graph, SearchConfig(**cfg_kwargs), psols, perf_counter(), pinned,
+    graph, config, psols = _subtrees
+    outcome = _search(graph, config, psols, perf_counter(), {0: pair[0], 1: pair[1]},
                       lambda: _add_nodes(1024))
     _add_nodes(outcome.stats.nodes & 1023)  # the nodes since the last poll
     cert = None
@@ -385,18 +395,17 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, psols: _ParityLi
     n = graph.vertex_count
     first = _steps(graph, config, {})[0][-1]
     jobs = [(lam0, lam1) for lam0 in first for lam1 in range(n) if lam1 != lam0]
-    cfg_kwargs = asdict(config)
-    cfg_kwargs.update(workers=1, node_budget=None, time_budget=None)
-    payloads = [(n, graph.edges, cfg_kwargs, psols, {0: lam0, 1: lam1}) for lam0, lam1 in jobs]
+    job_config = replace(config, workers=1, node_budget=None, time_budget=None)
     deadline = None if config.time_budget is None else t0 + config.time_budget
     stop = multiprocessing.Event()
     shared_nodes = multiprocessing.Value("q", 0)
     witness: Optional[MagicCertificate] = None
     exhausted = 0  # jobs that searched their whole subtree
     with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker,
-                             initargs=(stop, shared_nodes, config.node_budget)) as pool:
+                             initargs=(stop, shared_nodes, config.node_budget, n, graph.edges,
+                                       job_config, psols)) as pool:
         try:
-            pending = {pool.submit(_run_job, p) for p in payloads}
+            pending = {pool.submit(_run_job, job) for job in jobs}
             while pending:
                 timeout = None
                 if deadline is not None and not stop.is_set():

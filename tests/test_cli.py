@@ -83,10 +83,16 @@ def test_construct_not_magic_cell(capsys):
     assert "theorem1" in err
 
 
-def test_construct_open_cell(capsys):
-    code, out, err = run(capsys, "construct", "--family", "kmokn", "--m", "3", "--n", "3")
-    assert code == 2
-    assert "search" in err
+def test_construct_odd_by_odd_cell(tmp_path, capsys):
+    cert = tmp_path / "k33.cert"
+    graph = tmp_path / "k33.graph"
+    code, out, _ = run(capsys, "construct", "--family", "kmokn", "--m", "3", "--n", "3",
+                       "--cert-out", str(cert), "--graph-out", str(graph))
+    assert code == 0
+    assert out.strip() == "magic mu=0"
+    code, out, _ = run(capsys, "verify", "--graph", str(graph), "--cert", str(cert))
+    assert code == 0
+    assert out.strip() == "magic mu=0"
 
 
 def test_construct_even_complete(capsys):
@@ -140,7 +146,8 @@ def test_verify_missing_file(tmp_path, capsys):
 def test_decide_exit_codes(capsys):
     assert run(capsys, "decide", "--family", "kmokn", "--m", "4", "--n", "3")[0] == 0
     assert run(capsys, "decide", "--family", "kmokn", "--m", "6", "--n", "3")[0] == 1
-    assert run(capsys, "decide", "--family", "kmokn", "--m", "3", "--n", "3")[0] == 2
+    assert run(capsys, "decide", "--family", "kmokn", "--m", "3", "--n", "3")[0] == 0
+    assert run(capsys, "decide", "--family", "kmokn", "--m", "8", "--n", "1")[0] == 1
 
 
 def test_decide_output_format(capsys):
@@ -264,16 +271,16 @@ def test_partition_rejects_malformed_sizes():
 
 def test_table(tmp_path, capsys):
     certs = tmp_path / "certs"
-    code, out, _ = run(capsys, "table", "--max-m", "3", "--max-n", "3",
-                       "--search-limit", "9", "--cert-dir", str(certs))
+    code, out, _ = run(capsys, "table", "--max-m", "4", "--max-n", "3",
+                       "--cert-dir", str(certs))
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["family", "m", "n", "order", "status", "mu", "method", "nodes", "time_ms"]
-    assert len(rows) == 10
+    assert rows[0] == ["family", "m", "n", "order", "status", "mu", "method", "time_ms"]
+    assert len(rows) == 13
     by_cell = {(r[1], r[2]): r for r in rows[1:]}
-    assert by_cell[("2", "3")][4] == "not-magic"
-    assert by_cell[("3", "3")][4] == "magic"
-    assert by_cell[("3", "3")][6] == "search"
+    assert by_cell[("2", "3")][4:7] == ["not-magic", "", "theorem1"]
+    assert by_cell[("4", "1")][4:7] == ["not-magic", "", "parity"]
+    assert by_cell[("3", "3")][4:7] == ["magic", "0", "case2"]
     # every magic cell wrote a graph plus certificate pair that re-verifies
     magic_cells = [(r[1], r[2]) for r in rows[1:] if r[4] == "magic"]
     assert magic_cells
@@ -285,14 +292,6 @@ def test_table(tmp_path, capsys):
         code, out, _ = run(capsys, "verify", "--graph", str(graph_file),
                            "--cert", str(cert_file))
         assert code == 0
-
-
-def test_table_respects_search_limit(capsys):
-    code, out, _ = run(capsys, "table", "--max-m", "3", "--max-n", "3",
-                       "--search-limit", "4")
-    rows = list(csv.reader(io.StringIO(out)))
-    by_cell = {(r[1], r[2]): r for r in rows[1:]}
-    assert by_cell[("3", "3")][4] == "unknown"
 
 
 def test_module_entry_point():

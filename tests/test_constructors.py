@@ -3,7 +3,6 @@ import pytest
 from dmagic.constructors import (
     STATUS_MAGIC,
     STATUS_NOT_MAGIC,
-    STATUS_SEARCH_REQUIRED,
     case2_expected_mu,
     construct_case1,
     construct_case2,
@@ -15,7 +14,8 @@ from dmagic.constructors import (
 from dmagic.graphs import complete, regularity
 from dmagic.groups import GroupElement
 from dmagic.obstructions import parity_feasibility, theorem1_check
-from dmagic.verifier import MagicCertificate, verify
+from dmagic.search import SearchConfig, VERDICT_WITNESS, decide_existence
+from dmagic.verifier import MagicCertificate, certificate_to_text, verify
 from oracles import brute_weights
 
 
@@ -105,18 +105,24 @@ def test_case2_5_by_2():
 
 
 def test_case2_grid_matches_closed_form():
+    # every block size, not only n = 2 mod 4
     for m in (3, 5, 7, 9):
-        for n in (2, 6, 10):
+        for n in (*range(1, 9), 10):
             cert = construct_case2(m, n)
             assert cert.mu == GroupElement(case2_expected_mu(m, n), m * n), (m, n)
             recheck(cert)
+
+
+def test_case2_with_single_vertex_blocks_is_the_complete_construction():
+    for m in (3, 5, 7, 9):
+        assert certificate_to_text(construct_case2(m, 1)) == certificate_to_text(construct_complete(m))
 
 
 def test_case2_rejects_bad_shapes():
     with pytest.raises(ValueError):
         construct_case2(4, 2)
     with pytest.raises(ValueError):
-        construct_case2(3, 4)
+        construct_case2(3, 0)
     with pytest.raises(ValueError):
         construct_case2(1, 2)
 
@@ -147,12 +153,37 @@ def test_decide_not_magic_cells():
     d = decide_kmokn(6, 1)
     assert d.status == STATUS_NOT_MAGIC and d.obstruction == "theorem1"
     d = decide_kmokn(8, 1)
-    assert d.status == STATUS_NOT_MAGIC and d.obstruction == "theorem2"
+    assert d.status == STATUS_NOT_MAGIC and d.obstruction == "parity"
 
 
-def test_decide_open_cells_go_to_search():
+def test_decide_odd_by_odd_cells_by_case2():
     for m, n in ((3, 3), (5, 3), (3, 5), (9, 7)):
-        assert decide_kmokn(m, n).status == STATUS_SEARCH_REQUIRED
+        d = decide_kmokn(m, n)
+        assert d.status == STATUS_MAGIC and d.method == "case2"
+        assert d.certificate.mu == GroupElement(case2_expected_mu(m, n), m * n)
+        recheck(d.certificate)
+
+
+def test_decide_answers_every_cell():
+    for m in range(1, 13):
+        for n in range(1, 13):
+            d = decide_kmokn(m, n)
+            assert d.status in (STATUS_MAGIC, STATUS_NOT_MAGIC), (m, n)
+            assert (d.certificate is None) == (d.status == STATUS_NOT_MAGIC), (m, n)
+
+
+def test_k3_3_search_agrees_with_the_construction():
+    assert decide_kmokn(3, 3).status == STATUS_MAGIC
+    out = decide_existence(kmokn_graph(3, 3), SearchConfig(seed=1, node_budget=100_000))
+    assert out.verdict == VERDICT_WITNESS
+    recheck(out.certificate)
+
+
+def test_even_complete_graphs_fail_the_parity_system():
+    # backs the "parity" reason: in K_m every parity solution is constant
+    for m in range(2, 25, 2):
+        space = parity_feasibility(complete(m))
+        assert space is not None and space.certifies_nonexistence, m
 
 
 def test_decide_rejects_bad_input():
@@ -173,7 +204,7 @@ def test_not_magic_claims_are_backed_by_an_obstruction():
             if d.obstruction == "theorem1":
                 assert theorem1_check(g) is not None, (m, n)
             else:
-                assert d.obstruction == "theorem2"
+                assert d.obstruction == "parity"
                 space = parity_feasibility(g)
                 assert space is not None and space.certifies_nonexistence, (m, n)
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dmagic.graphs import (
     FormatError,
@@ -186,3 +186,43 @@ def test_round_trip_any_graph(g):
 @given(graphs)
 def test_handshake(g):
     assert sum(g.degree(v) for v in range(g.vertex_count)) == 2 * g.edge_count
+
+
+def _by_definition(g, h, adjacent):
+    """A product's sorted edges, from its adjacency rule on 1-based coordinates."""
+    idx = ProductIndexing(g.vertex_count, h.vertex_count)
+    g_adj = {frozenset((u + 1, v + 1)) for u, v in g.edges}
+    h_adj = {frozenset((u + 1, v + 1)) for u, v in h.edges}
+    cells = [(k, i) for k in range(1, g.vertex_count + 1) for i in range(1, h.vertex_count + 1)]
+    edges = {(idx.vertex(*p), idx.vertex(*q)) for p in cells for q in cells
+             if idx.vertex(*p) < idx.vertex(*q) and adjacent(g_adj, h_adj, p, q)}
+    return UndirectedGraph(len(cells), tuple(sorted(edges)))
+
+
+def _lexicographic_rule(g_adj, h_adj, p, q):
+    return frozenset((p[0], q[0])) in g_adj or (p[0] == q[0] and frozenset((p[1], q[1])) in h_adj)
+
+
+def _cartesian_rule(g_adj, h_adj, p, q):
+    return ((frozenset((p[0], q[0])) in g_adj and p[1] == q[1])
+            or (p[0] == q[0] and frozenset((p[1], q[1])) in h_adj))
+
+
+@settings(max_examples=80)
+@given(graphs, graphs)
+@example(empty_graph(1), empty_graph(1))
+@example(empty_graph(1), cycle(4))
+@example(cycle(4), empty_graph(1))
+@example(empty_graph(3), path(3))
+@example(path(3), empty_graph(3))
+def test_products_match_their_definitions(g, h):
+    assert lexicographic(g, h) == _by_definition(g, h, _lexicographic_rule)
+    assert cartesian(g, h) == _by_definition(g, h, _cartesian_rule)
+
+
+def test_products_reject_an_empty_factor():
+    for product in (lexicographic, cartesian):
+        with pytest.raises(ValueError):
+            product(empty_graph(0), complete(2))
+        with pytest.raises(ValueError):
+            product(complete(2), empty_graph(0))
