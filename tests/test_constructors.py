@@ -105,7 +105,6 @@ def test_case2_5_by_2():
 
 
 def test_case2_grid_matches_closed_form():
-    # every block size, not only n = 2 mod 4
     for m in (3, 5, 7, 9):
         for n in (*range(1, 9), 10):
             cert = construct_case2(m, n)
