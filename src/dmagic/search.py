@@ -2,30 +2,32 @@
 
 The search interleaves label choices with arc choices: vertices are visited in
 maximum-adjacency order, and each edge is oriented at the moment its second
-endpoint is labeled.  Each choice point is one step, N + E in all, and the
-search walks them with a single loop over an explicit stack, never by
-recursion, so a deep graph costs memory rather than interpreter stack.  Every
-depth keeps an iterator over its remaining choices and the choice it applied,
-which is its undo record: the step data names what the choice changed.
+endpoint is labeled.  Each choice point is one step, N + E in all, walked by
+one loop over an explicit stack, never by recursion, so a deep graph costs
+memory rather than interpreter stack.  Each depth's applied choice is its
+undo record.
 
-After a choice is applied, one check block runs over the vertices the step
-touched: the labeled vertex and its earlier-visited neighbours for a label
-step, tail and head for an arc step.  The magic constant is never enumerated;
-the first touched vertex whose incident arcs are all decided pins it, and the
-loop keeps the depth of that pin so that undoing the choice there unpins it.
-Pruning rules:
+The visit order is fixed, so what a step can check depends on its depth
+alone.  _steps builds this check plan once, from running counts in O(N + E):
+the touched vertices whose last edge the step decides (they close), and for
+each open one, its unlabeled neighbours and its labeled neighbours on
+undecided edges.  The magic constant is never enumerated: the first step that
+closes a vertex pins it, at the same depth on every branch, and no check runs
+above that depth.  Pruning rules:
 
-  weight    a fully decided vertex whose weight differs from the pinned constant
-  interval  a partly decided vertex whose achievable weights, bounded through
-            the unused label pool, cannot reach the pinned constant
+  weight    a closed vertex whose weight differs from the pinned constant
+  interval  an open vertex whose weight cannot reach the constant, each pending
+            label l adding +-l and each unlabeled neighbour at most +- one of
+            the largest unused labels; all signs are tried for up to 3 labels
   parity    the 0/1 label-parity pattern fixed so far extends to no solution of
             the weight-parity system with exactly N/2 odd labels
 
-All three rules only discard assignments that cannot extend to a witness, so
-an exhausted search is a sound nonexistence verdict.  Fixing the first arc
-halves the space and is existence-preserving (reversing every arc maps
-witnesses to witnesses, negating the constant); restricting the first label to
-one representative per unit-scaling orbit is available behind a toggle.
+The parity candidates are one int over candidate indices, narrowed by a
+per-vertex mask at each label step and by a weight-parity mask at the pin.
+The rules only discard assignments that cannot extend to a witness, so an
+exhausted search is a sound nonexistence verdict.  Fixing the first arc halves
+the space (reversing every arc maps witnesses to witnesses); a toggle also
+keeps one first label per unit-scaling orbit.
 """
 
 from __future__ import annotations
@@ -34,21 +36,14 @@ import random
 import sys
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .graphs import Orientation, UndirectedGraph
 from .obstructions import parity_solutions
 from .verifier import Labeling, MagicCertificate, verify
 
-__all__ = [
-    "SearchConfig",
-    "SearchStats",
-    "SearchOutcome",
-    "VERDICT_WITNESS",
-    "VERDICT_EXHAUSTED",
-    "VERDICT_INCONCLUSIVE",
-    "decide_existence",
-]
+__all__ = ["SearchConfig", "SearchStats", "SearchOutcome", "VERDICT_WITNESS",
+           "VERDICT_EXHAUSTED", "VERDICT_INCONCLUSIVE", "decide_existence"]
 
 VERDICT_WITNESS = "witness"
 VERDICT_EXHAUSTED = "exhausted-no-solution"
@@ -57,8 +52,9 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 _PRUNE_KEYS = ("weight", "interval", "parity")
 
 # The search runs without the parity rule when either constant of the root
-# parity system has more solutions than this, so that the candidate lists it
-# filters at every label step stay short.
+# parity system has more solutions than this, which bounds the work of
+# listing them and building their masks.  The value decides which searches
+# use the rule, so changing it changes their trees.
 PARITY_LIST_CAP = 4096
 
 
@@ -106,248 +102,255 @@ class SearchOutcome:
     stats: SearchStats
 
 
-# A parity candidate is (vertex parity mask, weight parity c).
-_ParityList = Optional[List[Tuple[int, int]]]
+# Root parity candidates (all, by_vertex, by_c): bit i of all is candidate i,
+# a (vertex parity pattern, weight parity c) pair; by_vertex[v][b] keeps those
+# giving v label parity b, by_c[c] those with weight parity c.
+_Parity = Optional[Tuple[int, Tuple[Tuple[int, int], ...], Tuple[int, int]]]
+_Plan = Tuple[List[Tuple], List[Sequence[int]], int]  # see _steps
 
 
 def _visit_order(graph: UndirectedGraph) -> List[int]:
     """Maximum-adjacency order: next vertex has most labeled neighbors."""
     n = graph.vertex_count
-    chosen = [False] * n
-    conn = [0] * n
+    # (labeled neighbours, degree, -v) packed into one int
+    key = [graph.degree(v) * n + n - 1 - v for v in range(n)]
+    rest = set(range(n))
     order = []
-    for _ in range(n):
-        best = -1
-        key = None
-        for v in range(n):
-            if chosen[v]:
-                continue
-            k = (conn[v], graph.degree(v), -v)
-            if key is None or k > key:
-                key = k
-                best = v
+    while rest:
+        best = max(rest, key=key.__getitem__)
         order.append(best)
-        chosen[best] = True
-        for nb in graph.neighbors(best):
-            conn[nb] += 1
+        rest.discard(best)
+        for _, nb in graph.incident(best):
+            key[nb] += n * n
     return order
 
 
-def _steps(graph: UndirectedGraph, config: SearchConfig,
-           pinned: Dict[int, int]) -> List[Tuple]:
-    """Step data in visit order, each ending with its candidate choices.
-
-    A label step is (True, v, touched, labels): touched is v followed by its
-    earlier-visited neighbours in incidence order.  An arc step is
-    (False, e, u, v, bits) for edge e = (u, v); bit 0 orients it u -> v.
-    pinned maps a step index to the only label that step may take.
-    """
-    order = _visit_order(graph)
-    pos = {v: i for i, v in enumerate(order)}
-    n = graph.vertex_count
+def _label_orders(n: int, config: SearchConfig) -> Tuple[List[int], List[int]]:
+    """The candidate labels of the first label step and of every later one."""
     labels = list(range(n))
     if config.seed != 0:
         random.Random(config.seed).shuffle(labels)
-    first = labels
-    if config.unit_scaling:
-        # one representative per unit-scaling orbit: 0 and the divisors of N
-        first = [lam for lam in labels if lam == 0 or n % lam == 0]
-    arc_bits: Tuple[int, ...] = (0,) if config.fix_first_arc else (0, 1)
+    # unit scaling keeps one first label per orbit: 0 and the divisors of N
+    first = [lam for lam in labels if lam == 0 or n % lam == 0]
+    return first if config.unit_scaling else labels, labels
+
+
+def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
+    """The check plan: steps in visit order, label candidates, pin depth.
+
+    A step is (label, a, b, closes, opens, last): a label step labels a (b is
+    a); an arc step orients edge (a, b), a -> b by choice 0, and last is its
+    last choice.  closes holds the touched vertices whose last edge the step
+    decides; opens the others as (y, k, pend, start): y has k unlabeled
+    neighbours and the labeled ones pend[start:] on undecided edges, or k = -1,
+    listed first, when pend is all of at most three.  A vertex with m
+    undecided edges is left out when m(m - 1) + 1 >= N: its m distinct pending
+    labels reach all of Z_N.  Both are empty above the pin depth.
+    """
+    n = graph.vertex_count
+    order = _visit_order(graph)
+    pos = sorted(range(n), key=order.__getitem__)  # pos[v] is v's place in order
+    first, labels = _label_orders(n, config)
+    last_arc = 0 if config.fix_first_arc else 1
+    unlabeled = [graph.degree(v) for v in range(n)]
     steps: List[Tuple] = []
-    for v in order:
-        si = len(steps)
-        cands = (pinned[si],) if si in pinned else (first if si == 0 else labels)
-        back = [(e, u) for e, u in graph.incident(v) if pos[u] < pos[v]]
-        steps.append((True, v, (v,) + tuple(u for _, u in back), cands))
-        for e, _ in back:
-            steps.append((False, e) + graph.edges[e] + (arc_bits,))
-            arc_bits = (0, 1)
-    return steps
+    cands: List[Sequence[int]] = []
+    pin = -1
+
+    def checks(touched: List[Tuple]) -> Tuple[Tuple, Tuple]:
+        nonlocal pin
+        closes = tuple(y for y, k, pend, start in touched if not k and start == len(pend))
+        pin = len(steps) if pin < 0 else pin  # called above the pin only where a vertex closes
+        m = [k + len(pend) - start for _, k, pend, start in touched]  # undecided edges
+        exact = [(y, -1, p[s:], 0) for (y, k, p, s), my in zip(touched, m) if not k and 0 < my <= 3]
+        bound = [t for t, my in zip(touched, m) if (t[1] or my > 3) and my * (my - 1) + 1 < n]
+        return closes, tuple(exact + bound)
+
+    for i, v in enumerate(order):
+        back = [(e, u) for e, u in graph.incident(v) if pos[u] < i]
+        nbrs = tuple(u for _, u in back)
+        for u in nbrs:
+            unlabeled[u] -= 1
+        unlabeled[v] -= len(nbrs)
+        if pin < 0 and (nbrs or unlabeled[v]):  # only an isolated vertex closes here
+            steps.append((True, v, v, (), (), 0))
+        else:
+            touched = [(v, unlabeled[v], nbrs, 0)] + [(u, unlabeled[u], (v,), 0) for u in nbrs]
+            steps.append((True, v, v) + checks(touched) + (0,))
+        cands.append(labels)
+        for j, (e, w) in enumerate(back):
+            a, b = graph.edges[e]
+            if pin < 0 and unlabeled[w] and (unlabeled[v] or j + 1 < len(nbrs)):
+                steps.append((False, a, b, (), (), last_arc))
+            else:
+                touched = [(w, unlabeled[w], (), 0), (v, unlabeled[v], nbrs, j + 1)]
+                steps.append((False, a, b) + checks(touched) + (last_arc,))
+            cands.append(())
+            last_arc = 1
+    cands[0] = first
+    return steps, cands, pin
 
 
-def _root_parity_candidates(graph: UndirectedGraph, config: SearchConfig) -> _ParityList:
+def _root_parity_candidates(graph: UndirectedGraph, config: SearchConfig) -> _Parity:
     if not config.parity_prune or graph.vertex_count % 2 != 0:
         return None
     sols = parity_solutions(graph, max_solutions=PARITY_LIST_CAP)
     if sols is None:
         return None
-    return [(mask, c) for c in (0, 1) for mask in sols[c]]
+    n = graph.vertex_count
+    masks = sols[0] + sols[1]
+    everything = (1 << len(masks)) - 1
+    even = (1 << len(sols[0])) - 1
+    # transpose the bit matrix: column v of the masks, last row first, is the
+    # set of candidates giving v parity 1
+    rows = [format(mask, f"0{n}b") for mask in reversed(masks)]
+    odd = [int("".join(col), 2) for col in zip(*rows)][::-1] if rows else [0] * n
+    return everything, tuple((everything ^ o, o) for o in odd), (even, everything ^ even)
 
 
-def _search(graph: UndirectedGraph, config: SearchConfig, psols: _ParityList,
+def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
             t0: float, pinned: Optional[Dict[int, int]] = None,
-            poll: Optional[Callable[[], bool]] = None) -> SearchOutcome:
+            poll: Optional[Callable[[], bool]] = None,
+            plan: Optional[_Plan] = None) -> SearchOutcome:
     """Run the step loop from the root; budgets count from t0.
 
-    poll, if given, is called every 1024 nodes, and the search stops as
-    inconclusive once it returns true.  Without one, a time budget is polled
-    there instead.
+    pinned maps a step index to its only label.  poll, if given, is called
+    every 1024 nodes, and the search stops as inconclusive once it returns
+    true; without one, a time budget is polled there.  plan is
+    _steps(graph, config), built here when not given.
     """
-    steps = _steps(graph, config, pinned or {})
+    steps, cands, pin = plan or _steps(graph, config)
+    if pinned:
+        cands = [(pinned[d],) if d in pinned else c for d, c in enumerate(cands)]
     mod = graph.vertex_count
-    incident = [graph.incident(v) for v in range(mod)]
-    labels = [-1] * mod
-    bits = [-1] * graph.edge_count
+    everything = (1 << mod) - 1
+    root, by_vertex, by_c = parity or (-1, ((-1, -1),) * mod, (-1, -1))
+    labels = [-1] * mod  # a label step's undo leaves its label stale
     pw = [0] * mod
-    und = [graph.degree(v) for v in range(mod)]
     stats = SearchStats()
     prunes = stats.prunes
 
-    def interval_ok(x: int, need: int, used: int) -> bool:
-        """Can the pending contributions to x still add up to need mod N?"""
-        pending: List[int] = []
-        k_unlabeled = 0
-        for e, y in incident[x]:
-            if bits[e] != -1:
-                continue
-            ly = labels[y]
-            if ly >= 0:
-                pending.append(ly)
-            else:
-                k_unlabeled += 1
-        if k_unlabeled == 0 and len(pending) <= 3:
-            achievable = {0}
-            for val in pending:
-                achievable = {s + val for s in achievable} | {s - val for s in achievable}
-            return any(s % mod == need for s in achievable)
-        lo = -sum(pending)
-        hi = sum(pending)
-        if k_unlabeled:
-            total = 0
-            count = 0
-            lam = mod - 1
-            while count < k_unlabeled and lam >= 0:
-                if not (used >> lam) & 1:
-                    total += lam
-                    count += 1
-                lam -= 1
-            lo -= total
-            hi += total
-        if hi - lo + 1 >= mod:
-            return True
-        return lo + ((need - lo) % mod) <= hi
-
-    def finish(verdict: str, nodes: int,
-               certificate: Optional[MagicCertificate] = None) -> SearchOutcome:
-        stats.nodes = nodes
-        stats.elapsed = perf_counter() - t0
-        return SearchOutcome(verdict, certificate, stats)
+    def finish(verdict: str, nodes: int, cert: Optional[MagicCertificate] = None) -> SearchOutcome:
+        stats.nodes, stats.elapsed = nodes, perf_counter() - t0
+        return SearchOutcome(verdict, cert, stats)
 
     node_limit = config.node_budget if config.node_budget is not None else sys.maxsize
-    time_budget = config.time_budget
-    if poll is None and time_budget is not None:
+    if poll is None and config.time_budget is not None:
         def poll() -> bool:
-            return perf_counter() - t0 > time_budget
+            return perf_counter() - t0 > config.time_budget
+    tick = min(node_limit + 1, 1024)  # the next node count to check the budgets at
     last = len(steps) - 1
-    todo = [iter(())] * len(steps)
+    todo = [iter(())] * len(steps)  # the untried labels of each label step
     applied = [-1] * len(steps)
-    plist: List[_ParityList] = [None] * len(steps)
-    todo[0] = iter(steps[0][-1])  # no label is used yet
-    plist[0] = psols
-    used = 0
-    mu: Optional[int] = None
-    mu_depth = -1
-    nodes = 0
-    d = 0
+    par = [root] * len(steps)  # the parity candidates left on entering each depth
+    todo[0] = iter(cands[0])  # no label is used yet
+    used = mu = nodes = d = 0
     while True:
         # undo the choice this depth applied last, then take its next one
-        step = steps[d]
+        label, a, b, closes, opens, last_arc = steps[d]
         x = applied[d]
         if x >= 0:
-            if step[0]:
-                labels[step[1]] = -1
+            if label:
                 used ^= 1 << x
+            elif x:
+                pw[a] -= labels[b]
+                pw[b] += labels[a]
             else:
-                _, e, u, v, _ = step
-                tail, head = (u, v) if x == 0 else (v, u)
-                bits[e] = -1
-                pw[head] -= labels[tail]
-                pw[tail] += labels[head]
-                und[tail] += 1
-                und[head] += 1
-            if mu_depth == d:
-                mu = None
-                mu_depth = -1
-        x = applied[d] = next(todo[d], -1)
+                pw[b] -= labels[a]
+                pw[a] += labels[b]
+        x = applied[d] = next(todo[d], -1) if label else (x + 1 if x < last_arc else -1)
         if x < 0:
             if d == 0:
                 return finish(VERDICT_EXHAUSTED, nodes)
             d -= 1
             continue
         nodes += 1
-        if nodes > node_limit or (poll is not None and not nodes & 1023 and poll()):
-            return finish(VERDICT_INCONCLUSIVE, nodes)
-        newp = plist[d]
-        if step[0]:
-            _, v, touched, _ = step
-            labels[v] = x
+        if nodes == tick:
+            if nodes > node_limit or (poll is not None and poll()):
+                return finish(VERDICT_INCONCLUSIVE, nodes)
+            tick = min(node_limit + 1, nodes + 1024)
+        p = par[d]
+        if label:
+            labels[a] = x
             used |= 1 << x
-            if newp is not None:
-                newp = [s for s in newp if (s[0] >> v) & 1 == x & 1]
-                if not newp:
+            p &= by_vertex[a][x & 1]
+            if not p:
+                prunes["parity"] += 1
+                continue
+        elif x:
+            pw[a] += labels[b]
+            pw[b] -= labels[a]
+        else:
+            pw[b] += labels[a]
+            pw[a] -= labels[b]
+        if d >= pin:
+            if d == pin:
+                mu = pw[closes[0]] % mod  # any closer: candidates in p give all one parity
+                p &= by_c[mu & 1]
+                if not p:
                     prunes["parity"] += 1
                     continue
-        else:
-            _, e, u, v, _ = step
-            tail, head = touched = (u, v) if x == 0 else (v, u)
-            bits[e] = x
-            pw[head] += labels[tail]
-            pw[tail] -= labels[head]
-            und[tail] -= 1
-            und[head] -= 1
-        # one check block for both kinds of step
-        failed = None
-        for y in touched:
-            if und[y] == 0:
-                w = pw[y] % mod
-                if mu is None:
-                    mu = w
-                    mu_depth = d
-                    if newp is not None:
-                        newp = [s for s in newp if s[1] == w & 1]
-                        if not newp:
-                            failed = "parity"
+            if closes and (pw[closes[0]] % mod != mu or pw[closes[-1]] % mod != mu):
+                prunes["weight"] += 1  # closes has one or two vertices
+                continue
+            failed = False
+            for y, k, pend, start in opens:
+                need = (mu - pw[y]) % mod
+                if k < 0 and len(pend) == 1:
+                    failed = (need - labels[pend[0]]) % mod and (need + labels[pend[0]]) % mod
+                elif k < 0:  # try every sign
+                    sums = [need]
+                    for w in pend:
+                        lam = labels[w]
+                        sums = [s - lam for s in sums] + [s + lam for s in sums]
+                    failed = all([s % mod for s in sums])
+                else:  # the weight moves by at most h: the labels pending, the k largest unused
+                    h, free = 0, everything ^ used
+                    for _ in range(k):
+                        top = free.bit_length() - 1
+                        h += top
+                        if 2 * h + 1 >= mod:
                             break
-                elif w != mu:
-                    failed = "weight"
+                        free ^= 1 << top
+                    else:
+                        h += sum([labels[w] for w in pend[start:]])
+                        failed = 2 * h + 1 < mod and (need + h) % mod > 2 * h
+                if failed:
                     break
-        if failed is None and mu is not None:
-            for y in touched:
-                if und[y] and not interval_ok(y, (mu - pw[y]) % mod, used):
-                    failed = "interval"
-                    break
-        if failed is not None:
-            prunes[failed] += 1
-            continue
+            if failed:
+                prunes["interval"] += 1
+                continue
         if d == last:
-            result = verify(graph, Orientation(graph, tuple(bits)), Labeling(mod, tuple(labels)))
+            arcs = [(a, b) if x == 0 else (b, a)
+                    for (label, a, b, _, _, _), x in zip(steps, applied) if not label]
+            result = verify(graph, Orientation.from_arcs(graph, arcs), Labeling(mod, tuple(labels)))
             if not isinstance(result, MagicCertificate):
                 raise RuntimeError("search reached a non-magic full assignment; this is a defect")
             return finish(VERDICT_WITNESS, nodes, result)
         # descend; a label step skips the labels used above it
         d += 1
-        step = steps[d]
-        todo[d] = iter(step[-1] if not step[0] else
-                       [lam for lam in step[-1] if not (used >> lam) & 1])
+        par[d] = p
         applied[d] = -1
-        plist[d] = newp
+        if steps[d][0]:
+            todo[d] = iter([lam for lam in cands[d] if not (used >> lam) & 1])
 
 
 # What a pool process shares with the rest of the run: the stop signal, the
-# node count of all workers and the run's node budget; and what every job of
-# the run searches: the graph, the worker config and the root parity list.
-# Set once in each pool process by _init_worker; a serial search never reads
-# them.
+# node count of all workers and the run's node budget; and what every job
+# searches: the graph, the worker config, the root parity masks and the check
+# plan.  _init_worker sets them once per pool process; a serial search never
+# reads them.
 _worker: Optional[Tuple] = None
-_subtrees: Optional[Tuple[UndirectedGraph, SearchConfig, _ParityList]] = None
+_subtrees: Optional[Tuple[UndirectedGraph, SearchConfig, _Parity, _Plan]] = None
 
 
 def _init_worker(stop, shared_nodes, node_budget: Optional[int], vertex_count: int,
                  edges: Tuple[Tuple[int, int], ...], config: SearchConfig,
-                 psols: _ParityList) -> None:
+                 parity: _Parity) -> None:
     global _worker, _subtrees
     _worker = (stop, shared_nodes, node_budget)
-    _subtrees = (UndirectedGraph(vertex_count, edges), config, psols)
+    graph = UndirectedGraph(vertex_count, edges)
+    _subtrees = (graph, config, parity, _steps(graph, config))
 
 
 def _add_nodes(k: int) -> bool:
@@ -369,17 +372,16 @@ def _run_job(pair: Tuple[int, int]) -> Tuple[str, Optional[Tuple], int, Dict[str
     """Search the subtree whose first two labels are the pinned pair."""
     if _worker[0].is_set():  # a job already queued when the run stopped
         return VERDICT_INCONCLUSIVE, None, 0, {k: 0 for k in _PRUNE_KEYS}
-    graph, config, psols = _subtrees
-    outcome = _search(graph, config, psols, perf_counter(), {0: pair[0], 1: pair[1]},
-                      lambda: _add_nodes(1024))
+    graph, config, parity, plan = _subtrees
+    outcome = _search(graph, config, parity, perf_counter(), {0: pair[0], 1: pair[1]},
+                      lambda: _add_nodes(1024), plan)
     _add_nodes(outcome.stats.nodes & 1023)  # the nodes since the last poll
-    cert = None
-    if outcome.certificate is not None:
-        cert = (outcome.certificate.labeling.labels, outcome.certificate.orientation.bits)
+    c = outcome.certificate
+    cert = None if c is None else (c.labeling.labels, c.orientation.bits)
     return outcome.verdict, cert, outcome.stats.nodes, outcome.stats.prunes
 
 
-def _run_parallel(graph: UndirectedGraph, config: SearchConfig, psols: _ParityList,
+def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
                   t0: float) -> SearchOutcome:
     """Search the root subtrees in a process pool under one stop signal.
 
@@ -393,7 +395,7 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, psols: _ParityLi
 
     stats = SearchStats()
     n = graph.vertex_count
-    first = _steps(graph, config, {})[0][-1]
+    first, _ = _label_orders(n, config)
     jobs = [(lam0, lam1) for lam0 in first for lam1 in range(n) if lam1 != lam0]
     job_config = replace(config, workers=1, node_budget=None, time_budget=None)
     deadline = None if config.time_budget is None else t0 + config.time_budget
@@ -403,7 +405,7 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, psols: _ParityLi
     exhausted = 0  # jobs that searched their whole subtree
     with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker,
                              initargs=(stop, shared_nodes, config.node_budget, n, graph.edges,
-                                       job_config, psols)) as pool:
+                                       job_config, parity)) as pool:
         try:
             pending = {pool.submit(_run_job, job) for job in jobs}
             while pending:
@@ -419,9 +421,7 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, psols: _ParityLi
                         stats.prunes[k] += x
                     if verdict == VERDICT_WITNESS and witness is None:
                         labels, bits = cert
-                        labeling = Labeling(n, tuple(labels))
-                        orientation = Orientation(graph, tuple(bits))
-                        result = verify(graph, orientation, labeling)
+                        result = verify(graph, Orientation(graph, bits), Labeling(n, labels))
                         if not isinstance(result, MagicCertificate):
                             raise RuntimeError("parallel worker returned a bad witness; this is a defect")
                         witness = result
@@ -451,12 +451,12 @@ def decide_existence(graph: UndirectedGraph, config: Optional[SearchConfig] = No
         raise ValueError("search needs at least one vertex")
     config = config or SearchConfig()
     t0 = perf_counter()
-    psols = _root_parity_candidates(graph, config)
-    if psols is not None and not psols:
+    parity = _root_parity_candidates(graph, config)
+    if parity is not None and not parity[0]:
         stats = SearchStats()
         stats.prunes["parity"] += 1
         stats.elapsed = perf_counter() - t0
         return SearchOutcome(VERDICT_EXHAUSTED, None, stats)
     if config.workers > 1 and graph.vertex_count >= 2:
-        return _run_parallel(graph, config, psols, t0)
-    return _search(graph, config, psols, t0)
+        return _run_parallel(graph, config, parity, t0)
+    return _search(graph, config, parity, t0)

@@ -1,6 +1,7 @@
 import hashlib
 import multiprocessing
-from dataclasses import asdict
+import random
+from dataclasses import asdict, replace
 from time import perf_counter
 
 import pytest
@@ -49,14 +50,17 @@ def test_k5_witness():
 
 
 def test_small_witnesses_match_brute_force_existence():
+    configs = (SearchConfig(), SearchConfig(parity_prune=False),
+               SearchConfig(fix_first_arc=False))
     for g in (cycle(3), cycle(4), cycle(5), path(2), path(3),
               complete(4), complete(5), complete_multipartite([1, 2, 2]),
               empty_graph(2), empty_graph(3),
               UndirectedGraph.from_edges(4, [(0, 1), (2, 3)]),
               UndirectedGraph.from_edges(5, [(0, 1), (1, 2), (2, 3)])):
-        out = decide_existence(g)
         expected = brute_magic_search(g.vertex_count, g.edges)
-        assert (out.verdict == VERDICT_WITNESS) == (expected is not None), g
+        for config in configs:
+            out = decide_existence(g, config)
+            assert (out.verdict == VERDICT_WITNESS) == (expected is not None), (g, config)
 
 
 def test_single_vertex():
@@ -243,21 +247,40 @@ def test_parallel_node_budget_is_shared_by_the_workers(workers):
 # Reference search trees: verdict, nodes, prunes (weight, interval, parity)
 # and the first 8 hex characters of the md5 of the certificate text.  Any
 # change to the visit order, the candidate order or a pruning rule shows up
-# here.
+# here.  A row with a pinned pair runs one parallel job's subtree serially:
+# its first two labels are fixed, as _run_job fixes them.
 _BUDGETED = SearchConfig(seed=1, node_budget=100000)
+# a star with a tail, plus an isolated vertex that closes at its label step
+_LEAFY = UndirectedGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6)])
 
 
-@pytest.mark.parametrize("graph, config, verdict, nodes, prunes, digest", [
-    (path(12), SearchConfig(), VERDICT_EXHAUSTED, 34393, (3443, 9903, 12398), None),
-    (complete(9), SearchConfig(), VERDICT_WITNESS, 37414, (16616, 0, 0), "df17a29c"),
-    (complete(7), _BUDGETED, VERDICT_WITNESS, 31565, (14004, 220, 0), "60ce4f39"),
-    (kmokn_graph(3, 3), _BUDGETED, VERDICT_WITNESS, 86585, (29243, 12008, 0), "d1583f27"),
-    (kmokn_graph(3, 4), _BUDGETED, VERDICT_WITNESS, 14286, (4893, 1436, 73), "b56cd933"),
-    (kmokn_graph(2, 6), _BUDGETED, VERDICT_WITNESS, 1405, (618, 46, 0), "e1d8ca16"),
-    (kmokn_graph(5, 2), _BUDGETED, VERDICT_INCONCLUSIVE, 100001, (0, 38448, 2), None),
-], ids=["P12", "K9", "K7", "K3[3]", "K3[4]", "K2[6]", "K5[2]"])
-def test_same_tree(graph, config, verdict, nodes, prunes, digest):
-    out = decide_existence(graph, config)
+@pytest.mark.parametrize("graph, config, verdict, nodes, prunes, digest, pinned", [
+    (path(12), SearchConfig(), VERDICT_EXHAUSTED, 34393, (3443, 9903, 12398), None, None),
+    (complete(9), SearchConfig(), VERDICT_WITNESS, 37414, (16616, 0, 0), "df17a29c", None),
+    (complete(7), _BUDGETED, VERDICT_WITNESS, 31565, (14004, 220, 0), "60ce4f39", None),
+    (kmokn_graph(3, 3), _BUDGETED, VERDICT_WITNESS, 86585, (29243, 12008, 0), "d1583f27", None),
+    (kmokn_graph(3, 4), _BUDGETED, VERDICT_WITNESS, 14286, (4893, 1436, 73), "b56cd933", None),
+    (kmokn_graph(2, 6), _BUDGETED, VERDICT_WITNESS, 1405, (618, 46, 0), "e1d8ca16", None),
+    (kmokn_graph(5, 2), _BUDGETED, VERDICT_INCONCLUSIVE, 100001, (0, 38448, 2), None, None),
+    (path(11), SearchConfig(), VERDICT_EXHAUSTED, 132153, (15647, 80111, 0), None, None),
+    (cycle(12), SearchConfig(seed=2, fix_first_arc=False), VERDICT_WITNESS, 4039,
+     (403, 1164, 1422), "db9d9579", None),
+    (kmokn_graph(2, 6), replace(_BUDGETED, unit_scaling=True), VERDICT_WITNESS, 2554,
+     (1124, 109, 0), "8ae0e3a4", None),
+    (cycle(12), SearchConfig(seed=2, parity_prune=False), VERDICT_WITNESS, 2554,
+     (240, 1676, 0), "db9d9579", None),
+    (_LEAFY, SearchConfig(), VERDICT_EXHAUSTED, 7868, (1246, 1688, 1864), None, None),
+    (kmokn_graph(5, 2), SearchConfig(seed=1), VERDICT_WITNESS, 25219, (4, 8346, 67),
+     "66287c12", (2, 9)),
+], ids=["P12", "K9", "K7", "K3[3]", "K3[4]", "K2[6]", "K5[2]", "P11", "C12-free-first-arc",
+        "K2[6]-unit-scaling", "C12-no-parity", "leafy", "K5[2]-pinned"])
+def test_same_tree(graph, config, verdict, nodes, prunes, digest, pinned):
+    if pinned is None:
+        out = decide_existence(graph, config)
+    else:
+        psols = search._root_parity_candidates(graph, config)
+        out = search._search(graph, config, psols, perf_counter(),
+                             pinned={0: pinned[0], 1: pinned[1]})
     assert out.verdict == verdict
     assert out.stats.nodes == nodes
     assert out.stats.prunes == dict(zip(("weight", "interval", "parity"), prunes))
@@ -266,6 +289,60 @@ def test_same_tree(graph, config, verdict, nodes, prunes, digest):
     else:
         text = certificate_to_text(out.certificate)
         assert hashlib.md5(text.encode()).hexdigest()[:8] == digest
+
+
+def _rescanned_checks(graph):
+    """Per step, (vertex, unlabeled neighbours, pending labeled neighbours) of
+    every touched vertex, found by rescanning its incidences."""
+    order = search._visit_order(graph)
+    pos = {v: i for i, v in enumerate(order)}
+    labeled, decided, out = set(), set(), []
+
+    def facts(touched):
+        return [(y, sum(z not in labeled for _, z in graph.incident(y)),
+                 sorted(z for e, z in graph.incident(y) if z in labeled and e not in decided))
+                for y in touched]
+
+    for v in order:
+        labeled.add(v)
+        back = [(e, u) for e, u in graph.incident(v) if pos[u] < pos[v]]
+        out.append(facts([v] + [u for _, u in back]))
+        for e, _ in back:
+            decided.add(e)
+            out.append(facts(graph.edges[e]))
+    return out
+
+
+def _random_graphs():
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randrange(2, 17)
+        p = rng.choice((0.15, 0.4, 0.8))
+        yield UndirectedGraph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    yield from (_LEAFY, complete(6), prism(4), path(11), kmokn_graph(3, 5), complete(15))
+
+
+def test_check_plan_matches_a_rescan():
+    for graph in _random_graphs():
+        n = graph.vertex_count
+        steps, cands, pin = search._steps(graph, SearchConfig())
+        expected = _rescanned_checks(graph)
+        assert len(steps) == len(cands) == len(expected)
+        assert pin == min(d for d, fs in enumerate(expected)
+                          if any(not k and not pend for _, k, pend in fs))
+        for d, (step, fs) in enumerate(zip(steps, expected)):
+            if d < pin:
+                assert step[3:5] == ((), ()), (graph, d)
+                continue
+            closes = sorted(y for y, k, pend in fs if not k and not pend)
+            # an open vertex is checked exactly, by its bound, or not at all
+            # when its m undecided edges carry m distinct labels that reach Z_N
+            opens = sorted((y, -1 if not k and len(pend) <= 3 else k, pend) for y, k, pend in fs
+                           if (k or pend) and (not k and len(pend) <= 3
+                                               or (k + len(pend)) * (k + len(pend) - 1) + 1 < n))
+            got = sorted((y, k, sorted(pend[start:])) for y, k, pend, start in step[4])
+            assert (sorted(step[3]), got) == (closes, opens), (graph, d)
 
 
 def test_deep_graph_stops_at_the_budget():
