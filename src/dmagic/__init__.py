@@ -24,7 +24,6 @@ from .constructors import (
 from .graphs import (
     FormatError,
     Orientation,
-    ProductIndexing,
     UndirectedGraph,
     cartesian,
     complete,
@@ -40,14 +39,10 @@ from .graphs import (
 )
 from .groups import (
     GroupElement,
-    from_residue,
-    group_sum,
     symmetric_set,
     to_residue,
-    units,
 )
 from .obstructions import (
-    KERNEL_CAP,
     NonexistenceCertificate,
     ParityWitnessSpace,
     parity_feasibility,
@@ -74,7 +69,6 @@ from .verifier import (
     certificate_to_text,
     parse_certificate,
     verify,
-    weight,
 )
 from .zero_sum import (
     Case1SetSystem,
@@ -88,20 +82,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "GroupElement", "from_residue", "to_residue", "group_sum", "symmetric_set", "units",
-    "UndirectedGraph", "Orientation", "ProductIndexing", "FormatError",
+    "GroupElement", "to_residue", "symmetric_set",
+    "UndirectedGraph", "Orientation", "FormatError",
     "complete", "empty_graph", "path", "cycle", "complete_multipartite",
     "lexicographic", "cartesian", "prism", "regularity",
     "graph_to_text", "parse_graph",
     "ZeroSumPartition", "Case1SetSystem", "zero_sum_partition", "case1_sets",
     "validate_partition",
     "Labeling", "MagicCertificate", "Violation", "NotALabelingError",
-    "verify", "weight", "all_weights",
+    "verify", "all_weights",
     "certificate_to_text", "parse_certificate", "bind_certificate",
     "FamilyDecision", "STATUS_MAGIC", "STATUS_NOT_MAGIC",
     "construct_complete", "construct_empty", "construct_case1", "construct_case2",
     "case2_expected_mu", "decide_kmokn", "kmokn_graph",
-    "NonexistenceCertificate", "ParityWitnessSpace", "KERNEL_CAP",
+    "NonexistenceCertificate", "ParityWitnessSpace",
     "theorem1_check", "parity_feasibility", "parity_solutions", "prism_nonexistence",
     "SearchConfig", "SearchStats", "SearchOutcome",
     "VERDICT_WITNESS", "VERDICT_EXHAUSTED", "VERDICT_INCONCLUSIVE",

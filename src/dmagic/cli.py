@@ -22,14 +22,7 @@ from time import perf_counter
 from typing import List, Optional, Sequence
 
 from . import __version__
-from .constructors import (
-    STATUS_MAGIC,
-    STATUS_NOT_MAGIC,
-    construct_complete,
-    construct_empty,
-    decide_kmokn,
-    kmokn_graph,
-)
+from .constructors import STATUS_MAGIC, STATUS_NOT_MAGIC, decide_kmokn, kmokn_graph
 from .graphs import (
     UndirectedGraph,
     complete,
@@ -41,7 +34,7 @@ from .graphs import (
     path,
     prism,
 )
-from .obstructions import KERNEL_CAP, parity_feasibility, theorem1_check
+from .obstructions import parity_feasibility, theorem1_check
 from .search import (
     SearchConfig,
     VERDICT_EXHAUSTED,
@@ -107,24 +100,21 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    # K_n is the family cell (n, 1) and n isolated vertices the cell (1, n)
     if args.family == "complete":
-        if args.n % 2 == 0:
-            print(f"not-magic: no labeling exists for the even complete graph on {args.n} vertices",
-                  file=sys.stderr)
-            return EXIT_NO
-        cert = construct_complete(args.n)
-        stem = f"complete-{args.n}"
+        m, n, stem = args.n, 1, f"complete-{args.n}"
     elif args.family == "empty":
-        cert = construct_empty(args.n)
-        stem = f"empty-{args.n}"
+        m, n, stem = 1, args.n, f"empty-{args.n}"
     else:
         _require(args, "m")
-        decision = decide_kmokn(args.m, args.n)
-        if decision.status == STATUS_NOT_MAGIC:
-            print(f"not-magic {decision.obstruction}", file=sys.stderr)
-            return EXIT_NO
-        cert = decision.certificate
-        stem = f"kmokn-{args.m}-{args.n}"
+        m, n, stem = args.m, args.n, f"kmokn-{args.m}-{args.n}"
+    decision = decide_kmokn(m, n)
+    if decision.status == STATUS_NOT_MAGIC:
+        print(f"not-magic {decision.obstruction}", file=sys.stderr)
+        return EXIT_NO
+    cert = decision.certificate
     _write_text(args.graph_out or f"{stem}.graph", graph_to_text(cert.graph))
     _write_text(args.cert_out or f"{stem}.cert", certificate_to_text(cert))
     print(f"magic mu={cert.mu.value}")
@@ -172,11 +162,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     tail = f"nodes={stats.nodes} time_ms={stats.elapsed * 1000:.1f}"
     if outcome.verdict == VERDICT_WITNESS:
         print(f"witness mu={outcome.certificate.mu.value} {tail}")
-        text = certificate_to_text(outcome.certificate)
-        if args.output:
-            _write_text(args.output, text)
-        else:
-            sys.stdout.write(text)
+        _write_text(args.output, certificate_to_text(outcome.certificate))
         return EXIT_YES
     if outcome.verdict == VERDICT_EXHAUSTED:
         print(f"exhausted-no-solution {tail}")
@@ -191,7 +177,7 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
     if cert is not None:
         print(f"not-magic theorem1 r={cert.details['r']} order={cert.details['order']}")
         return EXIT_NO
-    space = parity_feasibility(graph, kernel_cap=args.kernel_cap)
+    space = parity_feasibility(graph)
     if space is not None and space.certifies_nonexistence:
         print("not-magic parity-infeasible")
         return EXIT_NO
@@ -307,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_obstruct = sub.add_parser("obstruct", help="look for a nonexistence certificate")
     p_obstruct.add_argument("--graph", required=True, metavar="FILE")
-    p_obstruct.add_argument("--kernel-cap", type=int, default=KERNEL_CAP)
     p_obstruct.set_defaults(handler=_cmd_obstruct)
 
     p_partition = sub.add_parser("partition", help="zero-sum partition of the symmetric set for even N")

@@ -16,7 +16,6 @@ __all__ = [
     "FormatError",
     "UndirectedGraph",
     "Orientation",
-    "ProductIndexing",
     "complete",
     "empty_graph",
     "path",
@@ -152,32 +151,6 @@ class Orientation:
         return cls(graph, tuple(b for b in bits if b is not None))
 
 
-@dataclass(frozen=True)
-class ProductIndexing:
-    """1-based coordinates (k, i) <-> flat vertex ids for a two-level product.
-
-    Vertex (k, i), with k in 1..outer_count and i in 1..inner_count, gets id
-    (k - 1) * inner_count + (i - 1), so inner blocks are consecutive.
-    """
-
-    outer_count: int
-    inner_count: int
-
-    def __post_init__(self) -> None:
-        if self.outer_count < 1 or self.inner_count < 1:
-            raise ValueError("product indexing needs positive block counts")
-
-    def vertex(self, k: int, i: int) -> int:
-        if not (1 <= k <= self.outer_count and 1 <= i <= self.inner_count):
-            raise ValueError(f"coordinates ({k}, {i}) out of range")
-        return (k - 1) * self.inner_count + (i - 1)
-
-    def coords(self, vertex_id: int) -> Tuple[int, int]:
-        if not 0 <= vertex_id < self.outer_count * self.inner_count:
-            raise ValueError(f"vertex id {vertex_id} out of range")
-        return vertex_id // self.inner_count + 1, vertex_id % self.inner_count + 1
-
-
 def complete(n: int) -> UndirectedGraph:
     """The complete graph on n >= 1 vertices."""
     if n < 1:
@@ -234,12 +207,14 @@ def _upper_neighbors(g: UndirectedGraph) -> List[List[int]]:
 def lexicographic(g: UndirectedGraph, h: UndirectedGraph) -> UndirectedGraph:
     """Lexicographic product: (g1, h1) ~ (g2, h2) iff g1 ~ g2, or g1 = g2 and h1 ~ h2.
 
-    Vertices are numbered as by ProductIndexing, so vertex u's higher
-    neighbours are its block mates through h, then every vertex of each later
-    block g joins to u's block; the edges come out in canonical order.
+    Vertex (a, b) of g x h is numbered a * |h| + b, so each block of |h|
+    vertices is consecutive.  Vertex u's higher neighbours are then its block
+    mates through h, then every vertex of each later block g joins to u's
+    block; the edges come out in canonical order.
     """
     n = h.vertex_count
-    ProductIndexing(g.vertex_count, n)  # rejects an empty factor
+    if g.vertex_count < 1 or n < 1:
+        raise ValueError("a graph product needs two non-empty factors")
     g_up, h_up = _upper_neighbors(g), _upper_neighbors(h)
     edges: List[Tuple[int, int]] = []
     for a in range(g.vertex_count):
@@ -259,7 +234,8 @@ def cartesian(g: UndirectedGraph, h: UndirectedGraph) -> UndirectedGraph:
     mates through h, then its copies in the later blocks g joins to u's block.
     """
     n = h.vertex_count
-    ProductIndexing(g.vertex_count, n)  # rejects an empty factor
+    if g.vertex_count < 1 or n < 1:
+        raise ValueError("a graph product needs two non-empty factors")
     g_up, h_up = _upper_neighbors(g), _upper_neighbors(h)
     edges: List[Tuple[int, int]] = []
     for a in range(g.vertex_count):

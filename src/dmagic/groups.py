@@ -3,17 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import List
 
 __all__ = [
     "GroupElement",
-    "add",
-    "neg",
-    "group_sum",
-    "from_residue",
     "to_residue",
     "symmetric_set",
-    "units",
 ]
 
 
@@ -57,57 +52,12 @@ class GroupElement:
         """Integer multiple k * self."""
         return GroupElement((self.value * k) % self.modulus, self.modulus)
 
-    def symmetric(self) -> int:
-        """Symmetric integer representative of this residue."""
-        return from_residue(self.value, self.modulus)
-
     def __repr__(self) -> str:
         return f"{self.value} (mod {self.modulus})"
 
 
-def add(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a + b
-
-
-def neg(a: GroupElement) -> GroupElement:
-    return -a
-
-
-def group_sum(elements: Iterable[GroupElement], modulus: Optional[int] = None) -> GroupElement:
-    """Sum a sequence of elements sharing one modulus.
-
-    An empty sequence is allowed only when the modulus is supplied explicitly.
-    """
-    total = 0
-    seen_modulus = None
-    for e in elements:
-        if seen_modulus is None:
-            seen_modulus = e.modulus
-            if modulus is not None and modulus != seen_modulus:
-                raise ValueError(f"modulus mismatch: {modulus} vs {seen_modulus}")
-        elif e.modulus != seen_modulus:
-            raise ValueError(f"modulus mismatch: {seen_modulus} vs {e.modulus}")
-        total += e.value
-    if seen_modulus is None:
-        if modulus is None:
-            raise ValueError("empty sum needs an explicit modulus")
-        seen_modulus = modulus
-    return GroupElement(total % seen_modulus, seen_modulus)
-
-
-def from_residue(r: int, modulus: int) -> int:
-    """Map a residue to its symmetric representative in [-N/2, N/2].
-
-    Residues r with r <= N/2 map to r, the rest map to r - N.
-    """
-    if modulus <= 0:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    r = r % modulus
-    return r if 2 * r <= modulus else r - modulus
-
-
 def to_residue(x: int, modulus: int) -> int:
-    """Inverse of from_residue: symmetric representative back to a residue."""
+    """The residue of an integer, such as a symmetric representative, in 0..modulus-1."""
     if modulus <= 0:
         raise ValueError(f"modulus must be positive, got {modulus}")
     return x % modulus
@@ -120,11 +70,3 @@ def symmetric_set(n: int) -> List[int]:
     half = n // 2
     return list(range(-half, 0)) + list(range(1, half + 1))
 
-
-def units(modulus: int) -> List[int]:
-    """All multiplicatively invertible residues mod the given modulus."""
-    if modulus <= 0:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    from math import gcd
-
-    return [a for a in range(modulus) if gcd(a, modulus) == 1]

@@ -19,7 +19,6 @@ from . import gf2
 from .graphs import UndirectedGraph, prism, regularity
 
 __all__ = [
-    "KERNEL_CAP",
     "NonexistenceCertificate",
     "ParityWitnessSpace",
     "theorem1_check",
@@ -30,7 +29,6 @@ __all__ = [
 
 REASON_THEOREM1 = "theorem1"
 REASON_PARITY = "parity-infeasible"
-REASON_SEARCH = "exhausted-search"
 
 # Kernel dimensions above this are not enumerated; the check reports
 # "inconclusive" instead of risking a false certificate.
@@ -83,12 +81,11 @@ def _neighbor_masks(graph: UndirectedGraph) -> List[int]:
     return masks
 
 
-def _parity_vectors(graph: UndirectedGraph, kernel_cap: int,
-                    require_cardinality: bool = True) -> Iterator[Tuple[int, Optional[Iterator[int]]]]:
+def _parity_vectors(graph: UndirectedGraph) -> Iterator[Tuple[int, Optional[Iterator[int]]]]:
     """Yield (c, vectors) for c = 0 then 1: the solutions of the parity system.
 
-    vectors iterates the solution bitmasks, only those with exactly N/2 ones
-    under require_cardinality; it is None when the kernel exceeds kernel_cap.
+    vectors iterates the solution bitmasks with exactly N/2 ones; it is None
+    when the kernel exceeds KERNEL_CAP.
     """
     n = graph.vertex_count
     rows = _neighbor_masks(graph)
@@ -97,27 +94,24 @@ def _parity_vectors(graph: UndirectedGraph, kernel_cap: int,
         solved = gf2.solve_affine(rows, [c] * n, n)
         if solved is None:
             yield c, iter(())
-        elif len(solved[1]) > kernel_cap:
+        elif len(solved[1]) > KERNEL_CAP:
             yield c, None
         else:
-            yield c, (v for v in gf2.span_iter(*solved)
-                      if not require_cardinality or v.bit_count() == target_ones)
+            yield c, (v for v in gf2.span_iter(*solved) if v.bit_count() == target_ones)
 
 
-def parity_solutions(graph: UndirectedGraph, *, kernel_cap: int = KERNEL_CAP,
-                     require_cardinality: bool = True,
+def parity_solutions(graph: UndirectedGraph, *,
                      max_solutions: Optional[int] = None) -> Optional[Dict[int, List[int]]]:
     """All parity vectors solving the weight-parity system, keyed by constant c.
 
-    Vectors are vertex bitmasks.  With require_cardinality, only vectors with
-    exactly N/2 ones are kept (the count of odd labels in any bijection onto
-    Z_N for even N).  Returns None when a kernel exceeds kernel_cap or a
-    solution list would exceed max_solutions.
+    Vectors are vertex bitmasks with exactly N/2 ones (the count of odd labels
+    in any bijection onto Z_N for even N).  Returns None when a kernel exceeds
+    KERNEL_CAP or a solution list would exceed max_solutions.
     """
     if graph.vertex_count % 2 != 0:
         return None
     out: Dict[int, List[int]] = {}
-    for c, vectors in _parity_vectors(graph, kernel_cap, require_cardinality):
+    for c, vectors in _parity_vectors(graph):
         if vectors is None:
             return None
         out[c] = list(islice(vectors, None if max_solutions is None else max_solutions + 1))
@@ -126,61 +120,47 @@ def parity_solutions(graph: UndirectedGraph, *, kernel_cap: int = KERNEL_CAP,
     return out
 
 
-def parity_feasibility(graph: UndirectedGraph, *,
-                       kernel_cap: int = KERNEL_CAP) -> Optional[ParityWitnessSpace]:
+def parity_feasibility(graph: UndirectedGraph) -> Optional[ParityWitnessSpace]:
     """Feasibility of the parity system for an even-order graph; None when odd."""
     n = graph.vertex_count
     if n % 2 != 0:
         return None
     feasible = [None if vectors is None else next(vectors, None) is not None
-                for _, vectors in _parity_vectors(graph, kernel_cap)]
+                for _, vectors in _parity_vectors(graph)]
     return ParityWitnessSpace(n, (feasible[0], feasible[1]))
 
 
-def prism_nonexistence(n: int, *, cross_check: bool = False,
-                       search_config: Optional[object] = None) -> Optional[NonexistenceCertificate]:
-    """Nonexistence certificate for the prism over an n-cycle, or None if unproven.
+def prism_nonexistence(n: int) -> NonexistenceCertificate:
+    """Nonexistence certificate for the prism over an n-cycle, n >= 3.
 
-    Odd n falls to theorem1_check (order 2n = 2 mod 4, 3-regular).  Even n is
-    settled by parity_feasibility.  With cross_check (n <= 5), the verdict is
-    additionally confirmed by exhaustive search; a search witness would be a
+    Odd n falls to theorem1_check: the prism is 3-regular on 2n = 2 mod 4
+    vertices.  Even n falls to parity_feasibility, by this argument.  Write
+    the rails as u_0..u_{n-1} and w_0..w_{n-1} with rungs u_i w_i, and read
+    them in zigzag order: s_i = u_i and t_i = w_i for even i, s_i = w_i and
+    t_i = u_i for odd i (consistent around the cycle since n is even).  The
+    neighbours of s_i are then t_{i-1}, t_i, t_{i+1}, and symmetrically, so
+    the parity system says x[i-1] + x[i] + x[i+1] = c (mod 2) for both rail
+    sequences x = s, t.  Subtracting consecutive equations gives
+    x[i+2] = x[i-1]: each sequence has period 3.
+      - If 3 does not divide n, periods 3 and n force x constant, and 3x = c
+        makes every parity c: 0 or 2n ones.
+      - If 3 divides n, each sequence repeats a pattern p of weight |p| = c
+        (mod 2), so the ones number (n/3)(|p_s| + |p_t|), where the sum is
+        even and so never 3.
+    Neither case has the n odd labels a bijection onto Z_2n needs, for c = 0
+    or 1.  The kernel has dimension 0 or 4, far below KERNEL_CAP, so the
+    check always decides.  A prism that escapes both obstructions would be a
     defect and raises.
     """
     graph = prism(n)
     cert: Optional[NonexistenceCertificate]
     if n % 2 == 1:
         cert = theorem1_check(graph)
-        if cert is None:
-            raise RuntimeError(f"prism({n}) unexpectedly fails the regularity check")
     else:
         space = parity_feasibility(graph)
-        if space is not None and space.certifies_nonexistence:
-            cert = NonexistenceCertificate(graph, REASON_PARITY,
-                                           {"feasible": space.feasible, "order": 2 * n})
-        else:
-            cert = _search_fallback(graph, search_config)
-    if cert is not None and cross_check and n <= 5:
-        _confirm_by_search(graph, search_config)
+        cert = (NonexistenceCertificate(graph, REASON_PARITY,
+                                        {"feasible": space.feasible, "order": 2 * n})
+                if space.certifies_nonexistence else None)
+    if cert is None:
+        raise RuntimeError(f"prism({n}) escapes its obstruction; this is a defect")
     return cert
-
-
-def _search_fallback(graph: UndirectedGraph,
-                     search_config: Optional[object]) -> Optional[NonexistenceCertificate]:
-    from .search import SearchConfig, VERDICT_EXHAUSTED, decide_existence
-
-    outcome = decide_existence(graph, search_config or SearchConfig())
-    if outcome.verdict == VERDICT_EXHAUSTED:
-        return NonexistenceCertificate(graph, REASON_SEARCH,
-                                       {"nodes": outcome.stats.nodes,
-                                        "elapsed": outcome.stats.elapsed})
-    return None
-
-
-def _confirm_by_search(graph: UndirectedGraph, search_config: Optional[object]) -> None:
-    from .search import SearchConfig, VERDICT_WITNESS, decide_existence
-
-    outcome = decide_existence(graph, search_config or SearchConfig())
-    if outcome.verdict == VERDICT_WITNESS:
-        raise RuntimeError(
-            "exhaustive search found a witness on a graph certified not magic; this is a defect"
-        )

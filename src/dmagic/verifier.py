@@ -19,7 +19,6 @@ __all__ = [
     "Labeling",
     "MagicCertificate",
     "Violation",
-    "weight",
     "all_weights",
     "verify",
     "certificate_to_text",
@@ -47,9 +46,6 @@ class Labeling:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
         if any(not 0 <= x < self.modulus for x in self.labels):
             raise ValueError("labels must be residues in 0..modulus-1")
-
-    def element(self, v: int) -> GroupElement:
-        return GroupElement(self.labels[v], self.modulus)
 
     def is_bijection(self) -> bool:
         return len(self.labels) == self.modulus and len(set(self.labels)) == self.modulus
@@ -89,21 +85,6 @@ def all_weights(graph: UndirectedGraph, orientation: Orientation, labeling: Labe
         w[head] += lab[tail]
         w[tail] -= lab[head]
     return [x % mod for x in w]
-
-
-def weight(graph: UndirectedGraph, orientation: Orientation, labeling: Labeling, x: int) -> GroupElement:
-    """Weight of a single vertex."""
-    mod = labeling.modulus
-    total = 0
-    for edge_idx, y in graph.incident(x):
-        bit = orientation.bits[edge_idx]
-        u, v = graph.edges[edge_idx]
-        tail = u if bit == 0 else v
-        if tail == y:
-            total += labeling.labels[y]
-        else:
-            total -= labeling.labels[y]
-    return GroupElement(total % mod, mod)
 
 
 def verify(graph: UndirectedGraph, orientation: Orientation,

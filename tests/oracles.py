@@ -5,8 +5,43 @@ into the library's own algorithms: brute-force enumeration over permutations,
 orientations, and parity vectors.  Keep these slow and obvious.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from math import gcd
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+
+@dataclass(frozen=True)
+class ProductIndexing:
+    """1-based coordinates (k, i) <-> flat vertex ids for a two-level product.
+
+    Vertex (k, i), with k in 1..outer_count and i in 1..inner_count, gets id
+    (k - 1) * inner_count + (i - 1), so inner blocks are consecutive.
+    """
+
+    outer_count: int
+    inner_count: int
+
+    def __post_init__(self) -> None:
+        if self.outer_count < 1 or self.inner_count < 1:
+            raise ValueError("product indexing needs positive block counts")
+
+    def vertex(self, k: int, i: int) -> int:
+        if not (1 <= k <= self.outer_count and 1 <= i <= self.inner_count):
+            raise ValueError(f"coordinates ({k}, {i}) out of range")
+        return (k - 1) * self.inner_count + (i - 1)
+
+    def coords(self, vertex_id: int) -> Tuple[int, int]:
+        if not 0 <= vertex_id < self.outer_count * self.inner_count:
+            raise ValueError(f"vertex id {vertex_id} out of range")
+        return vertex_id // self.inner_count + 1, vertex_id % self.inner_count + 1
+
+
+def units(modulus: int) -> List[int]:
+    """All multiplicatively invertible residues mod the given modulus."""
+    if modulus <= 0:
+        raise ValueError(f"modulus must be positive, got {modulus}")
+    return [a for a in range(modulus) if gcd(a, modulus) == 1]
 
 
 def symmetric_values(size: int) -> List[int]:

@@ -20,7 +20,7 @@ from dmagic.constructors import (
     kmokn_graph,
 )
 from dmagic.graphs import complete, complete_multipartite, prism
-from dmagic.groups import GroupElement, units
+from dmagic.groups import GroupElement
 from dmagic.obstructions import parity_feasibility, prism_nonexistence, theorem1_check
 from dmagic.search import (
     SearchConfig,
@@ -30,7 +30,7 @@ from dmagic.search import (
 )
 from dmagic.verifier import MagicCertificate, verify
 from dmagic.zero_sum import zero_sum_partition
-from oracles import brute_weights, check_zero_sum_partition
+from oracles import brute_weights, check_zero_sum_partition, units
 
 
 def recheck(cert: MagicCertificate) -> None:

@@ -13,6 +13,14 @@ from dmagic.cli import main
 from dmagic.graphs import parse_graph, prism
 from dmagic.verifier import parse_certificate
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def source_env():
+    """os.environ with the checkout's src first on PYTHONPATH, for child processes."""
+    pythonpath = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -99,6 +107,17 @@ def test_construct_even_complete(capsys):
     code, _, err = run(capsys, "construct", "--family", "complete", "--n", "6")
     assert code == 1
     assert "not-magic" in err
+
+
+@pytest.mark.parametrize("family", ["complete", "empty"])
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_construct_rejects_a_graph_without_vertices(tmp_path, capsys, monkeypatch, family, n):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "construct", "--family", family, f"--n={n}")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "not-magic" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_rejects_tampered_mu(tmp_path, capsys):
@@ -297,7 +316,7 @@ def test_table(tmp_path, capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "dmagic", "decide", "--family", "kmokn", "--m", "4", "--n", "3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=source_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "magic case1 mu=6"
 
@@ -307,16 +326,13 @@ def test_console_script_entry_point(tmp_path):
     # entry point is run through the launcher pip would write for it; an
     # installed script on PATH is checked as well.
     tomllib = pytest.importorskip("tomllib")
-    root = Path(__file__).resolve().parent.parent
-    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["scripts"] == {"dmagic": "dmagic.cli:main"}
     module, function = project["scripts"]["dmagic"].split(":")
     launcher = tmp_path / "dmagic"
     launcher.write_text(
         f"import sys\nfrom {module} import {function}\nsys.exit({function}())\n")
-    pythonpath = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
-    runs = [([sys.executable, str(launcher)], env)]
+    runs = [([sys.executable, str(launcher)], source_env())]
     installed = shutil.which("dmagic")
     if installed:
         runs.append(([installed], None))

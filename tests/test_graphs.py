@@ -4,7 +4,6 @@ from hypothesis import example, given, settings, strategies as st
 from dmagic.graphs import (
     FormatError,
     Orientation,
-    ProductIndexing,
     UndirectedGraph,
     cartesian,
     complete,
@@ -18,6 +17,7 @@ from dmagic.graphs import (
     prism,
     regularity,
 )
+from oracles import ProductIndexing
 
 
 def test_complete_counts():

@@ -1,5 +1,6 @@
 import pytest
 
+from dmagic import gf2
 from dmagic.graphs import (
     UndirectedGraph,
     complete,
@@ -83,7 +84,8 @@ def test_parity_solutions_caps_return_none():
 
 
 def test_parity_feasibility_kernel_cap_gives_inconclusive_not_certificate():
-    space = parity_feasibility(empty_graph(26), kernel_cap=4)
+    # 26 isolated vertices: kernel dimension 26 exceeds the default cap
+    space = parity_feasibility(empty_graph(26))
     assert space.inconclusive
     assert not space.certifies_nonexistence
 
@@ -140,12 +142,14 @@ def test_prism_solutions_have_period_three_in_zigzag_order():
     # order each vertex sees positions i-1, i, i+1 of the opposite sequence, so
     # any solution of the unrestricted system repeats with period 3
     for n in (4, 6, 8, 10):
-        sols = parity_solutions(prism(n), require_cardinality=False)
-        assert sols is not None
+        g = prism(n)
+        rows = [sum(1 << y for y in g.neighbors(x)) for x in range(2 * n)]
         u_seq = [j if j % 2 == 0 else n + j for j in range(n)]
         w_seq = [n + j if j % 2 == 0 else j for j in range(n)]
-        for vectors in sols.values():
-            for p in vectors:
+        for c in (0, 1):
+            solved = gf2.solve_affine(rows, [c] * (2 * n), 2 * n)
+            assert solved is not None and len(solved[1]) == (4 if n % 3 == 0 else 0)
+            for p in gf2.span_iter(*solved):
                 for seq in (u_seq, w_seq):
                     for i in range(n):
                         a = (p >> seq[i]) & 1
@@ -161,15 +165,11 @@ def test_prism_nonexistence_odd_uses_regularity():
 
 
 def test_prism_nonexistence_even_uses_parity():
-    for n in (4, 6, 8, 10):
+    # the docstring proves every even n; check n = 4..60
+    for n in range(4, 61, 2):
         cert = prism_nonexistence(n)
         assert isinstance(cert, NonexistenceCertificate)
         assert cert.reason == "parity-infeasible"
-
-
-def test_prism_nonexistence_cross_check_agrees():
-    cert = prism_nonexistence(4, cross_check=True)
-    assert cert is not None and cert.reason == "parity-infeasible"
 
 
 def test_prism_nonexistence_rejects_degenerate_cycles():

@@ -10,7 +10,7 @@ from dmagic.graphs import (
     cycle,
     empty_graph,
 )
-from dmagic.groups import GroupElement, units
+from dmagic.groups import GroupElement
 from dmagic.verifier import (
     Labeling,
     MagicCertificate,
@@ -21,9 +21,8 @@ from dmagic.verifier import (
     certificate_to_text,
     parse_certificate,
     verify,
-    weight,
 )
-from oracles import brute_weights
+from oracles import brute_weights, units
 
 
 def oriented_triangle():
@@ -38,15 +37,6 @@ def test_directed_triangle_is_magic():
     result = verify(g, o, labeling)
     assert isinstance(result, MagicCertificate)
     assert result.mu == GroupElement(1, 3)
-
-
-def test_single_vertex_weight():
-    g, o = oriented_triangle()
-    labeling = Labeling(3, (0, 1, 2))
-    # w(0) = l(2) - l(1), w(1) = l(0) - l(2), w(2) = l(1) - l(0)
-    assert weight(g, o, labeling, 0) == GroupElement(1, 3)
-    assert weight(g, o, labeling, 1) == GroupElement(1, 3)
-    assert weight(g, o, labeling, 2) == GroupElement(1, 3)
 
 
 def four_cycle_block_certificate():
