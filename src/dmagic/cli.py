@@ -152,8 +152,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         node_budget=args.nodes,
         time_budget=args.seconds,
         workers=args.threads,
-        fix_first_arc=args.fix_first_arc,
-        unit_scaling=args.unit_scaling,
+        reduce=args.reduce,
         parity_prune=args.parity_prune,
         seed=args.seed,
     )
@@ -282,12 +281,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="stop as inconclusive after S seconds of the whole run; "
                                "with --threads each worker may run up to 1024 nodes past S")
     p_search.add_argument("--threads", type=int, default=1, metavar="T",
-                          help="parallel workers over the root label split; the first "
-                               "witness stops them all")
+                          help="parallel workers over the kept pairs of first two "
+                               "labels; the first witness stops them all")
     p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--no-reduce", dest="fix_first_arc", action="store_false",
-                          help="disable the first-arc symmetry reduction")
-    p_search.add_argument("--unit-scaling", action="store_true")
+    p_search.add_argument("--no-reduce", dest="reduce", action="store_false",
+                          help="disable the symmetry reductions: arc reversal and "
+                               "the unit group of Z_N")
     p_search.add_argument("--no-parity-prune", dest="parity_prune", action="store_false")
     p_search.set_defaults(handler=_cmd_search)
 

@@ -25,9 +25,23 @@ above that depth.  Pruning rules:
 The parity candidates are one int over candidate indices, narrowed by a
 per-vertex mask at each label step and by a weight-parity mask at the pin.
 The rules only discard assignments that cannot extend to a witness, so an
-exhausted search is a sound nonexistence verdict.  Fixing the first arc halves
-the space (reversing every arc maps witnesses to witnesses); a toggle also
-keeps one first label per unit-scaling orbit.
+exhausted search is a sound nonexistence verdict.
+
+Two symmetries map witnesses to witnesses, and SearchConfig.reduce searches
+one witness of each of their orbits:
+
+  arc reversal  reversing every arc negates every weight, so a witness with
+                constant mu becomes one with -mu: the first arc step tries only
+                its first direction
+  unit group    for a unit u of Z_N, u*l is again a bijection onto Z_N (u*x =
+                u*y gives x = y), and a weight is a signed sum of labels, so
+                w_{u*l} = u*w_l: a witness with constant mu becomes one with
+                u*mu.  The first two labels are a kept pair (_label_orders).
+
+Reversal acts on the arcs alone and the units on the labels alone, so the two
+commute: a witness is moved by a reversal to one whose first arc takes its
+first direction, and then by a unit, which keeps that arc, to one whose first
+two labels are kept.  That witness is in the reduced tree, so no orbit is lost.
 """
 
 from __future__ import annotations
@@ -35,6 +49,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass, field, replace
+from math import gcd
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -62,8 +77,13 @@ PARITY_LIST_CAP = 4096
 class SearchConfig:
     """Budgets, reductions, and determinism knobs for the search.
 
-    With workers > 1 the top two label choices are expanded into independent
-    subtree jobs.  The budgets still bound the whole run: the node budget
+    reduce, on by default, fixes the first arc and keeps one pair of first two
+    labels per orbit of the unit group of Z_N (see the module docstring); off,
+    the search walks the whole unreduced tree, the reference for tests.  seed
+    shuffles the order in which labels are tried.
+
+    With workers > 1 each kept pair of first two labels is one independent
+    subtree job.  The budgets still bound the whole run: the node budget
     counts the nodes of all workers together and the time budget is one
     deadline, and the first witness stops the run.  Each running worker
     notices a stop on its next poll, every 1024 nodes, so a parallel run may
@@ -74,8 +94,7 @@ class SearchConfig:
     node_budget: Optional[int] = None
     time_budget: Optional[float] = None
     workers: int = 1
-    fix_first_arc: bool = True
-    unit_scaling: bool = False
+    reduce: bool = True
     parity_prune: bool = True
     seed: int = 0
 
@@ -106,7 +125,7 @@ class SearchOutcome:
 # a (vertex parity pattern, weight parity c) pair; by_vertex[v][b] keeps those
 # giving v label parity b, by_c[c] those with weight parity c.
 _Parity = Optional[Tuple[int, Tuple[Tuple[int, int], ...], Tuple[int, int]]]
-_Plan = Tuple[List[Tuple], List[Sequence[int]], int]  # see _steps
+_Plan = Tuple[List[Tuple], List[Sequence], int]  # see _steps
 
 
 def _visit_order(graph: UndirectedGraph) -> List[int]:
@@ -125,14 +144,41 @@ def _visit_order(graph: UndirectedGraph) -> List[int]:
     return order
 
 
-def _label_orders(n: int, config: SearchConfig) -> Tuple[List[int], List[int]]:
-    """The candidate labels of the first label step and of every later one."""
+def _label_orders(n: int, config: SearchConfig) -> Tuple[List[int], List[List[int]], List[int]]:
+    """The label candidates: first, second[g] after a first label g, and later.
+
+    Each is a list in seeded order; used labels are skipped when a step is
+    entered.  Unreduced, every one is all of Z_N.  Reduced, by the unit group
+    U of Z_N: the first labels are one element of each U-orbit, and second[g]
+    is the least element of each orbit of Z_N - {g} under the stabilizer
+    S_g = {u in U : u*g = g}.  Every pair (a, b), a != b, is then mapped by
+    some unit onto exactly one kept pair (g, b'):
+
+    - The U-orbits are the sets {y : gcd(y, N) = d} for d | N, each with
+      least element d (0 for d = N), so the first labels are 0 and the proper
+      divisors of N.  A unit keeps gcd(y, N).  Conversely, for y = d*y' with
+      gcd(y', N/d) = 1, let t be the product of the primes of N that divide
+      neither y' nor N/d: no prime of N divides u = y' + (N/d)*t, so u is a
+      unit, and u*d = y.
+    - S_g fixes g, so no S_g-orbit of Z_N - {g} contains g.  Given (a, b),
+      a unit u takes a to its representative g, and some s in S_g takes u*b
+      to the least element of its S_g-orbit; s*u maps (a, b) onto a kept pair.
+    - Two kept pairs in one U-orbit share their first label g, so the unit
+      between them lies in S_g and their second labels share an S_g-orbit:
+      they are the same pair.
+    """
     labels = list(range(n))
     if config.seed != 0:
         random.Random(config.seed).shuffle(labels)
-    # unit scaling keeps one first label per orbit: 0 and the divisors of N
-    first = [lam for lam in labels if lam == 0 or n % lam == 0]
-    return first if config.unit_scaling else labels, labels
+    second = [labels] * n
+    if not config.reduce:
+        return labels, second, labels
+    units = [u for u in range(n) if gcd(u, n) == 1]
+    first = [g for g in labels if g == 0 or n % g == 0]
+    for g in first:
+        stab = [u for u in units if u * g % n == g]
+        second[g] = [b for b in labels if b != g and all(u * b % n >= b for u in stab)]
+    return first, second, labels
 
 
 def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
@@ -146,15 +192,18 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
     listed first, when pend is all of at most three.  A vertex with m
     undecided edges is left out when m(m - 1) + 1 >= N: its m distinct pending
     labels reach all of Z_N.  Both are empty above the pin depth.
+
+    cands[d] lists the labels of label step d, except that cands[1], for the
+    second vertex, is a list by the label that step 0 chose.
     """
     n = graph.vertex_count
     order = _visit_order(graph)
     pos = sorted(range(n), key=order.__getitem__)  # pos[v] is v's place in order
-    first, labels = _label_orders(n, config)
-    last_arc = 0 if config.fix_first_arc else 1
+    first, second, labels = _label_orders(n, config)
+    last_arc = 0 if config.reduce else 1
     unlabeled = [graph.degree(v) for v in range(n)]
     steps: List[Tuple] = []
-    cands: List[Sequence[int]] = []
+    cands: List[Sequence] = []
     pin = -1
 
     def checks(touched: List[Tuple]) -> Tuple[Tuple, Tuple]:
@@ -188,6 +237,8 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
             cands.append(())
             last_arc = 1
     cands[0] = first
+    if n > 1:
+        cands[1] = second
     return steps, cands, pin
 
 
@@ -220,9 +271,11 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
     _steps(graph, config), built here when not given.
     """
     steps, cands, pin = plan or _steps(graph, config)
+    mod = graph.vertex_count
     if pinned:
         cands = [(pinned[d],) if d in pinned else c for d, c in enumerate(cands)]
-    mod = graph.vertex_count
+        if 1 in pinned:
+            cands[1] = [cands[1]] * mod
     everything = (1 << mod) - 1
     root, by_vertex, by_c = parity or (-1, ((-1, -1),) * mod, (-1, -1))
     labels = [-1] * mod  # a label step's undo leaves its label stale
@@ -332,7 +385,8 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
         par[d] = p
         applied[d] = -1
         if steps[d][0]:
-            todo[d] = iter([lam for lam in cands[d] if not (used >> lam) & 1])
+            c = cands[d] if d > 1 else cands[1][x]  # x is still the first label
+            todo[d] = iter([lam for lam in c if not (used >> lam) & 1])
 
 
 # What a pool process shares with the rest of the run: the stop signal, the
@@ -395,8 +449,8 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
 
     stats = SearchStats()
     n = graph.vertex_count
-    first, _ = _label_orders(n, config)
-    jobs = [(lam0, lam1) for lam0 in first for lam1 in range(n) if lam1 != lam0]
+    first, second, _ = _label_orders(n, config)
+    jobs = [(lam0, lam1) for lam0 in first for lam1 in second[lam0] if lam1 != lam0]
     job_config = replace(config, workers=1, node_budget=None, time_budget=None)
     deadline = None if config.time_budget is None else t0 + config.time_budget
     stop = multiprocessing.Event()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import multiprocessing
 import random
@@ -25,7 +26,7 @@ from dmagic.search import (
     decide_existence,
 )
 from dmagic.verifier import MagicCertificate, certificate_to_text, verify
-from oracles import brute_magic_search
+from oracles import brute_magic_search, units
 
 
 def test_k4_has_no_solution():
@@ -51,7 +52,7 @@ def test_k5_witness():
 
 def test_small_witnesses_match_brute_force_existence():
     configs = (SearchConfig(), SearchConfig(parity_prune=False),
-               SearchConfig(fix_first_arc=False))
+               SearchConfig(reduce=False))
     for g in (cycle(3), cycle(4), cycle(5), path(2), path(3),
               complete(4), complete(5), complete_multipartite([1, 2, 2]),
               empty_graph(2), empty_graph(3),
@@ -92,33 +93,78 @@ def test_parity_rule_closes_even_completes_at_the_root():
         assert out.stats.nodes == 0
 
 
-def test_first_arc_reduction_preserves_the_verdict():
-    for g in (cycle(4), cycle(5), cycle(6), complete(4), complete(5),
-              path(4), complete_multipartite([1, 2, 2]), complete_multipartite([2, 2]),
-              prism(3)):
-        reduced = decide_existence(g)
-        unreduced = decide_existence(g, SearchConfig(fix_first_arc=False))
-        assert reduced.verdict == unreduced.verdict, g
+def test_reduction_preserves_the_verdict():
+    # the unreduced tree is the reference; every witness of either passes verify
+    for g in _random_graphs():
+        if g.vertex_count > 8:
+            continue
+        for parity in (True, False):
+            reduced, unreduced = (decide_existence(g, SearchConfig(parity_prune=parity, reduce=r))
+                                  for r in (True, False))
+            assert reduced.verdict == unreduced.verdict != VERDICT_INCONCLUSIVE, (g, parity)
+            for out in (reduced, unreduced):
+                if out.verdict == VERDICT_WITNESS:
+                    cert = out.certificate
+                    assert isinstance(verify(cert.graph, cert.orientation, cert.labeling),
+                                      MagicCertificate)
 
 
 def test_first_arc_reduction_shrinks_exhausted_searches():
     reduced = decide_existence(complete(4), SearchConfig(parity_prune=False))
     unreduced = decide_existence(complete(4), SearchConfig(parity_prune=False,
-                                                           fix_first_arc=False))
+                                                           reduce=False))
     assert reduced.verdict == unreduced.verdict == VERDICT_EXHAUSTED
     assert reduced.stats.nodes < unreduced.stats.nodes
 
 
-def test_unit_scaling_preserves_the_verdict():
-    for g in (cycle(4), cycle(5), complete(4), complete(5), path(4),
-              complete_multipartite([2, 2])):
-        base = decide_existence(g)
-        scaled = decide_existence(g, SearchConfig(unit_scaling=True))
-        assert base.verdict == scaled.verdict, g
-        if scaled.verdict == VERDICT_WITNESS:
-            cert = scaled.certificate
-            assert isinstance(verify(cert.graph, cert.orientation, cert.labeling),
-                              MagicCertificate)
+def test_label_representatives_cover_every_pair(monkeypatch):
+    for n in range(1, 41):
+        us = units(n)
+        for seed in (0, n):
+            first, second, _ = search._label_orders(n, SearchConfig(seed=seed))
+            kept = [(g, b) for g in first for b in second[g]]
+            assert all(g != b for g, b in kept) and len(set(kept)) == len(kept), n
+            kept_set = set(kept)
+            # complete: a unit maps every pair of distinct labels onto a kept pair
+            for a in range(n):
+                for b in range(n):
+                    if a != b:
+                        assert any((u * a % n, u * b % n) in kept_set for u in us), (n, a, b)
+            # minimal: no unit maps one kept pair onto another
+            for g, b in kept:
+                for u in us:
+                    image = (u * g % n, u * b % n)
+                    assert image == (g, b) or image not in kept_set, (n, g, b, u)
+
+    # the parallel run submits exactly the kept pairs, in order
+    jobs = []
+
+    class InlinePool:  # runs each job in this process as it is submitted
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, job):
+            jobs.append(job)
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(job))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(search, "_worker", None)
+    monkeypatch.setattr(search, "_subtrees", None)
+    for graph, config in ((complete(4), SearchConfig(workers=2, parity_prune=False)),
+                          (cycle(12), SearchConfig(workers=2, seed=2))):
+        jobs.clear()
+        out = decide_existence(graph, config)
+        assert out.verdict == decide_existence(graph, replace(config, workers=1)).verdict
+        first, second, _ = search._label_orders(graph.vertex_count, config)
+        assert jobs == [(g, b) for g in first for b in second[g]]
 
 
 def test_node_budget_is_inconclusive_not_wrong():
@@ -255,25 +301,23 @@ _LEAFY = UndirectedGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), 
 
 
 @pytest.mark.parametrize("graph, config, verdict, nodes, prunes, digest, pinned", [
-    (path(12), SearchConfig(), VERDICT_EXHAUSTED, 34393, (3443, 9903, 12398), None, None),
+    (path(12), SearchConfig(), VERDICT_EXHAUSTED, 8951, (891, 2580, 3230), None, None),
     (complete(9), SearchConfig(), VERDICT_WITNESS, 37414, (16616, 0, 0), "df17a29c", None),
-    (complete(7), _BUDGETED, VERDICT_WITNESS, 31565, (14004, 220, 0), "60ce4f39", None),
-    (kmokn_graph(3, 3), _BUDGETED, VERDICT_WITNESS, 86585, (29243, 12008, 0), "d1583f27", None),
-    (kmokn_graph(3, 4), _BUDGETED, VERDICT_WITNESS, 14286, (4893, 1436, 73), "b56cd933", None),
-    (kmokn_graph(2, 6), _BUDGETED, VERDICT_WITNESS, 1405, (618, 46, 0), "e1d8ca16", None),
-    (kmokn_graph(5, 2), _BUDGETED, VERDICT_INCONCLUSIVE, 100001, (0, 38448, 2), None, None),
-    (path(11), SearchConfig(), VERDICT_EXHAUSTED, 132153, (15647, 80111, 0), None, None),
-    (cycle(12), SearchConfig(seed=2, fix_first_arc=False), VERDICT_WITNESS, 4039,
+    (complete(7), _BUDGETED, VERDICT_WITNESS, 289, (121, 0, 0), "1c990400", None),
+    (kmokn_graph(3, 3), _BUDGETED, VERDICT_WITNESS, 88, (9, 14, 0), "66ca6218", None),
+    (kmokn_graph(3, 4), _BUDGETED, VERDICT_WITNESS, 12516, (4293, 1250, 65), "6f7a6400", None),
+    (kmokn_graph(2, 6), _BUDGETED, VERDICT_WITNESS, 71, (13, 2, 0), "5249cd97", None),
+    (kmokn_graph(5, 2), _BUDGETED, VERDICT_WITNESS, 18629, (3, 7039, 56), "abcbe177", None),
+    (path(11), SearchConfig(), VERDICT_EXHAUSTED, 13235, (1566, 8021, 0), None, None),
+    (cycle(12), SearchConfig(seed=2, reduce=False), VERDICT_WITNESS, 4039,
      (403, 1164, 1422), "db9d9579", None),
-    (kmokn_graph(2, 6), replace(_BUDGETED, unit_scaling=True), VERDICT_WITNESS, 2554,
-     (1124, 109, 0), "8ae0e3a4", None),
-    (cycle(12), SearchConfig(seed=2, parity_prune=False), VERDICT_WITNESS, 2554,
-     (240, 1676, 0), "db9d9579", None),
-    (_LEAFY, SearchConfig(), VERDICT_EXHAUSTED, 7868, (1246, 1688, 1864), None, None),
+    (cycle(12), SearchConfig(seed=2, parity_prune=False), VERDICT_WITNESS, 1907,
+     (172, 1259, 0), "f3c5ba05", None),
+    (_LEAFY, SearchConfig(), VERDICT_EXHAUSTED, 1983, (312, 422, 476), None, None),
     (kmokn_graph(5, 2), SearchConfig(seed=1), VERDICT_WITNESS, 25219, (4, 8346, 67),
      "66287c12", (2, 9)),
 ], ids=["P12", "K9", "K7", "K3[3]", "K3[4]", "K2[6]", "K5[2]", "P11", "C12-free-first-arc",
-        "K2[6]-unit-scaling", "C12-no-parity", "leafy", "K5[2]-pinned"])
+        "C12-no-parity", "leafy", "K5[2]-pinned"])
 def test_same_tree(graph, config, verdict, nodes, prunes, digest, pinned):
     if pinned is None:
         out = decide_existence(graph, config)
