@@ -25,7 +25,7 @@ from dmagic.search import (
     VERDICT_WITNESS,
     decide_existence,
 )
-from dmagic.verifier import MagicCertificate, certificate_to_text, verify
+from dmagic.verifier import Labeling, MagicCertificate, certificate_to_text, verify
 from oracles import brute_magic_search, units
 
 
@@ -107,6 +107,33 @@ def test_reduction_preserves_the_verdict():
                     cert = out.certificate
                     assert isinstance(verify(cert.graph, cert.orientation, cert.labeling),
                                       MagicCertificate)
+
+
+def test_first_arc_reduction_preserves_the_verdict():
+    for g in (cycle(4), cycle(5), cycle(6), complete(4), complete(5),
+              path(4), complete_multipartite([1, 2, 2]), complete_multipartite([2, 2]),
+              prism(3)):
+        reduced = decide_existence(g)
+        unreduced = decide_existence(g, SearchConfig(reduce=False))
+        assert reduced.verdict == unreduced.verdict, g
+
+
+def test_unit_scaling_preserves_the_verdict():
+    # a unit multiple of a witness is a witness with mu scaled by the unit
+    for g in (cycle(4), cycle(5), complete(4), complete(5), path(4),
+              complete_multipartite([2, 2])):
+        n = g.vertex_count
+        reduced = decide_existence(g)
+        unreduced = decide_existence(g, SearchConfig(reduce=False))
+        assert reduced.verdict == unreduced.verdict, g
+        if unreduced.verdict != VERDICT_WITNESS:
+            continue
+        cert = unreduced.certificate
+        for u in units(n):
+            scaled = Labeling(n, tuple(u * x % n for x in cert.labeling.labels))
+            result = verify(g, cert.orientation, scaled)
+            assert isinstance(result, MagicCertificate), (g, u)
+            assert result.mu.value == u * cert.mu.value % n, (g, u)
 
 
 def test_first_arc_reduction_shrinks_exhausted_searches():
@@ -294,7 +321,9 @@ def test_parallel_node_budget_is_shared_by_the_workers(workers):
 # and the first 8 hex characters of the md5 of the certificate text.  Any
 # change to the visit order, the candidate order or a pruning rule shows up
 # here.  A row with a pinned pair runs one parallel job's subtree serially:
-# its first two labels are fixed, as _run_job fixes them.
+# its first two labels are fixed, as _run_job fixes them.  K2[6]-unit-scaling
+# tries first label 2 before 0, so its witness (mu = 6) starts from a nonzero
+# orbit representative and second labels from the stabilizer of 2.
 _BUDGETED = SearchConfig(seed=1, node_budget=100000)
 # a star with a tail, plus an isolated vertex that closes at its label step
 _LEAFY = UndirectedGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6)])
@@ -307,6 +336,8 @@ _LEAFY = UndirectedGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), 
     (kmokn_graph(3, 3), _BUDGETED, VERDICT_WITNESS, 88, (9, 14, 0), "66ca6218", None),
     (kmokn_graph(3, 4), _BUDGETED, VERDICT_WITNESS, 12516, (4293, 1250, 65), "6f7a6400", None),
     (kmokn_graph(2, 6), _BUDGETED, VERDICT_WITNESS, 71, (13, 2, 0), "5249cd97", None),
+    (kmokn_graph(2, 6), replace(_BUDGETED, seed=4), VERDICT_WITNESS, 92, (21, 3, 0),
+     "1c4a9cbc", None),
     (kmokn_graph(5, 2), _BUDGETED, VERDICT_WITNESS, 18629, (3, 7039, 56), "abcbe177", None),
     (path(11), SearchConfig(), VERDICT_EXHAUSTED, 13235, (1566, 8021, 0), None, None),
     (cycle(12), SearchConfig(seed=2, reduce=False), VERDICT_WITNESS, 4039,
@@ -316,7 +347,7 @@ _LEAFY = UndirectedGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), 
     (_LEAFY, SearchConfig(), VERDICT_EXHAUSTED, 1983, (312, 422, 476), None, None),
     (kmokn_graph(5, 2), SearchConfig(seed=1), VERDICT_WITNESS, 25219, (4, 8346, 67),
      "66287c12", (2, 9)),
-], ids=["P12", "K9", "K7", "K3[3]", "K3[4]", "K2[6]", "K5[2]", "P11", "C12-free-first-arc",
+], ids=["P12", "K9", "K7", "K3[3]", "K3[4]", "K2[6]", "K2[6]-unit-scaling", "K5[2]", "P11", "C12-free-first-arc",
         "C12-no-parity", "leafy", "K5[2]-pinned"])
 def test_same_tree(graph, config, verdict, nodes, prunes, digest, pinned):
     if pinned is None:
