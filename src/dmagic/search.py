@@ -12,15 +12,27 @@ alone.  _steps builds this check plan once, from running counts in O(N + E):
 the touched vertices whose last edge the step decides (they close), and for
 each open one, its unlabeled neighbours and its labeled neighbours on
 undecided edges.  The magic constant is never enumerated: the first step that
-closes a vertex pins it, at the same depth on every branch, and no check runs
-above that depth.  Pruning rules:
+closes a vertex pins it, at the same depth on every branch.  Above that depth
+the search keeps the set of constants still possible instead, as one bit mask
+over Z_N.  Pruning rules:
 
   weight    a closed vertex whose weight differs from the pinned constant
   interval  an open vertex whose weight cannot reach the constant, each pending
             label l adding +-l and each unlabeled neighbour at most +- one of
-            the largest unused labels; all signs are tried for up to 3 labels
+            the largest unused labels; all signs are tried for up to 3 labels,
+            and above the pin depth these reach sets narrow the set of
+            possible constants, pruning once it is empty or lacks the pinned one
   parity    the 0/1 label-parity pattern fixed so far extends to no solution of
             the weight-parity system with exactly N/2 odd labels
+
+The set of possible constants is sound: a vertex y whose neighbours are all
+labeled and which has 1 to 3 undecided edges ends with weight pw(y) + sum of
++-l(w) over the pending labels l(w), for one choice of signs, and a witness
+gives it weight mu.  So mu is among those sums, and deciding one of y's arcs
+fixes one sign, which keeps only some of them.  Intersecting these reach sets
+along a branch therefore keeps mu for every witness below it: a branch whose
+set is empty, or lacks the constant at the pin, holds no witness, and the
+depth-first walk still meets the same first witness.
 
 The parity candidates are one int over candidate indices, narrowed by a
 per-vertex mask at each label step and by a weight-parity mask at the pin.
@@ -46,6 +58,7 @@ two labels are kept.  That witness is in the reduced tree, so no orbit is lost.
 
 from __future__ import annotations
 
+import heapq
 import random
 import sys
 from dataclasses import dataclass, field, replace
@@ -131,16 +144,24 @@ _Plan = Tuple[List[Tuple], List[Sequence], int]  # see _steps
 def _visit_order(graph: UndirectedGraph) -> List[int]:
     """Maximum-adjacency order: next vertex has most labeled neighbors."""
     n = graph.vertex_count
-    # (labeled neighbours, degree, -v) packed into one int
+    # (labeled neighbours, degree, -v) packed into one int, which also names
+    # v; the heap holds negated keys, stale once v is taken or its key grew
     key = [graph.degree(v) * n + n - 1 - v for v in range(n)]
-    rest = set(range(n))
+    heap = [-k for k in key]
+    heapq.heapify(heap)
+    taken = [False] * n
     order = []
-    while rest:
-        best = max(rest, key=key.__getitem__)
+    while len(order) < n:  # the stale entries left over are never popped
+        k = -heapq.heappop(heap)
+        best = n - 1 - k % n
+        if taken[best] or k != key[best]:
+            continue
         order.append(best)
-        rest.discard(best)
+        taken[best] = True
         for _, nb in graph.incident(best):
-            key[nb] += n * n
+            if not taken[nb]:
+                key[nb] += n * n
+                heapq.heappush(heap, -key[nb])
     return order
 
 
@@ -191,7 +212,9 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
     neighbours and the labeled ones pend[start:] on undecided edges, or k = -1,
     listed first, when pend is all of at most three.  A vertex with m
     undecided edges is left out when m(m - 1) + 1 >= N: its m distinct pending
-    labels reach all of Z_N.  Both are empty above the pin depth.
+    labels reach all of Z_N.  Above the pin depth closes is empty and opens
+    holds only the k = -1 vertices, which narrow the set of possible
+    constants.
 
     cands[d] lists the labels of label step d, except that cands[1], for the
     second vertex, is a list by the label that step 0 chose.
@@ -209,10 +232,12 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
     def checks(touched: List[Tuple]) -> Tuple[Tuple, Tuple]:
         nonlocal pin
         closes = tuple(y for y, k, pend, start in touched if not k and start == len(pend))
-        pin = len(steps) if pin < 0 else pin  # called above the pin only where a vertex closes
+        if closes and pin < 0:
+            pin = len(steps)
         m = [k + len(pend) - start for _, k, pend, start in touched]  # undecided edges
         exact = [(y, -1, p[s:], 0) for (y, k, p, s), my in zip(touched, m) if not k and 0 < my <= 3]
-        bound = [t for t, my in zip(touched, m) if (t[1] or my > 3) and my * (my - 1) + 1 < n]
+        bound = [t for t, my in zip(touched, m)
+                 if (t[1] or my > 3) and my * (my - 1) + 1 < n] if pin >= 0 else []
         return closes, tuple(exact + bound)
 
     for i, v in enumerate(order):
@@ -221,19 +246,13 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
         for u in nbrs:
             unlabeled[u] -= 1
         unlabeled[v] -= len(nbrs)
-        if pin < 0 and (nbrs or unlabeled[v]):  # only an isolated vertex closes here
-            steps.append((True, v, v, (), (), 0))
-        else:
-            touched = [(v, unlabeled[v], nbrs, 0)] + [(u, unlabeled[u], (v,), 0) for u in nbrs]
-            steps.append((True, v, v) + checks(touched) + (0,))
+        touched = [(v, unlabeled[v], nbrs, 0)] + [(u, unlabeled[u], (v,), 0) for u in nbrs]
+        steps.append((True, v, v) + checks(touched) + (0,))
         cands.append(labels)
         for j, (e, w) in enumerate(back):
             a, b = graph.edges[e]
-            if pin < 0 and unlabeled[w] and (unlabeled[v] or j + 1 < len(nbrs)):
-                steps.append((False, a, b, (), (), last_arc))
-            else:
-                touched = [(w, unlabeled[w], (), 0), (v, unlabeled[v], nbrs, j + 1)]
-                steps.append((False, a, b) + checks(touched) + (last_arc,))
+            touched = [(w, unlabeled[w], (), 0), (v, unlabeled[v], nbrs, j + 1)]
+            steps.append((False, a, b) + checks(touched) + (last_arc,))
             cands.append(())
             last_arc = 1
     cands[0] = first
@@ -296,6 +315,7 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
     todo = [iter(())] * len(steps)  # the untried labels of each label step
     applied = [-1] * len(steps)
     par = [root] * len(steps)  # the parity candidates left on entering each depth
+    mus = [everything] * len(steps)  # the magic constants still possible there, as bits
     todo[0] = iter(cands[0])  # no label is used yet
     used = mu = nodes = d = 0
     while True:
@@ -322,7 +342,7 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
             if nodes > node_limit or (poll is not None and poll()):
                 return finish(VERDICT_INCONCLUSIVE, nodes)
             tick = min(node_limit + 1, nodes + 1024)
-        p = par[d]
+        p, consts = par[d], mus[d]
         if label:
             labels[a] = x
             used |= 1 << x
@@ -336,43 +356,53 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
         else:
             pw[b] += labels[a]
             pw[a] -= labels[b]
-        if d >= pin:
-            if d == pin:
-                mu = pw[closes[0]] % mod  # any closer: candidates in p give all one parity
-                p &= by_c[mu & 1]
-                if not p:
-                    prunes["parity"] += 1
-                    continue
-            if closes and (pw[closes[0]] % mod != mu or pw[closes[-1]] % mod != mu):
-                prunes["weight"] += 1  # closes has one or two vertices
+        if d == pin:
+            mu = pw[closes[0]] % mod  # any closer: candidates in p give all one parity
+            p &= by_c[mu & 1]
+            if not p:
+                prunes["parity"] += 1
                 continue
-            failed = False
-            for y, k, pend, start in opens:
-                need = (mu - pw[y]) % mod
-                if k < 0 and len(pend) == 1:
-                    failed = (need - labels[pend[0]]) % mod and (need + labels[pend[0]]) % mod
-                elif k < 0:  # try every sign
-                    sums = [need]
+            consts &= 1 << mu
+            if not consts:
+                prunes["interval"] += 1
+                continue
+        if closes and (pw[closes[0]] % mod != mu or pw[closes[-1]] % mod != mu):
+            prunes["weight"] += 1  # closes has one or two vertices, none above the pin
+            continue
+        failed = False
+        for y, k, pend, start in opens:
+            if k < 0:  # the weights y can still reach, one per choice of signs
+                s = pw[y]
+                if len(pend) == 1:
+                    lam = labels[pend[0]]
+                    consts &= 1 << (s + lam) % mod | 1 << (s - lam) % mod
+                else:
+                    sums = [s]
                     for w in pend:
                         lam = labels[w]
                         sums = [s - lam for s in sums] + [s + lam for s in sums]
-                    failed = all([s % mod for s in sums])
-                else:  # the weight moves by at most h: the labels pending, the k largest unused
-                    h, free = 0, everything ^ used
-                    for _ in range(k):
-                        top = free.bit_length() - 1
-                        h += top
-                        if 2 * h + 1 >= mod:
-                            break
-                        free ^= 1 << top
-                    else:
-                        h += sum([labels[w] for w in pend[start:]])
-                        failed = 2 * h + 1 < mod and (need + h) % mod > 2 * h
-                if failed:
-                    break
+                    reach = 0
+                    for s in sums:
+                        reach |= 1 << s % mod
+                    consts &= reach
+                failed = not consts
+            else:  # the weight moves by at most h: the labels pending, the k largest unused
+                need = (mu - pw[y]) % mod
+                h, free = 0, everything ^ used
+                for _ in range(k):
+                    top = free.bit_length() - 1
+                    h += top
+                    if 2 * h + 1 >= mod:
+                        break
+                    free ^= 1 << top
+                else:
+                    h += sum([labels[w] for w in pend[start:]])
+                    failed = 2 * h + 1 < mod and (need + h) % mod > 2 * h
             if failed:
-                prunes["interval"] += 1
-                continue
+                break
+        if failed:
+            prunes["interval"] += 1
+            continue
         if d == last:
             arcs = [(a, b) if x == 0 else (b, a)
                     for (label, a, b, _, _, _), x in zip(steps, applied) if not label]
@@ -382,7 +412,7 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
             return finish(VERDICT_WITNESS, nodes, result)
         # descend; a label step skips the labels used above it
         d += 1
-        par[d] = p
+        par[d], mus[d] = p, consts
         applied[d] = -1
         if steps[d][0]:
             c = cands[d] if d > 1 else cands[1][x]  # x is still the first label

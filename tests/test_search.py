@@ -2,7 +2,7 @@ import concurrent.futures
 import hashlib
 import multiprocessing
 import random
-from dataclasses import asdict, replace
+from dataclasses import replace
 from time import perf_counter
 
 import pytest
@@ -52,7 +52,7 @@ def test_k5_witness():
 
 def test_small_witnesses_match_brute_force_existence():
     configs = (SearchConfig(), SearchConfig(parity_prune=False),
-               SearchConfig(reduce=False))
+               SearchConfig(reduce=False), SearchConfig(parity_prune=False, reduce=False))
     for g in (cycle(3), cycle(4), cycle(5), path(2), path(3),
               complete(4), complete(5), complete_multipartite([1, 2, 2]),
               empty_graph(2), empty_graph(3),
@@ -288,8 +288,7 @@ def test_stopped_worker_returns_within_one_poll(monkeypatch):
     assert out.stats.nodes == 1024
     assert shared_nodes.value == 1024
     # a job taken from the queue after the stop visits no node at all
-    job = (6, complete(6).edges, asdict(config), None, {0: 0, 1: 1})
-    verdict, cert, nodes, _ = search._run_job(job)
+    verdict, cert, nodes, _ = search._run_job((0, 1))
     assert (verdict, cert, nodes) == (VERDICT_INCONCLUSIVE, None, 0)
 
 
@@ -331,10 +330,10 @@ _LEAFY = UndirectedGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), 
 
 @pytest.mark.parametrize("graph, config, verdict, nodes, prunes, digest, pinned", [
     (path(12), SearchConfig(), VERDICT_EXHAUSTED, 8951, (891, 2580, 3230), None, None),
-    (complete(9), SearchConfig(), VERDICT_WITNESS, 37414, (16616, 0, 0), "df17a29c", None),
-    (complete(7), _BUDGETED, VERDICT_WITNESS, 289, (121, 0, 0), "1c990400", None),
+    (complete(9), SearchConfig(), VERDICT_WITNESS, 12478, (3, 4145, 0), "df17a29c", None),
+    (complete(7), _BUDGETED, VERDICT_WITNESS, 107, (3, 27, 0), "1c990400", None),
     (kmokn_graph(3, 3), _BUDGETED, VERDICT_WITNESS, 88, (9, 14, 0), "66ca6218", None),
-    (kmokn_graph(3, 4), _BUDGETED, VERDICT_WITNESS, 12516, (4293, 1250, 65), "6f7a6400", None),
+    (kmokn_graph(3, 4), _BUDGETED, VERDICT_WITNESS, 10468, (2501, 2018, 65), "6f7a6400", None),
     (kmokn_graph(2, 6), _BUDGETED, VERDICT_WITNESS, 71, (13, 2, 0), "5249cd97", None),
     (kmokn_graph(2, 6), replace(_BUDGETED, seed=4), VERDICT_WITNESS, 92, (21, 3, 0),
      "1c4a9cbc", None),
@@ -347,8 +346,10 @@ _LEAFY = UndirectedGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), 
     (_LEAFY, SearchConfig(), VERDICT_EXHAUSTED, 1983, (312, 422, 476), None, None),
     (kmokn_graph(5, 2), SearchConfig(seed=1), VERDICT_WITNESS, 25219, (4, 8346, 67),
      "66287c12", (2, 9)),
+    (complete(6), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 589540, (0, 196608, 0),
+     None, None),
 ], ids=["P12", "K9", "K7", "K3[3]", "K3[4]", "K2[6]", "K2[6]-unit-scaling", "K5[2]", "P11", "C12-free-first-arc",
-        "C12-no-parity", "leafy", "K5[2]-pinned"])
+        "C12-no-parity", "leafy", "K5[2]-pinned", "K6-no-parity"])
 def test_same_tree(graph, config, verdict, nodes, prunes, digest, pinned):
     if pinned is None:
         out = decide_existence(graph, config)
@@ -407,17 +408,30 @@ def test_check_plan_matches_a_rescan():
         assert pin == min(d for d, fs in enumerate(expected)
                           if any(not k and not pend for _, k, pend in fs))
         for d, (step, fs) in enumerate(zip(steps, expected)):
-            if d < pin:
-                assert step[3:5] == ((), ()), (graph, d)
-                continue
             closes = sorted(y for y, k, pend in fs if not k and not pend)
-            # an open vertex is checked exactly, by its bound, or not at all
-            # when its m undecided edges carry m distinct labels that reach Z_N
+            # an open vertex is checked exactly; or, from the pin on, by its bound
+            # unless its m undecided edges carry m distinct labels that reach Z_N
             opens = sorted((y, -1 if not k and len(pend) <= 3 else k, pend) for y, k, pend in fs
-                           if (k or pend) and (not k and len(pend) <= 3
-                                               or (k + len(pend)) * (k + len(pend) - 1) + 1 < n))
+                           if (k or pend) and (not k and len(pend) <= 3 or d >= pin and
+                                               (k + len(pend)) * (k + len(pend) - 1) + 1 < n))
             got = sorted((y, k, sorted(pend[start:])) for y, k, pend, start in step[4])
             assert (sorted(step[3]), got) == (closes, opens), (graph, d)
+
+
+def test_visit_order_is_maximum_adjacency():
+    # by its definition: the vertex with the most visited neighbours, then the
+    # highest degree, then the least index
+    for graph in [*_random_graphs(), kmokn_graph(30, 30)]:
+        n = graph.vertex_count
+        visited, degree = [0] * n, [graph.degree(v) for v in range(n)]
+        rest, expected = set(range(n)), []
+        while rest:
+            best = max(rest, key=lambda v: (visited[v], degree[v], -v))
+            expected.append(best)
+            rest.discard(best)
+            for _, u in graph.incident(best):
+                visited[u] += 1
+        assert search._visit_order(graph) == expected, graph
 
 
 def test_deep_graph_stops_at_the_budget():
