@@ -58,7 +58,6 @@ two labels are kept.  That witness is in the reduced tree, so no orbit is lost.
 
 from __future__ import annotations
 
-import heapq
 import random
 import sys
 from dataclasses import dataclass, field, replace
@@ -144,24 +143,16 @@ _Plan = Tuple[List[Tuple], List[Sequence], int]  # see _steps
 def _visit_order(graph: UndirectedGraph) -> List[int]:
     """Maximum-adjacency order: next vertex has most labeled neighbors."""
     n = graph.vertex_count
-    # (labeled neighbours, degree, -v) packed into one int, which also names
-    # v; the heap holds negated keys, stale once v is taken or its key grew
+    # (labeled neighbours, degree, -v) packed into one int
     key = [graph.degree(v) * n + n - 1 - v for v in range(n)]
-    heap = [-k for k in key]
-    heapq.heapify(heap)
-    taken = [False] * n
+    rest = set(range(n))
     order = []
-    while len(order) < n:  # the stale entries left over are never popped
-        k = -heapq.heappop(heap)
-        best = n - 1 - k % n
-        if taken[best] or k != key[best]:
-            continue
+    while rest:
+        best = max(rest, key=key.__getitem__)
         order.append(best)
-        taken[best] = True
+        rest.discard(best)
         for _, nb in graph.incident(best):
-            if not taken[nb]:
-                key[nb] += n * n
-                heapq.heappush(heap, -key[nb])
+            key[nb] += n * n
     return order
 
 

@@ -8,7 +8,7 @@ orientations, and parity vectors.  Keep these slow and obvious.
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import gcd
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,20 @@ def brute_magic_search(vertex_count: int,
                 mu = weights[0] % n if n > 0 else 0
                 return tuple(labels), tuple(bits), mu
     return None
+
+
+def brute_magic_label_pairs(vertex_count: int, edges: Sequence[Tuple[int, int]],
+                            u: int, v: int) -> Set[Tuple[int, int]]:
+    """The pairs (labels[u], labels[v]) over every magic assignment: every
+    labeling, every orientation.  Only sensible for about 6 vertices."""
+    n = vertex_count
+    found = set()
+    for labels in permutations(range(n)):
+        pair = (labels[u], labels[v])
+        if pair not in found and any(len(set(brute_weights(n, edges, bits, labels))) == 1
+                                     for bits in product((0, 1), repeat=len(edges))):
+            found.add(pair)
+    return found
 
 
 def brute_weights(vertex_count: int, edges: Sequence[Tuple[int, int]],

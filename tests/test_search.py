@@ -26,7 +26,7 @@ from dmagic.search import (
     decide_existence,
 )
 from dmagic.verifier import Labeling, MagicCertificate, certificate_to_text, verify
-from oracles import brute_magic_search, units
+from oracles import brute_magic_label_pairs, brute_magic_search, units
 
 
 def test_k4_has_no_solution():
@@ -62,6 +62,26 @@ def test_small_witnesses_match_brute_force_existence():
         for config in configs:
             out = decide_existence(g, config)
             assert (out.verdict == VERDICT_WITNESS) == (expected is not None), (g, config)
+
+
+def test_every_pinned_pair_matches_brute_force():
+    # a (λ0, λ1) subtree holds a witness exactly when some magic assignment
+    # gives the first two visited vertices those labels, so a rule that cuts
+    # some of a graph's witnesses but not all of them fails here
+    configs = (SearchConfig(), SearchConfig(parity_prune=False),
+               SearchConfig(reduce=False), SearchConfig(parity_prune=False, reduce=False))
+    for g in (cycle(3), cycle(4), cycle(5), cycle(6), path(3), complete(5),
+              complete_multipartite([1, 2, 2]), complete_multipartite([2, 3]),
+              complete_multipartite([1, 1, 3]), complete_multipartite([1, 1, 1, 2])):
+        n = g.vertex_count
+        order = search._visit_order(g)
+        expected = brute_magic_label_pairs(n, g.edges, order[0], order[1])
+        assert expected, g
+        for config in configs:
+            parity, plan = search._root_parity_candidates(g, config), search._steps(g, config)
+            got = {(a, b) for a in range(n) for b in range(n) if a != b and search._search(
+                g, config, parity, perf_counter(), pinned={0: a, 1: b}, plan=plan).verdict == VERDICT_WITNESS}
+            assert got == expected, (g, config)
 
 
 def test_single_vertex():
