@@ -37,11 +37,6 @@ from .graphs import (
     prism,
     regularity,
 )
-from .groups import (
-    GroupElement,
-    symmetric_set,
-    to_residue,
-)
 from .obstructions import (
     NonexistenceCertificate,
     ParityWitnessSpace,
@@ -74,6 +69,7 @@ from .zero_sum import (
     Case1SetSystem,
     ZeroSumPartition,
     case1_sets,
+    symmetric_set,
     validate_partition,
     zero_sum_partition,
 )
@@ -82,13 +78,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "GroupElement", "to_residue", "symmetric_set",
     "UndirectedGraph", "Orientation", "FormatError",
     "complete", "empty_graph", "path", "cycle", "complete_multipartite",
     "lexicographic", "cartesian", "prism", "regularity",
     "graph_to_text", "parse_graph",
     "ZeroSumPartition", "Case1SetSystem", "zero_sum_partition", "case1_sets",
-    "validate_partition",
+    "validate_partition", "symmetric_set",
     "Labeling", "MagicCertificate", "Violation", "NotALabelingError",
     "verify", "all_weights",
     "certificate_to_text", "parse_certificate", "bind_certificate",

@@ -117,7 +117,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     cert = decision.certificate
     _write_text(args.graph_out or f"{stem}.graph", graph_to_text(cert.graph))
     _write_text(args.cert_out or f"{stem}.cert", certificate_to_text(cert))
-    print(f"magic mu={cert.mu.value}")
+    print(f"magic mu={cert.mu}")
     return EXIT_YES
 
 
@@ -127,20 +127,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     orientation, labeling, claimed_mu = bind_certificate(parsed, graph)
     result = verify(graph, orientation, labeling)
     if isinstance(result, Violation):
-        print(f"violation vertex={result.vertex} weight={result.weight.value} "
-              f"expected={result.expected.value}")
+        print(f"violation vertex={result.vertex} weight={result.weight} "
+              f"expected={result.expected}")
         return EXIT_NO
     if result.mu != claimed_mu:
-        print(f"violation claimed mu={claimed_mu.value} but weights are {result.mu.value}")
+        print(f"violation claimed mu={claimed_mu} but weights are {result.mu}")
         return EXIT_NO
-    print(f"magic mu={result.mu.value}")
+    print(f"magic mu={result.mu}")
     return EXIT_YES
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     decision = decide_kmokn(args.m, args.n)
     if decision.status == STATUS_MAGIC:
-        print(f"magic {decision.method} mu={decision.certificate.mu.value}")
+        print(f"magic {decision.method} mu={decision.certificate.mu}")
         return EXIT_YES
     print(f"not-magic {decision.obstruction}")
     return EXIT_NO
@@ -160,7 +160,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     stats = outcome.stats
     tail = f"nodes={stats.nodes} time_ms={stats.elapsed * 1000:.1f}"
     if outcome.verdict == VERDICT_WITNESS:
-        print(f"witness mu={outcome.certificate.mu.value} {tail}")
+        print(f"witness mu={outcome.certificate.mu} {tail}")
         _write_text(args.output, certificate_to_text(outcome.certificate))
         return EXIT_YES
     if outcome.verdict == VERDICT_EXHAUSTED:
@@ -203,7 +203,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             started = perf_counter()
             decision = decide_kmokn(m, n)
             cert = decision.certificate
-            mu = "" if cert is None else cert.mu.value
+            mu = "" if cert is None else cert.mu
             method = decision.method or decision.obstruction
             elapsed_ms = (perf_counter() - started) * 1000
             writer.writerow(["kmokn", m, n, m * n, decision.status, mu, method, f"{elapsed_ms:.1f}"])

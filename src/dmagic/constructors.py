@@ -51,7 +51,7 @@ def _checked(graph: UndirectedGraph, orientation: Orientation, labeling: Labelin
     if isinstance(result, Violation):
         raise RuntimeError(
             f"constructed labeling is not magic: vertex {result.vertex} has weight "
-            f"{result.weight.value}, expected {result.expected.value}; this is a defect"
+            f"{result.weight}, expected {result.expected}; this is a defect"
         )
     return result
 

@@ -113,7 +113,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.node_budget is not None and self.node_budget <= 0:
             raise ValueError("node_budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time_budget must be positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
@@ -466,6 +466,7 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
     poll and return, and their nodes and prunes are counted too.
     """
     import multiprocessing
+    import threading
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     stats = SearchStats()
@@ -486,7 +487,8 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
             while pending:
                 timeout = None
                 if deadline is not None and not stop.is_set():
-                    timeout = max(0.0, deadline - perf_counter())
+                    # a huge budget, such as inf, would overflow the lock's timeout
+                    timeout = min(max(0.0, deadline - perf_counter()), threading.TIMEOUT_MAX)
                 done, pending = wait(pending, timeout, FIRST_COMPLETED)
                 for fut in done:
                     verdict, cert, nodes, prunes = fut.result()

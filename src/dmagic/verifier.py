@@ -3,7 +3,7 @@
 The weight of a vertex x is the sum of the labels of its in-neighbors minus
 the sum of the labels of its out-neighbors: each arc u -> v contributes +l(u)
 to w(v) and -l(v) to w(u).  A labeling is magic when every weight equals the
-same group element mu.
+same residue mu.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .graphs import FormatError, Orientation, UndirectedGraph
-from .groups import GroupElement
 
 __all__ = [
     "NotALabelingError",
@@ -62,7 +61,7 @@ class MagicCertificate:
     graph: UndirectedGraph
     orientation: Orientation
     labeling: Labeling
-    mu: GroupElement
+    mu: int
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,8 @@ class Violation:
     """The lowest-indexed vertex whose weight differs from vertex 0's weight."""
 
     vertex: int
-    weight: GroupElement
-    expected: GroupElement
+    weight: int
+    expected: int
 
 
 def all_weights(graph: UndirectedGraph, orientation: Orientation, labeling: Labeling) -> List[int]:
@@ -108,14 +107,13 @@ def verify(graph: UndirectedGraph, orientation: Orientation,
     mu = w[0]
     for v in range(1, graph.vertex_count):
         if w[v] != mu:
-            return Violation(v, GroupElement(w[v], labeling.modulus),
-                             GroupElement(mu, labeling.modulus))
-    return MagicCertificate(graph, orientation, labeling, GroupElement(mu, labeling.modulus))
+            return Violation(v, w[v], mu)
+    return MagicCertificate(graph, orientation, labeling, mu)
 
 
 def certificate_to_text(cert: MagicCertificate) -> str:
     """Canonical certificate text; arcs follow the canonical edge order."""
-    lines = [f"certificate {cert.labeling.modulus}", _CONVENTION_LINE, f"mu {cert.mu.value}"]
+    lines = [f"certificate {cert.labeling.modulus}", _CONVENTION_LINE, f"mu {cert.mu}"]
     lines.extend(f"l {v} {x}" for v, x in enumerate(cert.labeling.labels))
     lines.extend(f"a {t} {h}" for t, h in cert.orientation.arcs())
     return "\n".join(lines) + "\n"
@@ -197,12 +195,16 @@ def parse_certificate(text: str) -> ParsedCertificate:
 
 
 def bind_certificate(parsed: ParsedCertificate,
-                     graph: UndirectedGraph) -> Tuple[Orientation, Labeling, GroupElement]:
-    """Attach parsed certificate fields to a graph, checking arcs against its edges."""
+                     graph: UndirectedGraph) -> Tuple[Orientation, Labeling, int]:
+    """Attach parsed certificate fields to a graph, checking arcs against its edges.
+
+    The claimed mu comes back as a residue in 0..N-1, so any integer
+    congruent to the true constant matches it.
+    """
     if parsed.order != graph.vertex_count:
         raise ValueError(
             f"certificate order {parsed.order} differs from graph order {graph.vertex_count}"
         )
     orientation = Orientation.from_arcs(graph, parsed.arcs)
     labeling = Labeling(parsed.order, parsed.labels)
-    return orientation, labeling, GroupElement(parsed.mu, parsed.order)
+    return orientation, labeling, parsed.mu % parsed.order

@@ -15,15 +15,22 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .groups import symmetric_set, to_residue
-
 __all__ = [
+    "symmetric_set",
     "ZeroSumPartition",
     "Case1SetSystem",
     "zero_sum_partition",
     "case1_sets",
     "validate_partition",
 ]
+
+
+def symmetric_set(n: int) -> List[int]:
+    """The set {-n/2, ..., -1, 1, ..., n/2} for even n, sorted ascending."""
+    if n <= 0 or n % 2 != 0:
+        raise ValueError(f"symmetric_set needs a positive even size, got {n}")
+    half = n // 2
+    return list(range(-half, 0)) + list(range(1, half + 1))
 
 
 @dataclass(frozen=True)
@@ -242,16 +249,16 @@ def case1_sets(m: int, n: int) -> Case1SetSystem:
         partition = zero_sum_partition(order - 2, [2] * (m - 1))
         raw_sets: List[List[int]] = [[0, half]]
         for p in partition.parts:
-            raw_sets.append(sorted(to_residue(x, order) for x in p))
+            raw_sets.append(sorted(x % order for x in p))
     else:
         partition = zero_sum_partition(order - 2, [n - 1, n - 1] + [n] * (m - 2))
         first, second = list(partition.parts[0]), list(partition.parts[1])
         if quarter in first:
             first, second = second, first
-        raw_sets = [sorted(to_residue(x, order) for x in first) + [half]]
-        raw_sets.append(sorted([to_residue(x, order) for x in second] + [0]))
+        raw_sets = [sorted(x % order for x in first) + [half]]
+        raw_sets.append(sorted([x % order for x in second] + [0]))
         for p in partition.parts[2:]:
-            raw_sets.append(sorted(to_residue(x, order) for x in p))
+            raw_sets.append(sorted(x % order for x in p))
         raw_sets[0].sort()
     special = next(i for i, s in enumerate(raw_sets, start=1) if quarter in s)
     system = Case1SetSystem(m, n, tuple(tuple(sorted(s)) for s in raw_sets), special)

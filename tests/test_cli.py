@@ -132,6 +132,25 @@ def test_verify_rejects_tampered_mu(tmp_path, capsys):
     assert "violation" in out
 
 
+@pytest.mark.parametrize("claimed, out_line, exit_code", [
+    ("18", "magic mu=6", 0),
+    ("-6", "magic mu=6", 0),
+    ("7", "violation claimed mu=7 but weights are 6", 1),
+])
+def test_verify_reads_the_claimed_mu_modulo_the_order(tmp_path, capsys, claimed, out_line,
+                                                       exit_code):
+    cert = tmp_path / "k3_4.cert"
+    graph = tmp_path / "k3_4.graph"
+    code, out, _ = run(capsys, "construct", "--family", "kmokn", "--m", "3", "--n", "4",
+                       "--cert-out", str(cert), "--graph-out", str(graph))
+    assert (code, out.strip()) == (0, "magic mu=6")
+    text = cert.read_text()
+    assert "\nmu 6\n" in text
+    cert.write_text(text.replace("\nmu 6\n", f"\nmu {claimed}\n"))
+    code, out, _ = run(capsys, "verify", "--graph", str(graph), "--cert", str(cert))
+    assert (code, out.strip()) == (exit_code, out_line)
+
+
 def test_verify_rejects_tampered_labels(tmp_path, capsys):
     cert = tmp_path / "c.cert"
     graph = tmp_path / "c.graph"
@@ -232,6 +251,24 @@ def test_search_parallel_seconds_bound_the_whole_run(tmp_path, capsys):
                        "--seconds", "0.2")
     assert perf_counter() - start <= 1.2
     assert code in (0, 2), out
+
+
+def test_search_rejects_a_nan_time_budget(tmp_path, capsys):
+    graph = tmp_path / "k4.graph"
+    run(capsys, "graph", "--family", "complete", "--n", "4", "-o", str(graph))
+    code, out, err = run(capsys, "search", "--graph", str(graph), "--seconds", "nan")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_search_parallel_accepts_an_infinite_time_budget(tmp_path, capsys):
+    graph = tmp_path / "k5.graph"
+    run(capsys, "graph", "--family", "complete", "--n", "5", "-o", str(graph))
+    code, out, _ = run(capsys, "search", "--graph", str(graph), "--threads", "2",
+                       "--seconds", "inf")
+    assert code == 0
+    assert out.startswith("witness mu=")
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):

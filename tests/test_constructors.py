@@ -12,7 +12,6 @@ from dmagic.constructors import (
     kmokn_graph,
 )
 from dmagic.graphs import complete, regularity
-from dmagic.groups import GroupElement
 from dmagic.obstructions import parity_feasibility, theorem1_check
 from dmagic.search import SearchConfig, VERDICT_WITNESS, decide_existence
 from dmagic.verifier import MagicCertificate, certificate_to_text, verify
@@ -22,7 +21,7 @@ from oracles import brute_weights
 def recheck(cert: MagicCertificate) -> None:
     weights = brute_weights(cert.graph.vertex_count, cert.graph.edges,
                             cert.orientation.bits, cert.labeling.labels)
-    assert set(weights) == {cert.mu.value}
+    assert set(weights) == {cert.mu}
 
 
 def test_odd_complete_graphs():
@@ -31,13 +30,13 @@ def test_odd_complete_graphs():
         recheck(cert)
         half = (n - 1) // 2
         expected = (-2 * half * (half + 1) // 2) % n
-        assert cert.mu == GroupElement(expected, n)
+        assert cert.mu == expected
 
 
 def test_complete_known_constants():
-    assert construct_complete(5).mu == GroupElement(4, 5)
-    assert construct_complete(7).mu == GroupElement(2, 7)
-    assert construct_complete(1).mu == GroupElement(0, 1)
+    assert construct_complete(5).mu == 4
+    assert construct_complete(7).mu == 2
+    assert construct_complete(1).mu == 0
 
 
 def test_complete_uses_identity_labels():
@@ -53,7 +52,7 @@ def test_even_complete_is_rejected():
 
 def test_empty():
     cert = construct_empty(4)
-    assert cert.mu == GroupElement(0, 4)
+    assert cert.mu == 0
     assert cert.graph.edges == ()
     recheck(cert)
 
@@ -61,13 +60,13 @@ def test_empty():
 def test_case1_smallest():
     cert = construct_case1(2, 2)
     assert cert.labeling.labels == (2, 0, 1, 3)
-    assert cert.mu == GroupElement(2, 4)
+    assert cert.mu == 2
     recheck(cert)
 
 
 def test_case1_4_by_3():
     cert = construct_case1(4, 3)
-    assert cert.mu == GroupElement(6, 12)
+    assert cert.mu == 6
     assert cert.labeling.labels[0] == 6
     recheck(cert)
 
@@ -78,7 +77,7 @@ def test_case1_grid_constant_is_half_the_order():
             if (m * n) % 4 != 0:
                 continue
             cert = construct_case1(m, n)
-            assert cert.mu == GroupElement(m * n // 2, m * n), (m, n)
+            assert cert.mu == m * n // 2, (m, n)
             recheck(cert)
 
 
@@ -92,14 +91,14 @@ def test_case1_rejects_bad_shapes():
 def test_case2_3_by_2():
     cert = construct_case2(3, 2)
     assert cert.labeling.labels == (0, 1, 2, 3, 4, 5)
-    assert cert.mu == GroupElement(4, 6)
+    assert cert.mu == 4
     assert case2_expected_mu(3, 2) == 4
     recheck(cert)
 
 
 def test_case2_5_by_2():
     cert = construct_case2(5, 2)
-    assert cert.mu == GroupElement(6, 10)
+    assert cert.mu == 6
     assert case2_expected_mu(5, 2) == 6
     recheck(cert)
 
@@ -108,7 +107,7 @@ def test_case2_grid_matches_closed_form():
     for m in (3, 5, 7, 9):
         for n in (*range(1, 9), 10):
             cert = construct_case2(m, n)
-            assert cert.mu == GroupElement(case2_expected_mu(m, n), m * n), (m, n)
+            assert cert.mu == case2_expected_mu(m, n), (m, n)
             recheck(cert)
 
 
@@ -137,7 +136,7 @@ def test_kmokn_graph_shape():
 def test_decide_magic_cells():
     d = decide_kmokn(4, 3)
     assert d.status == STATUS_MAGIC and d.method == "case1"
-    assert d.certificate.mu == GroupElement(6, 12)
+    assert d.certificate.mu == 6
     d = decide_kmokn(3, 2)
     assert d.status == STATUS_MAGIC and d.method == "case2"
     d = decide_kmokn(7, 1)
@@ -159,7 +158,7 @@ def test_decide_odd_by_odd_cells_by_case2():
     for m, n in ((3, 3), (5, 3), (3, 5), (9, 7)):
         d = decide_kmokn(m, n)
         assert d.status == STATUS_MAGIC and d.method == "case2"
-        assert d.certificate.mu == GroupElement(case2_expected_mu(m, n), m * n)
+        assert d.certificate.mu == case2_expected_mu(m, n)
         recheck(d.certificate)
 
 

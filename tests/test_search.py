@@ -87,7 +87,7 @@ def test_every_pinned_pair_matches_brute_force():
 def test_single_vertex():
     out = decide_existence(empty_graph(1))
     assert out.verdict == VERDICT_WITNESS
-    assert out.certificate.mu.value == 0
+    assert out.certificate.mu == 0
 
 
 def test_zero_vertices_rejected():
@@ -153,7 +153,7 @@ def test_unit_scaling_preserves_the_verdict():
             scaled = Labeling(n, tuple(u * x % n for x in cert.labeling.labels))
             result = verify(g, cert.orientation, scaled)
             assert isinstance(result, MagicCertificate), (g, u)
-            assert result.mu.value == u * cert.mu.value % n, (g, u)
+            assert result.mu == u * cert.mu % n, (g, u)
 
 
 def test_first_arc_reduction_shrinks_exhausted_searches():
@@ -162,6 +162,13 @@ def test_first_arc_reduction_shrinks_exhausted_searches():
                                                            reduce=False))
     assert reduced.verdict == unreduced.verdict == VERDICT_EXHAUSTED
     assert reduced.stats.nodes < unreduced.stats.nodes
+
+
+def test_units_small():
+    assert units(12) == [1, 5, 7, 11]
+    assert units(6) == [1, 5]
+    assert units(1) == [0]
+    assert units(7) == [1, 2, 3, 4, 5, 6]
 
 
 def test_label_representatives_cover_every_pair(monkeypatch):
@@ -255,6 +262,8 @@ def test_config_validation():
         SearchConfig(node_budget=0)
     with pytest.raises(ValueError):
         SearchConfig(time_budget=0)
+    with pytest.raises(ValueError):
+        SearchConfig(time_budget=float("nan"))
     with pytest.raises(ValueError):
         SearchConfig(workers=0)
 

@@ -7,6 +7,7 @@ from dmagic.zero_sum import (
     Case1SetSystem,
     ZeroSumPartition,
     case1_sets,
+    symmetric_set,
     validate_partition,
     zero_sum_partition,
 )
@@ -15,6 +16,26 @@ from oracles import check_zero_sum_partition, integer_partitions
 
 def parts_as_sets(partition):
     return {frozenset(p) for p in partition.parts}
+
+
+def test_symmetric_set_small():
+    assert symmetric_set(4) == [-2, -1, 1, 2]
+    assert symmetric_set(6) == [-3, -2, -1, 1, 2, 3]
+    with pytest.raises(ValueError):
+        symmetric_set(5)
+    with pytest.raises(ValueError):
+        symmetric_set(0)
+
+
+def test_symmetric_set_is_antipodally_closed():
+    for n in (4, 8, 12, 20):
+        values = symmetric_set(n)
+        assert len(values) == n
+        assert sum(values) == 0
+        assert set(values) == {-x for x in values}
+        # as residues mod n + 2 the set covers everything except 0 and (n + 2) / 2
+        covered = {x % (n + 2) for x in values}
+        assert covered == set(range(n + 2)) - {0, (n + 2) // 2}
 
 
 def test_two_pairs():
