@@ -2,18 +2,33 @@
 
 The symmetric set for even N is {-N/2, ..., -1, 1, ..., N/2}.  It can always be
 split into parts of prescribed sizes (each at least 2) with every part summing
-to zero.  The constructor here uses a greedy fast path (antipodal pairs, plus
-one mirrored zero-sum triple per pair of odd-size parts, triples anchored on
-descending difference values) and falls back to a complete backtracking
-assignment on any dead end.  Correctness rests on validate_partition, not on
-the heuristic.
+to zero, by one closed-form construction.  The number of odd sizes is even,
+say 2t, because the sizes sum to N.  For i = 1..t take the two triples
+
+    P_i = {i, 3t+1-2i, -(3t+1-i)}        N_i = {-i, -(t+i), t+2i}.
+
+Proof that they, together with antipodal pairs {x, -x}, do the job:
+
+- each triple sums to 0;
+- positives: the P_i give 1..t and t+1, t+3, ..., 3t-1; the N_i give
+  t+2, t+4, ..., 3t; together that is 1..3t, each once;
+- negatives: the P_i give -(2t+1..3t); the N_i give -(1..t) and
+  -(t+1..2t); together that is -1..-3t, each once;
+- every odd part has at least 3 elements, so 6t <= N; the magnitudes
+  3t+1..N/2 are left over, and as pairs {x, -x} they fill exactly the
+  N - 6t remaining slots.
+
+The j-th odd part takes the j-th triple of P_1, N_1, P_2, N_2, ...; then
+every part, in the requested order, takes pairs in ascending magnitude until
+it is full.  This is O(N) with no search; validate_partition re-checks the
+result anyway.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "symmetric_set",
@@ -55,153 +70,20 @@ class Case1SetSystem:
     special_index: int
 
 
-def _canonical_part_order(parts: List[List[int]]) -> List[Tuple[int, ...]]:
-    keyed = [tuple(sorted(p)) for p in parts]
-    return sorted(keyed, key=lambda p: (len(p), min(abs(x) for x in p), p))
-
-
-def _sum_triples(half: int, count: int, node_cap: int = 200_000) -> Optional[List[Tuple[int, int, int]]]:
-    """Disjoint triples (d, k, k + d) in {1..half} with d = count..1, k > d.
-
-    Each triple supplies one mirrored zero-sum pair {d, k, -(k-d)} later on.
-    Difference-descending with ascending k succeeds without backtracking on
-    tight pools where a smallest-first pairing strategy exhausts the low
-    values; a node cap keeps pathological charts from stalling before the
-    complete fallback takes over.
-    """
-    available = set(range(1, half + 1))
-    chosen: List[Tuple[int, int, int]] = []
-    nodes = 0
-
-    def rec(d: int) -> bool:
-        nonlocal nodes
-        if d == 0:
-            return True
-        if d not in available:
-            return False
-        for k in range(d + 1, half - d + 1):
-            if k in available and k + d in available:
-                nodes += 1
-                if nodes > node_cap:
-                    return False
-                available.difference_update((d, k, k + d))
-                chosen.append((d, k, k + d))
-                if rec(d - 1):
-                    return True
-                chosen.pop()
-                available.update((d, k, k + d))
-        return False
-
-    return chosen if rec(count) else None
-
-
-def _greedy(half: int, sizes_sorted: Sequence[int]) -> Optional[List[List[int]]]:
-    """Antipodal pairs plus mirrored sum-triples; None on dead end."""
-    parts: List[List[int]] = [[] for _ in sizes_sorted]
-    odd_indices = [i for i, s in enumerate(sizes_sorted) if s % 2 == 1]
-    used = set()
-    if odd_indices:
-        triples = _sum_triples(half, len(odd_indices) // 2)
-        if triples is None:
-            return None
-        for (d, k, c), first, second in zip(triples, odd_indices[0::2], odd_indices[1::2]):
-            used.update((d, k, c))
-            parts[first].extend([d, k, -c])
-            parts[second].extend([-d, -k, c])
-    pool = [x for x in range(1, half + 1) if x not in used]
-    at = 0
-    for i, s in enumerate(sizes_sorted):
-        need = (s - len(parts[i])) // 2
-        for _ in range(need):
-            if at >= len(pool):
-                return None
-            x = pool[at]
-            at += 1
-            parts[i].extend([x, -x])
-    if at != len(pool):
-        return None
-    return parts
-
-
-def _backtrack(half: int, sizes: Sequence[int]) -> Optional[List[List[int]]]:
-    """Complete search assigning elements (largest magnitude first) to parts."""
-    elems: List[int] = []
-    for mag in range(half, 0, -1):
-        elems.append(mag)
-        elems.append(-mag)
-    total = len(elems)
-    index_of = {v: i for i, v in enumerate(elems)}
-    suffix_sorted = [sorted(elems[i:]) for i in range(total + 1)]
-    suffix_prefix = [list(itertools.accumulate(s, initial=0)) for s in suffix_sorted]
-
-    def feasible(part_sum: int, slots: int, next_i: int) -> bool:
-        if slots == 0:
-            return part_sum == 0
-        avail = suffix_sorted[next_i]
-        if slots > len(avail):
-            return False
-        if slots == 1:
-            need = -part_sum
-            return need in index_of and index_of[need] >= next_i
-        ps = suffix_prefix[next_i]
-        smallest = ps[slots]
-        largest = ps[len(avail)] - ps[len(avail) - slots]
-        return part_sum + smallest <= 0 <= part_sum + largest
-
-    open_sizes: List[int] = []
-    open_sums: List[int] = []
-    open_members: List[List[int]] = []
-    unopened: Dict[int, int] = {}
-    for s in sizes:
-        unopened[s] = unopened.get(s, 0) + 1
-
-    def rec(i: int) -> bool:
-        if i == total:
-            return all(not unopened[s] for s in unopened) and all(
-                open_sums[j] == 0 and len(open_members[j]) == open_sizes[j]
-                for j in range(len(open_sizes))
-            )
-        v = elems[i]
-        for j in range(len(open_sizes)):
-            room = open_sizes[j] - len(open_members[j])
-            if room == 0:
-                continue
-            new_sum = open_sums[j] + v
-            if not feasible(new_sum, room - 1, i + 1):
-                continue
-            open_members[j].append(v)
-            open_sums[j] = new_sum
-            if rec(i + 1):
-                return True
-            open_members[j].pop()
-            open_sums[j] = new_sum - v
-        for s in sorted(unopened, reverse=True):
-            if unopened[s] == 0:
-                continue
-            if not feasible(v, s - 1, i + 1):
-                continue
-            unopened[s] -= 1
-            open_sizes.append(s)
-            open_sums.append(v)
-            open_members.append([v])
-            if rec(i + 1):
-                return True
-            open_members.pop()
-            open_sums.pop()
-            open_sizes.pop()
-            unopened[s] += 1
-        return False
-
-    if rec(0):
-        return open_members
-    return None
+def _triples(t: int) -> Iterator[Tuple[int, int, int]]:
+    """The zero-sum triples P_1, N_1, ..., P_t, N_t that partition +-{1..3t}."""
+    for i in range(1, t + 1):
+        yield (i, 3 * t + 1 - 2 * i, -(3 * t + 1 - i))
+        yield (-i, -(t + i), t + 2 * i)
 
 
 def zero_sum_partition(size: int, sizes: Sequence[int]) -> ZeroSumPartition:
     """Partition {-size/2..-1, 1..size/2} into zero-sum parts of the given sizes.
 
-    Parts in the result line up with the requested sizes; among equal sizes the
-    order is deterministic (smallest absolute element first).
+    Part j of the result has size sizes[j] and is sorted ascending.  Odd parts
+    take the triples P_1, N_1, P_2, N_2, ... in the requested order, and every
+    part then takes pairs {-x, x} with x ascending from 3t+1, so among parts of
+    equal size the smallest |x| never decreases.
     """
     sizes = [int(s) for s in sizes]
     if size <= 0 or size % 2 != 0:
@@ -210,26 +92,16 @@ def zero_sum_partition(size: int, sizes: Sequence[int]) -> ZeroSumPartition:
         raise ValueError(f"every part size must be at least 2, got {sizes}")
     if sum(sizes) != size:
         raise ValueError(f"part sizes must sum to {size}, got sum {sum(sizes)}")
-    half = size // 2
-    sizes_sorted = sorted(sizes)
-    parts = _greedy(half, sizes_sorted)
-    if parts is None:
-        parts = _backtrack(half, sizes)
-    if parts is None:
-        raise RuntimeError(
-            f"no zero-sum partition found for size={size}, sizes={sizes}; this is a defect"
-        )
-    canonical = _canonical_part_order(parts)
-    by_size: Dict[int, List[Tuple[int, ...]]] = {}
-    for p in canonical:
-        by_size.setdefault(len(p), []).append(p)
-    ordered = []
-    taken: Dict[int, int] = {}
+    t = sum(s % 2 for s in sizes) // 2
+    triples = _triples(t)
+    magnitudes = itertools.count(3 * t + 1)
+    parts = []
     for s in sizes:
-        k = taken.get(s, 0)
-        taken[s] = k + 1
-        ordered.append(by_size[s][k])
-    result = ZeroSumPartition(size, tuple(ordered))
+        part = list(next(triples)) if s % 2 else []
+        for x in itertools.islice(magnitudes, (s - len(part)) // 2):
+            part += (-x, x)
+        parts.append(tuple(sorted(part)))
+    result = ZeroSumPartition(size, tuple(parts))
     problem = validate_partition(result, sizes=sizes)
     if problem is not None:
         raise RuntimeError(f"constructed partition fails validation: {problem}")

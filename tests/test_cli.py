@@ -311,6 +311,22 @@ def test_partition(capsys):
     assert sorted(values) == [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
     for line in lines:
         assert sum(int(x) for x in line.split()) == 0
+    # the README example
+    code, out, _ = run(capsys, "partition", "--N", "12", "--sizes", "3,3,3,3")
+    assert code == 0
+    assert out.splitlines() == ["-6 1 5", "-3 -1 4", "-5 2 3", "-4 -2 6"]
+
+
+def test_partition_all_triples_large(capsys):
+    code, out, _ = run(capsys, "partition", "--N", "2400", "--sizes", ",".join(["3"] * 800))
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 800
+    for line in lines:
+        values = [int(x) for x in line.split()]
+        assert len(values) == 3 and sum(values) == 0
+    values = sorted(int(x) for line in lines for x in line.split())
+    assert values == list(range(-1200, 0)) + list(range(1, 1201))
 
 
 def test_partition_rejects_impossible_sizes(capsys):

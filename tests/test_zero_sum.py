@@ -57,17 +57,32 @@ def test_mixed_sizes_validate():
 def test_sizes_order_is_respected():
     p = zero_sum_partition(10, [5, 2, 3])
     assert [len(part) for part in p.parts] == [5, 2, 3]
+    sizes = [3, 5, 3, 5, 4, 3, 3]
+    p = zero_sum_partition(sum(sizes), sizes)
+    assert [len(part) for part in p.parts] == sizes
+    for size in set(sizes):
+        smallest = [min(abs(x) for x in part) for part in p.parts if len(part) == size]
+        assert smallest == sorted(smallest), (size, smallest)
 
 
 def test_all_triples_needs_backtracking():
-    # no mirrored-triple solution exists here, so the greedy path cannot finish
+    # t = 2 triples admit no mirrored solution {d, k, -(d+k)}, {-d, -k, d+k};
+    # the non-mirrored triples P_1, N_1, P_2, N_2 of the construction cover it
     p = zero_sum_partition(12, [3, 3, 3, 3])
     assert validate_partition(p, sizes=[3, 3, 3, 3]) is None
     assert check_zero_sum_partition(12, [3, 3, 3, 3], p.parts) is None
 
 
-def test_every_size_multiset_up_to_16():
-    for total in range(4, 18, 2):
+def test_all_triples_up_to_3000():
+    # every t, including t = 2, 3 mod 4 where mirrored triples do not exist
+    for total in range(6, 3001, 6):
+        sizes = [3] * (total // 3)
+        p = zero_sum_partition(total, sizes)
+        assert check_zero_sum_partition(total, sizes, p.parts) is None, total
+
+
+def test_every_size_multiset_up_to_24():
+    for total in range(4, 26, 2):
         for sizes in integer_partitions(total):
             p = zero_sum_partition(total, list(sizes))
             assert check_zero_sum_partition(total, list(sizes), p.parts) is None, (total, sizes)
