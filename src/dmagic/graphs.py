@@ -145,9 +145,11 @@ class Orientation:
             if bits[i] is not None:
                 raise ValueError(f"edge {key} oriented twice")
             bits[i] = 0 if (tail, head) == key else 1
-        if any(b is None for b in bits):
-            missing = [graph.edges[i] for i, b in enumerate(bits) if b is None]
-            raise ValueError(f"edges left unoriented: {missing}")
+        missing = [graph.edges[i] for i, b in enumerate(bits) if b is None]
+        if missing:
+            # name a few: a certificate without arcs on a large graph misses them all
+            shown = ", ".join(map(str, missing[:3])) + (", ..." if len(missing) > 3 else "")
+            raise ValueError(f"{len(missing)} edges left unoriented: {shown}")
         return cls(graph, tuple(b for b in bits if b is not None))
 
 

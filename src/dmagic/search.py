@@ -1,11 +1,14 @@
 """Exhaustive search for a magic orientation-plus-labeling of a small graph.
 
 The search interleaves label choices with arc choices: vertices are visited in
-maximum-adjacency order, and each edge is oriented at the moment its second
-endpoint is labeled.  Each choice point is one step, N + E in all, walked by
-one loop over an explicit stack, never by recursion, so a deep graph costs
-memory rather than interpreter stack.  Each depth's applied choice is its
-undo record.
+maximum-adjacency order, and each vertex is labeled and then its edges to
+earlier vertices are oriented.  The last vertex is the exception: once the
+second-to-last is labeled its label is the one left, so it is labeled right
+after the second-to-last, and every vertex is labeled while the last two
+vertices' arcs are chosen.  Each choice point is one step, N + E in all,
+walked by one loop over an explicit stack, never by recursion, so a deep
+graph costs memory rather than interpreter stack.  Each depth's applied
+choice is its undo record.
 
 The visit order is fixed, so what a step can check depends on its depth
 alone.  _steps builds this check plan once, from running counts in O(N + E):
@@ -24,6 +27,12 @@ over Z_N.  Pruning rules:
             possible constants, pruning once it is empty or lacks the pinned one
   parity    the 0/1 label-parity pattern fixed so far extends to no solution of
             the weight-parity system with exactly N/2 odd labels
+  forward   below the pin depth, a label step for a tries only labels l with
+            pw(y) + l or pw(y) - l equal to the constant, for each touched y
+            whose one undecided edge leads to a (Haralick and Elliott's
+            forward checking); the labels it drops are exactly those whose
+            nodes the interval rule would prune, and as they are never nodes,
+            no prune is counted for them
 
 The set of possible constants is sound: a vertex y whose neighbours are all
 labeled and which has 1 to 3 undecided edges ends with weight pw(y) + sum of
@@ -31,8 +40,14 @@ labeled and which has 1 to 3 undecided edges ends with weight pw(y) + sum of
 gives it weight mu.  So mu is among those sums, and deciding one of y's arcs
 fixes one sign, which keeps only some of them.  Intersecting these reach sets
 along a branch therefore keeps mu for every witness below it: a branch whose
-set is empty, or lacks the constant at the pin, holds no witness, and the
-depth-first walk still meets the same first witness.
+set is empty, or lacks the constant at the pin, holds no witness.
+
+The order of the steps does not change which witness is met first.  The
+last vertex's label step has one candidate on every branch, the one label
+the other vertices left unused, wherever it stands, so moving it earlier
+keeps the complete assignments in the same depth-first order.  Each rule
+discards only branches that hold no witness, so the walk meets the first
+witness of that order, the one it meets with no pruning at all.
 
 The parity candidates are one int over candidate indices, narrowed by a
 per-vertex mask at each label step and by a weight-parity mask at the pin.
@@ -196,6 +211,9 @@ def _label_orders(n: int, config: SearchConfig) -> Tuple[List[int], List[List[in
 def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
     """The check plan: steps in visit order, label candidates, pin depth.
 
+    The last vertex's label step comes right after the second-to-last's
+    (see the module docstring).
+
     A step is (label, a, b, closes, opens, last): a label step labels a (b is
     a); an arc step orients edge (a, b), a -> b by choice 0, and last is its
     last choice.  closes holds the touched vertices whose last edge the step
@@ -205,7 +223,18 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
     undecided edges is left out when m(m - 1) + 1 >= N: its m distinct pending
     labels reach all of Z_N.  Above the pin depth closes is empty and opens
     holds only the k = -1 vertices, which narrow the set of possible
-    constants.
+    constants.  Below the pin depth, last of a label step holds instead the
+    touched vertices with no unlabeled neighbour and one undecided edge, the
+    edge to a, left out of opens: they forward-check a's label.
+
+    The counts come from a running state, not from the step's place in the
+    label-then-arcs shape: y's labeled neighbours on undecided edges are
+    pend[y][start[y]:], those labeled before y in incidence order, then each
+    one labeled after y.  Edges are decided in that same order at both ends
+    (an earlier vertex waits on at most the second-to-last vertex and then
+    the last), so an arc step only advances start, and only a label step
+    makes a tuple.  Steps share these tuples, so the plan takes O(N + E)
+    memory.
 
     cands[d] lists the labels of label step d, except that cands[1], for the
     second vertex, is a list by the label that step 0 chose.
@@ -215,37 +244,60 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
     pos = sorted(range(n), key=order.__getitem__)  # pos[v] is v's place in order
     first, second, labels = _label_orders(n, config)
     last_arc = 0 if config.reduce else 1
+    labeled = [False] * n
     unlabeled = [graph.degree(v) for v in range(n)]
+    pend: List[Tuple[int, ...]] = [()] * n  # pend[y][start[y]:] are y's labeled
+    start = [0] * n                          # neighbours on undecided edges
     steps: List[Tuple] = []
     cands: List[Sequence] = []
     pin = -1
 
-    def checks(touched: List[Tuple]) -> Tuple[Tuple, Tuple]:
+    def checks(touched: List[int], a: int = -1) -> Tuple[Tuple, Tuple, Tuple]:
+        """closes, opens and, for a label step of a, the forward-checked vertices."""
         nonlocal pin
-        closes = tuple(y for y, k, pend, start in touched if not k and start == len(pend))
+        closes = tuple(y for y in touched if not unlabeled[y] and start[y] == len(pend[y]))
         if closes and pin < 0:
             pin = len(steps)
-        m = [k + len(pend) - start for _, k, pend, start in touched]  # undecided edges
-        exact = [(y, -1, p[s:], 0) for (y, k, p, s), my in zip(touched, m) if not k and 0 < my <= 3]
-        bound = [t for t, my in zip(touched, m)
-                 if (t[1] or my > 3) and my * (my - 1) + 1 < n] if pin >= 0 else []
-        return closes, tuple(exact + bound)
+        forward = a >= 0 and 0 <= pin < len(steps)
+        exact, bound, checked = [], [], []
+        for y in touched:
+            k, p, s = unlabeled[y], pend[y], start[y]
+            m = k + len(p) - s  # undecided edges
+            if k or m > 3:
+                if pin >= 0 and m * (m - 1) + 1 < n:
+                    bound.append((y, k, p, s))
+            elif m == 1 and forward and y != a:
+                checked.append(y)
+            elif m:
+                exact.append((y, -1, p[s:], 0))
+        return closes, tuple(exact + bound), tuple(checked)
+
+    def label(v: int) -> None:
+        labeled[v] = True
+        nbrs = [u for _, u in graph.incident(v) if labeled[u]]
+        for u in nbrs:
+            pend[u] = pend[u][start[u]:] + (v,)
+            start[u] = 0
+        for _, u in graph.incident(v):
+            unlabeled[u] -= 1
+        pend[v] = tuple(nbrs)
+        steps.append((True, v, v) + checks([v] + nbrs, v))
+        cands.append(labels)
 
     for i, v in enumerate(order):
-        back = [(e, u) for e, u in graph.incident(v) if pos[u] < i]
-        nbrs = tuple(u for _, u in back)
-        for u in nbrs:
-            unlabeled[u] -= 1
-        unlabeled[v] -= len(nbrs)
-        touched = [(v, unlabeled[v], nbrs, 0)] + [(u, unlabeled[u], (v,), 0) for u in nbrs]
-        steps.append((True, v, v) + checks(touched) + (0,))
-        cands.append(labels)
-        for j, (e, w) in enumerate(back):
-            a, b = graph.edges[e]
-            touched = [(w, unlabeled[w], (), 0), (v, unlabeled[v], nbrs, j + 1)]
-            steps.append((False, a, b) + checks(touched) + (last_arc,))
-            cands.append(())
-            last_arc = 1
+        if not labeled[v]:
+            label(v)
+        if i == n - 2:
+            label(order[-1])
+        for e, w in graph.incident(v):
+            if pos[w] < i:
+                start[w] += 1  # the edge leads to the first pending neighbour
+                start[v] += 1  # of each endpoint
+                a, b = graph.edges[e]
+                closes, opens, _ = checks([w, v])
+                steps.append((False, a, b, closes, opens, last_arc))
+                cands.append(())
+                last_arc = 1
     cands[0] = first
     if n > 1:
         cands[1] = second
@@ -401,13 +453,17 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
             if not isinstance(result, MagicCertificate):
                 raise RuntimeError("search reached a non-magic full assignment; this is a defect")
             return finish(VERDICT_WITNESS, nodes, result)
-        # descend; a label step skips the labels used above it
+        # descend; a label step skips the labels used above it and, below the
+        # pin, those that leave a forward-checked vertex off mu
         d += 1
         par[d], mus[d] = p, consts
         applied[d] = -1
         if steps[d][0]:
             c = cands[d] if d > 1 else cands[1][x]  # x is still the first label
-            todo[d] = iter([lam for lam in c if not (used >> lam) & 1])
+            free = everything ^ used
+            for y in steps[d][5]:
+                free &= 1 << (mu - pw[y]) % mod | 1 << (pw[y] - mu) % mod
+            todo[d] = iter([lam for lam in c if (free >> lam) & 1])
 
 
 # What a pool process shares with the rest of the run: the stop signal, the

@@ -174,6 +174,19 @@ def test_verify_malformed_certificate(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_verify_names_a_few_unoriented_edges(tmp_path, capsys):
+    # a certificate without arcs on K30[30] leaves all 391,500 edges unoriented
+    graph = tmp_path / "k.graph"
+    cert = tmp_path / "k.cert"
+    run(capsys, "graph", "--family", "kmokn", "--m", "30", "--n", "30", "-o", str(graph))
+    cert.write_text("certificate 900\nmu 0\n" + "".join(f"l {v} {v}\n" for v in range(900)))
+    code, out, err = run(capsys, "verify", "--graph", str(graph), "--cert", str(cert))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 391500 edges left unoriented: (0, 30), ")
+    assert len(err) < 200
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--graph", str(tmp_path / "nope"),
                        "--cert", str(tmp_path / "nope2"))

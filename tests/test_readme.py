@@ -1,8 +1,12 @@
 import ast
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import dmagic
+from dmagic.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -61,3 +65,33 @@ def test_every_export_has_a_use():
             if name not in used and not re.search(rf"\b{re.escape(name)}\b", library)]
     assert not dead, f"exported but unused and undocumented: {dead}"
     assert all(hasattr(dmagic, name) for name in dmagic.__all__)
+
+
+def _transcripts():
+    """Each text block's `$ dmagic` commands, with the output lines shown after each."""
+    for block in re.findall(r"^```text\n(.*?)^```", README.read_text(), re.S | re.M):
+        commands = []
+        for line in block.splitlines():
+            if line.startswith("$ dmagic "):
+                commands.append((shlex.split(line)[2:], []))
+            elif commands:
+                commands[-1][1].append(line)
+        if commands:
+            yield commands
+
+
+def _masked(line):
+    return re.sub(r"time_ms=\S+", "time_ms=*", line)
+
+
+@pytest.mark.parametrize("commands", list(_transcripts()), ids=lambda commands: commands[-1][0][0])
+def test_transcripts_match_the_cli(commands, tmp_path, monkeypatch, capsys):
+    # a block's commands run in order in one directory, where the earlier ones
+    # write the files the later ones read; each first printed line must be the
+    # README's, timings aside, so changed node counts cannot leave it stale
+    monkeypatch.chdir(tmp_path)
+    for argv, shown in commands:
+        main(argv)
+        out = capsys.readouterr().out.splitlines()
+        if shown:
+            assert out[:1] and _masked(out[0]) == _masked(shown[0]), (argv, out[:1], shown[0])

@@ -53,8 +53,12 @@ def test_k5_witness():
 def test_small_witnesses_match_brute_force_existence():
     configs = (SearchConfig(), SearchConfig(parity_prune=False),
                SearchConfig(reduce=False), SearchConfig(parity_prune=False, reduce=False))
-    for g in (cycle(3), cycle(4), cycle(5), path(2), path(3),
+    # path(7) loses all its witnesses to a forward check that tries only
+    # l = mu - pw(y), and K(1,1,2) to a last-label step that forgets the
+    # second-to-last vertex among its neighbours' pending labels
+    for g in (cycle(3), cycle(4), cycle(5), path(2), path(3), path(7),
               complete(4), complete(5), complete_multipartite([1, 2, 2]),
+              complete_multipartite([1, 1, 2]),
               empty_graph(2), empty_graph(3),
               UndirectedGraph.from_edges(4, [(0, 1), (2, 3)]),
               UndirectedGraph.from_edges(5, [(0, 1), (1, 2), (2, 3)])):
@@ -231,7 +235,7 @@ def test_node_budget_is_inconclusive_not_wrong():
 def test_time_budget_is_inconclusive():
     out = decide_existence(prism(4), SearchConfig(parity_prune=False, time_budget=0.01))
     assert out.verdict in (VERDICT_INCONCLUSIVE, VERDICT_EXHAUSTED)
-    # on any realistic machine 10ms cannot cover the million-node space
+    # on any realistic machine 10ms cannot cover the 165-thousand-node space
     assert out.verdict == VERDICT_INCONCLUSIVE
 
 
@@ -358,24 +362,24 @@ _LEAFY = UndirectedGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), 
 
 
 @pytest.mark.parametrize("graph, config, verdict, nodes, prunes, digest, pinned", [
-    (path(12), SearchConfig(), VERDICT_EXHAUSTED, 8951, (891, 2580, 3230), None, None),
-    (complete(9), SearchConfig(), VERDICT_WITNESS, 12478, (3, 4145, 0), "df17a29c", None),
-    (complete(7), _BUDGETED, VERDICT_WITNESS, 107, (3, 27, 0), "1c990400", None),
-    (kmokn_graph(3, 3), _BUDGETED, VERDICT_WITNESS, 88, (9, 14, 0), "66ca6218", None),
-    (kmokn_graph(3, 4), _BUDGETED, VERDICT_WITNESS, 10468, (2501, 2018, 65), "6f7a6400", None),
-    (kmokn_graph(2, 6), _BUDGETED, VERDICT_WITNESS, 71, (13, 2, 0), "5249cd97", None),
-    (kmokn_graph(2, 6), replace(_BUDGETED, seed=4), VERDICT_WITNESS, 92, (21, 3, 0),
+    (path(12), SearchConfig(), VERDICT_EXHAUSTED, 3193, (882, 18, 46), None, None),
+    (complete(9), SearchConfig(), VERDICT_WITNESS, 146, (3, 35, 0), "df17a29c", None),
+    (complete(7), _BUDGETED, VERDICT_WITNESS, 35, (3, 4, 0), "1c990400", None),
+    (kmokn_graph(3, 3), _BUDGETED, VERDICT_WITNESS, 39, (0, 3, 0), "66ca6218", None),
+    (kmokn_graph(3, 4), _BUDGETED, VERDICT_WITNESS, 373, (1, 64, 65), "6f7a6400", None),
+    (kmokn_graph(2, 6), _BUDGETED, VERDICT_WITNESS, 64, (9, 2, 0), "5249cd97", None),
+    (kmokn_graph(2, 6), replace(_BUDGETED, seed=4), VERDICT_WITNESS, 74, (13, 3, 0),
      "1c4a9cbc", None),
-    (kmokn_graph(5, 2), _BUDGETED, VERDICT_WITNESS, 18629, (3, 7039, 56), "abcbe177", None),
-    (path(11), SearchConfig(), VERDICT_EXHAUSTED, 13235, (1566, 8021, 0), None, None),
-    (cycle(12), SearchConfig(seed=2, reduce=False), VERDICT_WITNESS, 4039,
-     (403, 1164, 1422), "db9d9579", None),
-    (cycle(12), SearchConfig(seed=2, parity_prune=False), VERDICT_WITNESS, 1907,
-     (172, 1259, 0), "f3c5ba05", None),
-    (_LEAFY, SearchConfig(), VERDICT_EXHAUSTED, 1983, (312, 422, 476), None, None),
-    (kmokn_graph(5, 2), SearchConfig(seed=1), VERDICT_WITNESS, 25219, (4, 8346, 67),
+    (kmokn_graph(5, 2), _BUDGETED, VERDICT_WITNESS, 340, (3, 67, 56), "abcbe177", None),
+    (path(11), SearchConfig(), VERDICT_EXHAUSTED, 5253, (1548, 61, 0), None, None),
+    (cycle(12), SearchConfig(seed=2, reduce=False), VERDICT_WITNESS, 1429,
+     (383, 0, 16), "db9d9579", None),
+    (cycle(12), SearchConfig(seed=2, parity_prune=False), VERDICT_WITNESS, 632,
+     (164, 0, 0), "f3c5ba05", None),
+    (_LEAFY, SearchConfig(), VERDICT_EXHAUSTED, 1367, (312, 190, 92), None, None),
+    (kmokn_graph(5, 2), SearchConfig(seed=1), VERDICT_WITNESS, 414, (4, 84, 67),
      "66287c12", (2, 9)),
-    (complete(6), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 589540, (0, 196608, 0),
+    (complete(6), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 36580, (0, 12288, 0),
      None, None),
 ], ids=["P12", "K9", "K7", "K3[3]", "K3[4]", "K2[6]", "K2[6]-unit-scaling", "K5[2]", "P11", "C12-free-first-arc",
         "C12-no-parity", "leafy", "K5[2]-pinned", "K6-no-parity"])
@@ -397,8 +401,11 @@ def test_same_tree(graph, config, verdict, nodes, prunes, digest, pinned):
 
 
 def _rescanned_checks(graph):
-    """Per step, (vertex, unlabeled neighbours, pending labeled neighbours) of
-    every touched vertex, found by rescanning its incidences."""
+    """Per step, the vertex it labels (None for an arc step) and (vertex,
+    unlabeled neighbours, pending labeled neighbours) of every touched vertex,
+    found by rescanning its incidences.  Each vertex is labeled and then its
+    edges to earlier vertices are decided, but the last vertex is labeled
+    right after the second-to-last."""
     order = search._visit_order(graph)
     pos = {v: i for i, v in enumerate(order)}
     labeled, decided, out = set(), set(), []
@@ -408,13 +415,19 @@ def _rescanned_checks(graph):
                  sorted(z for e, z in graph.incident(y) if z in labeled and e not in decided))
                 for y in touched]
 
-    for v in order:
+    def label(v):
         labeled.add(v)
-        back = [(e, u) for e, u in graph.incident(v) if pos[u] < pos[v]]
-        out.append(facts([v] + [u for _, u in back]))
-        for e, _ in back:
-            decided.add(e)
-            out.append(facts(graph.edges[e]))
+        out.append((v, facts([v] + [u for _, u in graph.incident(v) if u in labeled])))
+
+    for i, v in enumerate(order):
+        if v not in labeled:
+            label(v)
+        if i == len(order) - 2:
+            label(order[-1])
+        for e, u in graph.incident(v):
+            if pos[u] < i:
+                decided.add(e)
+                out.append((None, facts(graph.edges[e])))
     return out
 
 
@@ -434,9 +447,15 @@ def test_check_plan_matches_a_rescan():
         steps, cands, pin = search._steps(graph, SearchConfig())
         expected = _rescanned_checks(graph)
         assert len(steps) == len(cands) == len(expected)
-        assert pin == min(d for d, fs in enumerate(expected)
+        assert [step[1] for step in steps if step[0]] == [a for a, _ in expected if a is not None]
+        assert pin == min(d for d, (_, fs) in enumerate(expected)
                           if any(not k and not pend for _, k, pend in fs))
-        for d, (step, fs) in enumerate(zip(steps, expected)):
+        for d, (step, (a, fs)) in enumerate(zip(steps, expected)):
+            # below the pin, a label step checks a's label against each touched
+            # vertex whose only undecided edge leads to a, and opens it no more
+            checked = sorted(y for y, k, pend in fs if y != a and not k and pend == [a]
+                             ) if a is not None and d > pin else []
+            fs = [f for f in fs if f[0] not in checked]
             closes = sorted(y for y, k, pend in fs if not k and not pend)
             # an open vertex is checked exactly; or, from the pin on, by its bound
             # unless its m undecided edges carry m distinct labels that reach Z_N
@@ -445,6 +464,8 @@ def test_check_plan_matches_a_rescan():
                                                (k + len(pend)) * (k + len(pend) - 1) + 1 < n))
             got = sorted((y, k, sorted(pend[start:])) for y, k, pend, start in step[4])
             assert (sorted(step[3]), got) == (closes, opens), (graph, d)
+            if step[0]:
+                assert sorted(step[5]) == checked, (graph, d)
 
 
 def test_visit_order_is_maximum_adjacency():
