@@ -285,8 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                "labels; the first witness stops them all")
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--no-reduce", dest="reduce", action="store_false",
-                          help="disable the symmetry reductions: arc reversal and "
-                               "the unit group of Z_N")
+                          help="disable the symmetry reductions: arc reversal, "
+                               "the unit group of Z_N, and one first label's "
+                               "subtree on vertex-transitive graphs")
     p_search.add_argument("--no-parity-prune", dest="parity_prune", action="store_false")
     p_search.set_defaults(handler=_cmd_search)
 

@@ -69,18 +69,35 @@ Reversal acts on the arcs alone and the units on the labels alone, so the two
 commute: a witness is moved by a reversal to one whose first arc takes its
 first direction, and then by a unit, which keeps that arc, to one whose first
 two labels are kept.  That witness is in the reduced tree, so no orbit is lost.
+
+A third symmetry, the graph's automorphisms, ends the reduced search early:
+
+  transitive    if the graph is vertex-transitive, the exhausted subtree of
+                any one first label g proves that no witness exists
+
+Take a witness W and the vertex x with label g, and an automorphism s with
+s(x) = v0, the first visited vertex.  Moving W along s gives a witness with
+l(v0) = g.  A reversal, if needed, gives the first arc its first direction
+and keeps every label, and then a unit of the stabilizer S_g keeps g and that
+arc while taking l(v1) to its kept second label.  The result is in the
+reduced subtree of g, which, exhausted under sound rules, holds no witness.
+The check (_vertex_transitive) runs once, when such a subtree is first
+exhausted, and only a proof counts.  On a vertex-transitive graph with a
+witness, every first label's subtree holds one, so a witness search reaches
+the check only on a graph that is not vertex-transitive.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from math import gcd
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .graphs import Orientation, UndirectedGraph
+from .graphs import Orientation, UndirectedGraph, regularity
 from .obstructions import parity_solutions
 from .verifier import Labeling, MagicCertificate, verify
 
@@ -99,15 +116,20 @@ _PRUNE_KEYS = ("weight", "interval", "parity")
 # use the rule, so changing it changes their trees.
 PARITY_LIST_CAP = 4096
 
+# _vertex_transitive gives up, proving nothing, once its colour refinement has
+# read this many colours: each round over both sides reads 2(N + 2E).
+_AUTOMORPHISM_CAP = 1 << 20
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Budgets, reductions, and determinism knobs for the search.
 
-    reduce, on by default, fixes the first arc and keeps one pair of first two
-    labels per orbit of the unit group of Z_N (see the module docstring); off,
-    the search walks the whole unreduced tree, the reference for tests.  seed
-    shuffles the order in which labels are tried.
+    reduce, on by default, fixes the first arc, keeps one pair of first two
+    labels per orbit of the unit group of Z_N, and on a graph proven
+    vertex-transitive stops once one first label's subtree is exhausted (see
+    the module docstring); off, the search walks the whole unreduced tree, the
+    reference for tests.  seed shuffles the order in which labels are tried.
 
     With workers > 1 each kept pair of first two labels is one independent
     subtree job.  The budgets still bound the whole run: the node budget
@@ -206,6 +228,89 @@ def _label_orders(n: int, config: SearchConfig) -> Tuple[List[int], List[List[in
         stab = [u for u in units if u * g % n == g]
         second[g] = [b for b in labels if b != g and all(u * b % n >= b for u in stab)]
     return first, second, labels
+
+
+def _vertex_transitive(graph: UndirectedGraph) -> bool:
+    """True once automorphisms found within a fixed work cap map vertex 0 onto
+    every vertex; false means not proven.
+
+    Individualization-refinement (McKay and Piperno): to map 0 onto t, give 0
+    its own colour on one side and t on the other, and refine both colourings
+    in lockstep, each vertex's new colour its colour and its neighbours'
+    sorted colours; once the two sides' multisets of new colours differ, no
+    such map is left.  Then the first vertex of the first cell of two or more
+    is given its own colour against each vertex of the same cell on the other
+    side in turn, depth first.  Where every colour is one vertex, the two
+    colourings pair the vertices off.  As the last round matched each
+    vertex's neighbour colours with its partner's, the pairing maps edges
+    onto edges; it is checked edge by edge all the same before it is kept.
+
+    The orbit of 0 is closed under the automorphisms kept, so a target already
+    in it needs none.  Targets are taken from the top: on K_n the map found
+    for n - 1 is an n-cycle, which closes the orbit at once.
+    """
+    if regularity(graph) is None:
+        return False
+    n = graph.vertex_count
+    nbrs = [graph.neighbors(v) for v in range(n)]
+    adj = [set(x) for x in nbrs]
+    work = _AUTOMORPHISM_CAP
+
+    def refine(left: List[int], right: List[int]) -> Optional[Tuple[List[int], List[int]]]:
+        nonlocal work
+        k = 0
+        while work > 0:
+            work -= 2 * (n + 2 * len(graph.edges))
+            sig = [[(c[v], tuple(sorted([c[u] for u in nbrs[v]]))) for v in range(n)]
+                   for c in (left, right)]
+            if Counter(sig[0]) != Counter(sig[1]):
+                return None
+            colour = {s: i for i, s in enumerate(sorted(set(sig[0])))}
+            if len(colour) == k:
+                return left, right
+            k = len(colour)
+            left, right = ([colour[s] for s in side] for side in sig)
+        return None
+
+    def individualize(c: List[int], v: int) -> List[int]:
+        return c[:v] + [n] + c[v + 1:]  # above every colour in use; refine renumbers
+
+    def automorphism(t: int) -> Optional[List[int]]:
+        stack = [([0] * n, [0] * n, 0, iter([t]))]  # (left, right, v, the w to try for v)
+        while stack and work > 0:
+            left, right, v, ws = stack[-1]
+            w = next(ws, None)
+            if w is None:
+                stack.pop()
+                continue
+            pair = refine(individualize(left, v), individualize(right, w))
+            if pair is None:
+                continue
+            left, right = pair
+            cell = min((c for c, size in Counter(left).items() if size > 1), default=None)
+            if cell is None:
+                at = {c: u for u, c in enumerate(right)}
+                sigma = [at[c] for c in left]
+                if all(sigma[b] in adj[sigma[a]] for a, b in graph.edges):
+                    return sigma
+            else:
+                stack.append((left, right, left.index(cell),
+                              iter([u for u in range(n) if right[u] == cell])))
+        return None
+
+    orbit, gens = {0}, []
+    for t in range(n - 1, 0, -1):
+        if t in orbit:
+            continue
+        sigma = automorphism(t)
+        if sigma is None:
+            return False
+        gens.append(sigma)
+        new = orbit
+        while new:
+            new = {s[v] for s in gens for v in new} - orbit
+            orbit |= new
+    return True
 
 
 def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
@@ -360,6 +465,7 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
     par = [root] * len(steps)  # the parity candidates left on entering each depth
     mus = [everything] * len(steps)  # the magic constants still possible there, as bits
     todo[0] = iter(cands[0])  # no label is used yet
+    transitive_check = config.reduce and not pinned
     used = mu = nodes = d = 0
     while True:
         # undo the choice this depth applied last, then take its next one
@@ -379,6 +485,10 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
             if d == 0:
                 return finish(VERDICT_EXHAUSTED, nodes)
             d -= 1
+            if d == 0 and transitive_check:  # the first root subtree is exhausted
+                if _vertex_transitive(graph):
+                    return finish(VERDICT_EXHAUSTED, nodes)
+                transitive_check = False
             continue
         nodes += 1
         if nodes == tick:
@@ -535,11 +645,14 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
     shared_nodes = multiprocessing.Value("q", 0)
     witness: Optional[MagicCertificate] = None
     exhausted = 0  # jobs that searched their whole subtree
+    unexhausted = Counter(lam0 for lam0, _ in jobs)  # by first label
+    transitive: Optional[bool] = None  # asked once some first label's jobs are all exhausted
     with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker,
                              initargs=(stop, shared_nodes, config.node_budget, n, graph.edges,
                                        job_config, parity)) as pool:
         try:
-            pending = {pool.submit(_run_job, job) for job in jobs}
+            first_label = {pool.submit(_run_job, job): job[0] for job in jobs}
+            pending = set(first_label)
             while pending:
                 timeout = None
                 if deadline is not None and not stop.is_set():
@@ -548,7 +661,14 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
                 done, pending = wait(pending, timeout, FIRST_COMPLETED)
                 for fut in done:
                     verdict, cert, nodes, prunes = fut.result()
-                    exhausted += verdict == VERDICT_EXHAUSTED
+                    if verdict == VERDICT_EXHAUSTED:
+                        exhausted += 1
+                        g = first_label[fut]
+                        unexhausted[g] -= 1
+                        if config.reduce and transitive is None and not unexhausted[g]:
+                            transitive = _vertex_transitive(graph)
+                            if transitive:
+                                stop.set()
                     stats.nodes += nodes
                     for k, x in prunes.items():
                         stats.prunes[k] += x
@@ -569,7 +689,7 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
     stats.elapsed = perf_counter() - t0
     if witness is not None:
         return SearchOutcome(VERDICT_WITNESS, witness, stats)
-    if exhausted == len(jobs):
+    if exhausted == len(jobs) or transitive:
         return SearchOutcome(VERDICT_EXHAUSTED, None, stats)
     return SearchOutcome(VERDICT_INCONCLUSIVE, None, stats)
 

@@ -188,3 +188,13 @@ def brute_weights(vertex_count: int, edges: Sequence[Tuple[int, int]],
         weights[head] += labels[tail]
         weights[tail] -= labels[head]
     return [w % n for w in weights]
+
+
+def brute_vertex_transitive(vertex_count: int, edges: Sequence[Tuple[int, int]]) -> bool:
+    """Does some automorphism map vertex 0 onto each vertex?  Every permutation
+    is tried against the edge set.  Only sensible up to about 8 vertices."""
+    n = vertex_count
+    edge_set = {frozenset(e) for e in edges}
+    images = {p[0] for p in permutations(range(n))
+              if all(frozenset((p[u], p[v])) in edge_set for u, v in edges)}
+    return len(images) == n

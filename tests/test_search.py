@@ -26,7 +26,7 @@ from dmagic.search import (
     decide_existence,
 )
 from dmagic.verifier import Labeling, MagicCertificate, certificate_to_text, verify
-from oracles import brute_magic_label_pairs, brute_magic_search, units
+from oracles import brute_magic_label_pairs, brute_magic_search, brute_vertex_transitive, units
 
 
 def test_k4_has_no_solution():
@@ -235,7 +235,7 @@ def test_node_budget_is_inconclusive_not_wrong():
 def test_time_budget_is_inconclusive():
     out = decide_existence(prism(4), SearchConfig(parity_prune=False, time_budget=0.01))
     assert out.verdict in (VERDICT_INCONCLUSIVE, VERDICT_EXHAUSTED)
-    # on any realistic machine 10ms cannot cover the 165-thousand-node space
+    # on any realistic machine 10ms cannot cover the 28-thousand-node space
     assert out.verdict == VERDICT_INCONCLUSIVE
 
 
@@ -355,13 +355,13 @@ def test_parallel_node_budget_is_shared_by_the_workers(workers):
 # here.  A row with a pinned pair runs one parallel job's subtree serially:
 # its first two labels are fixed, as _run_job fixes them.  K2[6]-unit-scaling
 # tries first label 2 before 0, so its witness (mu = 6) starts from a nonzero
-# orbit representative and second labels from the stabilizer of 2.
+# orbit representative and second labels from the stabilizer of 2.  K6 and
+# prism(4) are vertex-transitive: their proofs end with the first label's
+# subtree.
 _BUDGETED = SearchConfig(seed=1, node_budget=100000)
 # a star with a tail, plus an isolated vertex that closes at its label step
 _LEAFY = UndirectedGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6)])
-
-
-@pytest.mark.parametrize("graph, config, verdict, nodes, prunes, digest, pinned", [
+_TREES = [
     (path(12), SearchConfig(), VERDICT_EXHAUSTED, 3193, (882, 18, 46), None, None),
     (complete(9), SearchConfig(), VERDICT_WITNESS, 146, (3, 35, 0), "df17a29c", None),
     (complete(7), _BUDGETED, VERDICT_WITNESS, 35, (3, 4, 0), "1c990400", None),
@@ -379,17 +379,28 @@ _LEAFY = UndirectedGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), 
     (_LEAFY, SearchConfig(), VERDICT_EXHAUSTED, 1367, (312, 190, 92), None, None),
     (kmokn_graph(5, 2), SearchConfig(seed=1), VERDICT_WITNESS, 414, (4, 84, 67),
      "66287c12", (2, 9)),
-    (complete(6), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 36580, (0, 12288, 0),
+    (complete(6), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 6859, (0, 2304, 0),
      None, None),
-], ids=["P12", "K9", "K7", "K3[3]", "K3[4]", "K2[6]", "K2[6]-unit-scaling", "K5[2]", "P11", "C12-free-first-arc",
-        "C12-no-parity", "leafy", "K5[2]-pinned", "K6-no-parity"])
-def test_same_tree(graph, config, verdict, nodes, prunes, digest, pinned):
+    (prism(4), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 27765, (3192, 168, 0),
+     None, None),
+]
+_TREE_IDS = ["P12", "K9", "K7", "K3[3]", "K3[4]", "K2[6]", "K2[6]-unit-scaling", "K5[2]", "P11",
+             "C12-free-first-arc", "C12-no-parity", "leafy", "K5[2]-pinned", "K6-no-parity",
+             "prism4-no-parity"]
+
+
+def _tree(graph, config, pinned):
     if pinned is None:
-        out = decide_existence(graph, config)
-    else:
-        psols = search._root_parity_candidates(graph, config)
-        out = search._search(graph, config, psols, perf_counter(),
-                             pinned={0: pinned[0], 1: pinned[1]})
+        return decide_existence(graph, config)
+    psols = search._root_parity_candidates(graph, config)
+    return search._search(graph, config, psols, perf_counter(),
+                          pinned={0: pinned[0], 1: pinned[1]})
+
+
+@pytest.mark.parametrize("graph, config, verdict, nodes, prunes, digest, pinned", _TREES,
+                         ids=_TREE_IDS)
+def test_same_tree(graph, config, verdict, nodes, prunes, digest, pinned):
+    out = _tree(graph, config, pinned)
     assert out.verdict == verdict
     assert out.stats.nodes == nodes
     assert out.stats.prunes == dict(zip(("weight", "interval", "parity"), prunes))
@@ -398,6 +409,90 @@ def test_same_tree(graph, config, verdict, nodes, prunes, digest, pinned):
     else:
         text = certificate_to_text(out.certificate)
         assert hashlib.md5(text.encode()).hexdigest()[:8] == digest
+
+
+def test_witness_trees_never_check_transitivity(monkeypatch):
+    # a vertex-transitive graph with a witness meets one under its first
+    # label, so the check costs a witness search nothing
+    def refuse(graph):
+        raise AssertionError("a witness search asked for automorphisms")
+
+    monkeypatch.setattr(search, "_vertex_transitive", refuse)
+    for (graph, config, verdict, nodes, _, _, pinned), name in zip(_TREES, _TREE_IDS):
+        if verdict == VERDICT_WITNESS:
+            out = _tree(graph, config, pinned)
+            assert (out.verdict, out.stats.nodes) == (verdict, nodes), name
+
+
+# 3-regular on 12 vertices, with no automorphism but the identity
+_FRUCHT = UndirectedGraph.from_edges(12, [
+    (0, 1), (0, 2), (0, 11), (1, 3), (1, 6), (2, 5), (2, 10), (3, 4), (3, 6), (4, 8), (4, 11),
+    (5, 9), (5, 10), (6, 7), (7, 8), (7, 9), (8, 9), (10, 11)])
+_PETERSEN = UndirectedGraph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)] +
+                                       [(i, i + 5) for i in range(5)] +
+                                       [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+# 2-regular, so colour refinement alone leaves it one cell
+_C3_C4 = UndirectedGraph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+_C4_C4 = UndirectedGraph.from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7),
+                                        (4, 7)])
+# not regular, with a witness outside the first label's subtree: a search that
+# took it for vertex-transitive would answer "no"
+_TRIANGLE_TAIL = UndirectedGraph.from_edges(5, [(0, 1), (1, 3), (2, 3), (2, 4), (3, 4)])
+_TRANSITIVE = [cycle(3), cycle(5), cycle(8), complete(2), complete(4), complete(6), prism(3),
+               prism(4), kmokn_graph(3, 2), kmokn_graph(2, 3), kmokn_graph(4, 2), _C4_C4]
+_NOT_TRANSITIVE = [path(3), path(6), complete_multipartite([1, 2, 2]), _C3_C4, _TRIANGLE_TAIL]
+
+
+def _random_regular(rng, n, r):
+    """A uniform pairing of r stubs per vertex, drawn again until it is simple;
+    then, half the time, its complement."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(r)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(p)) for p in zip(stubs[::2], stubs[1::2])}
+        if len(pairs) == n * r // 2 and all(u != v for u, v in pairs):
+            break
+    if rng.random() < 0.5:
+        pairs = {(u, v) for u in range(n) for v in range(u + 1, n)} - pairs
+    return UndirectedGraph.from_edges(n, pairs)
+
+
+def test_vertex_transitive_matches_brute_force():
+    rng = random.Random(7)
+    shapes = [(7, 2), (8, 2), (8, 3)]
+    graphs = _TRANSITIVE + _NOT_TRANSITIVE + [_random_regular(rng, *rng.choice(shapes))
+                                              for _ in range(20)]
+    for g in graphs:
+        assert search._vertex_transitive(g) == brute_vertex_transitive(g.vertex_count, g.edges), g
+    assert all(search._vertex_transitive(g) for g in _TRANSITIVE)
+    assert not any(search._vertex_transitive(g) for g in _NOT_TRANSITIVE)
+    assert search._vertex_transitive(_PETERSEN)
+    assert search._vertex_transitive(kmokn_graph(3, 4))
+    assert not search._vertex_transitive(_FRUCHT)
+
+
+def test_transitive_rule_keeps_every_verdict():
+    # reduced serial and parallel runs stop on a vertex-transitive graph after
+    # one first label; the unreduced tree is the reference.  prism(4) is left
+    # out: its unreduced tree without parity has a million nodes, and
+    # test_same_tree pins its reduced one.
+    for g in _TRANSITIVE + _NOT_TRANSITIVE:
+        if g == prism(4):
+            continue
+        for parity in (True, False):
+            reference = decide_existence(g, SearchConfig(parity_prune=parity, reduce=False))
+            for config in (SearchConfig(parity_prune=parity),
+                           SearchConfig(parity_prune=parity, workers=2)):
+                out = decide_existence(g, config)
+                assert out.verdict == reference.verdict != VERDICT_INCONCLUSIVE, (g, config)
+
+
+def test_unproven_transitivity_leaves_the_tree_alone(monkeypatch):
+    # past the work cap nothing is proven, and K6 walks every first label's subtree
+    monkeypatch.setattr(search, "_AUTOMORPHISM_CAP", 1)
+    assert not search._vertex_transitive(complete(6))
+    out = decide_existence(complete(6), SearchConfig(parity_prune=False))
+    assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, 36580)
 
 
 def _rescanned_checks(graph):
