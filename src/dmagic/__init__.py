@@ -39,7 +39,6 @@ from .graphs import (
 )
 from .obstructions import (
     NonexistenceCertificate,
-    ParityWitnessSpace,
     parity_feasibility,
     parity_solutions,
     prism_nonexistence,
@@ -90,7 +89,7 @@ __all__ = [
     "FamilyDecision", "STATUS_MAGIC", "STATUS_NOT_MAGIC",
     "construct_complete", "construct_empty", "construct_case1", "construct_case2",
     "case2_expected_mu", "decide_kmokn", "kmokn_graph",
-    "NonexistenceCertificate", "ParityWitnessSpace",
+    "NonexistenceCertificate",
     "theorem1_check", "parity_feasibility", "parity_solutions", "prism_nonexistence",
     "SearchConfig", "SearchStats", "SearchOutcome",
     "VERDICT_WITNESS", "VERDICT_EXHAUSTED", "VERDICT_INCONCLUSIVE",

@@ -5,7 +5,8 @@ an orientation with a magic labeling exist?  Exit codes are uniform across
 subcommands: 0 means yes (or the requested artifact was produced), 1 means a
 proven no (or a certificate that fails verification), 2 means undecided, bad
 input, or a usage error, and 3 means an internal error: a defect in dmagic,
-never a verdict.
+never a verdict.  An answer line's exit code is read off its first word in
+ANSWER_EXIT, the one place where answers are mapped to exit codes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import tempfile
 import traceback
 from pathlib import Path
 from time import perf_counter
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, TextIO
 
 from . import __version__
 from .constructors import STATUS_MAGIC, STATUS_NOT_MAGIC, decide_kmokn, kmokn_graph
@@ -35,12 +36,7 @@ from .graphs import (
     prism,
 )
 from .obstructions import parity_feasibility, theorem1_check
-from .search import (
-    SearchConfig,
-    VERDICT_EXHAUSTED,
-    VERDICT_WITNESS,
-    decide_existence,
-)
+from .search import SearchConfig, decide_existence
 from .verifier import (
     Violation,
     bind_certificate,
@@ -54,6 +50,18 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_UNDECIDED = 2
 EXIT_INTERNAL = 3
+
+ANSWER_EXIT = {
+    "magic": EXIT_YES, "witness": EXIT_YES,
+    "not-magic": EXIT_NO, "violation": EXIT_NO, "exhausted-no-solution": EXIT_NO,
+    "inconclusive": EXIT_UNDECIDED,
+}
+
+
+def _answer(line: str, file: Optional[TextIO] = None) -> int:
+    """Print an answer line (to stdout unless file is given); its exit code."""
+    print(line, file=file)
+    return ANSWER_EXIT[line.split()[0]]
 
 
 def _write_text(target: Optional[str], text: str) -> None:
@@ -112,13 +120,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         m, n, stem = args.m, args.n, f"kmokn-{args.m}-{args.n}"
     decision = decide_kmokn(m, n)
     if decision.status == STATUS_NOT_MAGIC:
-        print(f"not-magic {decision.obstruction}", file=sys.stderr)
-        return EXIT_NO
+        return _answer(f"not-magic {decision.obstruction}", sys.stderr)
     cert = decision.certificate
     _write_text(args.graph_out or f"{stem}.graph", graph_to_text(cert.graph))
     _write_text(args.cert_out or f"{stem}.cert", certificate_to_text(cert))
-    print(f"magic mu={cert.mu}")
-    return EXIT_YES
+    return _answer(f"magic mu={cert.mu}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -127,23 +133,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     orientation, labeling, claimed_mu = bind_certificate(parsed, graph)
     result = verify(graph, orientation, labeling)
     if isinstance(result, Violation):
-        print(f"violation vertex={result.vertex} weight={result.weight} "
-              f"expected={result.expected}")
-        return EXIT_NO
+        return _answer(f"violation vertex={result.vertex} weight={result.weight} "
+                       f"expected={result.expected}")
     if result.mu != claimed_mu:
-        print(f"violation claimed mu={claimed_mu} but weights are {result.mu}")
-        return EXIT_NO
-    print(f"magic mu={result.mu}")
-    return EXIT_YES
+        return _answer(f"violation claimed mu={claimed_mu} but weights are {result.mu}")
+    return _answer(f"magic mu={result.mu}")
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     decision = decide_kmokn(args.m, args.n)
     if decision.status == STATUS_MAGIC:
-        print(f"magic {decision.method} mu={decision.certificate.mu}")
-        return EXIT_YES
-    print(f"not-magic {decision.obstruction}")
-    return EXIT_NO
+        return _answer(f"magic {decision.method} mu={decision.certificate.mu}")
+    return _answer(f"not-magic {decision.obstruction}")
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -157,31 +158,21 @@ def _cmd_search(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     outcome = decide_existence(graph, config)
-    stats = outcome.stats
-    tail = f"nodes={stats.nodes} time_ms={stats.elapsed * 1000:.1f}"
-    if outcome.verdict == VERDICT_WITNESS:
-        print(f"witness mu={outcome.certificate.mu} {tail}")
-        _write_text(args.output, certificate_to_text(outcome.certificate))
-        return EXIT_YES
-    if outcome.verdict == VERDICT_EXHAUSTED:
-        print(f"exhausted-no-solution {tail}")
-        return EXIT_NO
-    print(f"inconclusive {tail}")
-    return EXIT_UNDECIDED
+    cert, stats = outcome.certificate, outcome.stats
+    mu = "" if cert is None else f" mu={cert.mu}"
+    code = _answer(f"{outcome.verdict}{mu} nodes={stats.nodes} time_ms={stats.elapsed * 1000:.1f}")
+    if cert is not None:
+        _write_text(args.output, certificate_to_text(cert))
+    return code
 
 
 def _cmd_obstruct(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
-    cert = theorem1_check(graph)
-    if cert is not None:
-        print(f"not-magic theorem1 r={cert.details['r']} order={cert.details['order']}")
-        return EXIT_NO
-    space = parity_feasibility(graph)
-    if space is not None and space.certifies_nonexistence:
-        print("not-magic parity-infeasible")
-        return EXIT_NO
-    print("inconclusive")
-    return EXIT_UNDECIDED
+    cert = theorem1_check(graph) or parity_feasibility(graph)
+    if cert is None:
+        return _answer("inconclusive")
+    details = "".join(f" {k}={v}" for k, v in cert.details.items())
+    return _answer(f"not-magic {cert.reason}{details}")
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:

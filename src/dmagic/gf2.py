@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["solve_affine", "span_iter"]
 
 
-def solve_affine(rows: Sequence[int], rhs: Sequence[int], n_cols: int) -> Optional[Tuple[int, List[int]]]:
+def solve_affine(rows: Sequence[int], rhs: Sequence[int], n_cols: int,
+                 deadline: Optional[float] = None) -> Optional[Tuple[int, List[int]]]:
     """Solve A x = b over GF(2).
 
     rows are bitsets over n_cols columns, rhs is a 0/1 sequence.  Returns a
     particular solution plus a kernel basis, or None when inconsistent.
+    Raises TimeoutError once perf_counter() passes deadline, checked per row.
     """
     if len(rows) != len(rhs):
         raise ValueError("rows and rhs lengths differ")
@@ -19,6 +22,8 @@ def solve_affine(rows: Sequence[int], rhs: Sequence[int], n_cols: int) -> Option
     pivot_of_col: dict[int, int] = {}
     reduced: List[int] = []
     for r in aug:
+        if deadline is not None and perf_counter() > deadline:
+            raise TimeoutError("GF(2) elimination ran past its deadline")
         for col in sorted(pivot_of_col, reverse=True):
             if (r >> (col + 1)) & 1:
                 r ^= reduced[pivot_of_col[col]]
@@ -48,11 +53,17 @@ def solve_affine(rows: Sequence[int], rhs: Sequence[int], n_cols: int) -> Option
     return particular, basis
 
 
-def span_iter(origin: int, basis: Sequence[int]):
-    """Yield origin XOR every combination of basis vectors (Gray-code order)."""
+def span_iter(origin: int, basis: Sequence[int], deadline: Optional[float] = None):
+    """Yield origin XOR every combination of basis vectors (Gray-code order).
+
+    Raises TimeoutError once perf_counter() passes deadline, checked every
+    4096 vectors.
+    """
     v = origin
     yield v
     count = 1 << len(basis)
     for i in range(1, count):
+        if not i & 4095 and deadline is not None and perf_counter() > deadline:
+            raise TimeoutError("GF(2) span walk ran past its deadline")
         v ^= basis[(i & -i).bit_length() - 1]
         yield v

@@ -87,10 +87,6 @@ class UndirectedGraph:
     def degree(self, v: int) -> int:
         return len(self._incidence[v])
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 def regularity(graph: UndirectedGraph) -> Optional[int]:
     """The common degree r if the graph is r-regular, else None."""
@@ -127,10 +123,6 @@ class Orientation:
         for (u, v), b in zip(self.graph.edges, self.bits):
             out.append((u, v) if b == 0 else (v, u))
         return out
-
-    def reverse(self) -> "Orientation":
-        """Flip every arc."""
-        return Orientation(self.graph, tuple(1 - b for b in self.bits))
 
     @classmethod
     def from_arcs(cls, graph: UndirectedGraph, arcs: Iterable[Tuple[int, int]]) -> "Orientation":

@@ -1,7 +1,8 @@
 """Nonexistence arguments: the odd-regular order obstruction and parity counting.
 
-Both checks are necessary-condition filters.  theorem1_check certifies
-nonexistence for r-regular graphs with r odd on 2 mod 4 vertices.
+theorem1_check and parity_feasibility each return a NonexistenceCertificate
+when their argument applies and None otherwise; None proves nothing.
+theorem1_check certifies r-regular graphs with r odd on 2 mod 4 vertices.
 parity_feasibility asks, for an even-order graph, whether the vertex parities
 of any bijective labeling could make every weight share one parity: a 0/1
 vector p with sum-over-neighbors congruent to a constant c at every vertex and
@@ -13,14 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from . import gf2
 from .graphs import UndirectedGraph, prism, regularity
 
 __all__ = [
     "NonexistenceCertificate",
-    "ParityWitnessSpace",
     "theorem1_check",
     "parity_feasibility",
     "parity_solutions",
@@ -30,8 +30,8 @@ __all__ = [
 REASON_THEOREM1 = "theorem1"
 REASON_PARITY = "parity-infeasible"
 
-# Kernel dimensions above this are not enumerated; the check reports
-# "inconclusive" instead of risking a false certificate.
+# Kernel dimensions above this are not enumerated: the parity routines return
+# None, never a certificate.
 KERNEL_CAP = 24
 
 
@@ -42,26 +42,6 @@ class NonexistenceCertificate:
     graph: UndirectedGraph
     reason: str
     details: Mapping[str, object] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ParityWitnessSpace:
-    """Feasibility of the weight-parity system per target constant c.
-
-    feasible[c] is True/False when decided, None when the kernel was too large
-    to enumerate (never reported as a certificate).
-    """
-
-    order: int
-    feasible: Tuple[Optional[bool], Optional[bool]]
-
-    @property
-    def inconclusive(self) -> bool:
-        return any(f is None for f in self.feasible)
-
-    @property
-    def certifies_nonexistence(self) -> bool:
-        return self.feasible[0] is False and self.feasible[1] is False
 
 
 def theorem1_check(graph: UndirectedGraph) -> Optional[NonexistenceCertificate]:
@@ -81,53 +61,40 @@ def _neighbor_masks(graph: UndirectedGraph) -> List[int]:
     return masks
 
 
-def _parity_vectors(graph: UndirectedGraph) -> Iterator[Tuple[int, Optional[Iterator[int]]]]:
-    """Yield (c, vectors) for c = 0 then 1: the solutions of the parity system.
-
-    vectors iterates the solution bitmasks with exactly N/2 ones; it is None
-    when the kernel exceeds KERNEL_CAP.
-    """
-    n = graph.vertex_count
-    rows = _neighbor_masks(graph)
-    target_ones = n // 2
-    for c in (0, 1):
-        solved = gf2.solve_affine(rows, [c] * n, n)
-        if solved is None:
-            yield c, iter(())
-        elif len(solved[1]) > KERNEL_CAP:
-            yield c, None
-        else:
-            yield c, (v for v in gf2.span_iter(*solved) if v.bit_count() == target_ones)
-
-
-def parity_solutions(graph: UndirectedGraph, *,
-                     max_solutions: Optional[int] = None) -> Optional[Dict[int, List[int]]]:
+def parity_solutions(graph: UndirectedGraph, *, max_solutions: Optional[int] = None,
+                     deadline: Optional[float] = None) -> Optional[Dict[int, List[int]]]:
     """All parity vectors solving the weight-parity system, keyed by constant c.
 
     Vectors are vertex bitmasks with exactly N/2 ones (the count of odd labels
-    in any bijection onto Z_N for even N).  Returns None when a kernel exceeds
-    KERNEL_CAP or a solution list would exceed max_solutions.
+    in any bijection onto Z_N for even N).  Returns None for odd N, or when a
+    kernel exceeds KERNEL_CAP or a solution list would exceed max_solutions.
+    Raises TimeoutError once perf_counter() passes deadline.
     """
-    if graph.vertex_count % 2 != 0:
+    n = graph.vertex_count
+    if n % 2 != 0:
         return None
+    rows = _neighbor_masks(graph)
+    limit = None if max_solutions is None else max_solutions + 1
     out: Dict[int, List[int]] = {}
-    for c, vectors in _parity_vectors(graph):
-        if vectors is None:
+    for c in (0, 1):
+        solved = gf2.solve_affine(rows, [c] * n, n, deadline)
+        if solved is None:
+            out[c] = []
+            continue
+        if len(solved[1]) > KERNEL_CAP:
             return None
-        out[c] = list(islice(vectors, None if max_solutions is None else max_solutions + 1))
+        vectors = (v for v in gf2.span_iter(*solved, deadline) if v.bit_count() == n // 2)
+        out[c] = list(islice(vectors, limit))
         if max_solutions is not None and len(out[c]) > max_solutions:
             return None
     return out
 
 
-def parity_feasibility(graph: UndirectedGraph) -> Optional[ParityWitnessSpace]:
-    """Feasibility of the parity system for an even-order graph; None when odd."""
-    n = graph.vertex_count
-    if n % 2 != 0:
+def parity_feasibility(graph: UndirectedGraph) -> Optional[NonexistenceCertificate]:
+    """Certificate when neither constant c has a parity vector with N/2 ones, else None."""
+    if parity_solutions(graph, max_solutions=0) is None:
         return None
-    feasible = [None if vectors is None else next(vectors, None) is not None
-                for _, vectors in _parity_vectors(graph)]
-    return ParityWitnessSpace(n, (feasible[0], feasible[1]))
+    return NonexistenceCertificate(graph, REASON_PARITY)
 
 
 def prism_nonexistence(n: int) -> NonexistenceCertificate:
@@ -153,14 +120,7 @@ def prism_nonexistence(n: int) -> NonexistenceCertificate:
     defect and raises.
     """
     graph = prism(n)
-    cert: Optional[NonexistenceCertificate]
-    if n % 2 == 1:
-        cert = theorem1_check(graph)
-    else:
-        space = parity_feasibility(graph)
-        cert = (NonexistenceCertificate(graph, REASON_PARITY,
-                                        {"feasible": space.feasible, "order": 2 * n})
-                if space.certifies_nonexistence else None)
+    cert = theorem1_check(graph) or parity_feasibility(graph)
     if cert is None:
         raise RuntimeError(f"prism({n}) escapes its obstruction; this is a defect")
     return cert

@@ -99,7 +99,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .graphs import Orientation, UndirectedGraph, regularity
 from .obstructions import parity_solutions
-from .verifier import Labeling, MagicCertificate, verify
+from .verifier import Labeling, MagicCertificate, verified
 
 __all__ = ["SearchConfig", "SearchStats", "SearchOutcome", "VERDICT_WITNESS",
            "VERDICT_EXHAUSTED", "VERDICT_INCONCLUSIVE", "decide_existence"]
@@ -409,10 +409,11 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
     return steps, cands, pin
 
 
-def _root_parity_candidates(graph: UndirectedGraph, config: SearchConfig) -> _Parity:
+def _root_parity_candidates(graph: UndirectedGraph, config: SearchConfig,
+                            deadline: Optional[float] = None) -> _Parity:
     if not config.parity_prune or graph.vertex_count % 2 != 0:
         return None
-    sols = parity_solutions(graph, max_solutions=PARITY_LIST_CAP)
+    sols = parity_solutions(graph, max_solutions=PARITY_LIST_CAP, deadline=deadline)
     if sols is None:
         return None
     n = graph.vertex_count
@@ -559,10 +560,8 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
         if d == last:
             arcs = [(a, b) if x == 0 else (b, a)
                     for (label, a, b, _, _, _), x in zip(steps, applied) if not label]
-            result = verify(graph, Orientation.from_arcs(graph, arcs), Labeling(mod, tuple(labels)))
-            if not isinstance(result, MagicCertificate):
-                raise RuntimeError("search reached a non-magic full assignment; this is a defect")
-            return finish(VERDICT_WITNESS, nodes, result)
+            return finish(VERDICT_WITNESS, nodes, verified(
+                graph, Orientation.from_arcs(graph, arcs), Labeling(mod, tuple(labels))))
         # descend; a label step skips the labels used above it and, below the
         # pin, those that leave a forward-checked vertex off mu
         d += 1
@@ -674,10 +673,7 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
                         stats.prunes[k] += x
                     if verdict == VERDICT_WITNESS and witness is None:
                         labels, bits = cert
-                        result = verify(graph, Orientation(graph, bits), Labeling(n, labels))
-                        if not isinstance(result, MagicCertificate):
-                            raise RuntimeError("parallel worker returned a bad witness; this is a defect")
-                        witness = result
+                        witness = verified(graph, Orientation(graph, bits), Labeling(n, labels))
                         stop.set()
                 if deadline is not None and perf_counter() >= deadline:
                     stop.set()
@@ -704,7 +700,11 @@ def decide_existence(graph: UndirectedGraph, config: Optional[SearchConfig] = No
         raise ValueError("search needs at least one vertex")
     config = config or SearchConfig()
     t0 = perf_counter()
-    parity = _root_parity_candidates(graph, config)
+    try:
+        parity = _root_parity_candidates(
+            graph, config, None if config.time_budget is None else t0 + config.time_budget)
+    except TimeoutError:  # the root parity solve used up the time budget
+        return SearchOutcome(VERDICT_INCONCLUSIVE, None, SearchStats(elapsed=perf_counter() - t0))
     if parity is not None and not parity[0]:
         stats = SearchStats()
         stats.prunes["parity"] += 1

@@ -20,6 +20,7 @@ __all__ = [
     "Violation",
     "all_weights",
     "verify",
+    "verified",
     "certificate_to_text",
     "ParsedCertificate",
     "parse_certificate",
@@ -48,10 +49,6 @@ class Labeling:
 
     def is_bijection(self) -> bool:
         return len(self.labels) == self.modulus and len(set(self.labels)) == self.modulus
-
-    def scaled(self, unit: int) -> "Labeling":
-        """Labels multiplied by a fixed residue (bijective when the residue is a unit)."""
-        return Labeling(self.modulus, tuple((x * unit) % self.modulus for x in self.labels))
 
 
 @dataclass(frozen=True)
@@ -109,6 +106,17 @@ def verify(graph: UndirectedGraph, orientation: Orientation,
         if w[v] != mu:
             return Violation(v, w[v], mu)
     return MagicCertificate(graph, orientation, labeling, mu)
+
+
+def verified(graph: UndirectedGraph, orientation: Orientation, labeling: Labeling) -> MagicCertificate:
+    """The certificate of a triple that dmagic built as magic; a violation is a defect."""
+    result = verify(graph, orientation, labeling)
+    if isinstance(result, Violation):
+        raise RuntimeError(
+            f"a labeling built as magic is not: vertex {result.vertex} has weight "
+            f"{result.weight}, expected {result.expected}; this is a defect"
+        )
+    return result
 
 
 def certificate_to_text(cert: MagicCertificate) -> str:

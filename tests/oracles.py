@@ -10,6 +10,9 @@ from itertools import combinations, permutations, product
 from math import gcd
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
+from dmagic.graphs import Orientation
+from dmagic.verifier import Labeling
+
 
 @dataclass(frozen=True)
 class ProductIndexing:
@@ -42,6 +45,16 @@ def units(modulus: int) -> List[int]:
     if modulus <= 0:
         raise ValueError(f"modulus must be positive, got {modulus}")
     return [a for a in range(modulus) if gcd(a, modulus) == 1]
+
+
+def scaled(labeling: Labeling, unit: int) -> Labeling:
+    """Every label multiplied by a fixed residue (a bijection when it is a unit)."""
+    return Labeling(labeling.modulus, tuple(x * unit % labeling.modulus for x in labeling.labels))
+
+
+def reversed_orientation(orientation: Orientation) -> Orientation:
+    """The same edges with every arc flipped."""
+    return Orientation(orientation.graph, tuple(1 - b for b in orientation.bits))
 
 
 def symmetric_values(size: int) -> List[int]:

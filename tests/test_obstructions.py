@@ -1,3 +1,5 @@
+from time import perf_counter
+
 import pytest
 
 from dmagic import gf2
@@ -44,22 +46,22 @@ def test_theorem1_on_k2():
 
 
 def test_parity_prism_4_infeasible_both_constants():
-    space = parity_feasibility(prism(4))
-    assert space.feasible == (False, False)
-    assert space.certifies_nonexistence
-    assert not space.inconclusive
+    assert parity_solutions(prism(4)) == {0: [], 1: []}
+    cert = parity_feasibility(prism(4))
+    assert cert is not None
+    assert cert.reason == "parity-infeasible"
+    assert cert.details == {}
 
 
 def test_parity_four_cycle_feasible():
-    space = parity_feasibility(cycle(4))
-    assert space.feasible[0] is True
-    assert not space.certifies_nonexistence
+    assert parity_solutions(cycle(4))[0]
+    assert parity_feasibility(cycle(4)) is None
 
 
 def test_parity_even_complete_infeasible():
     for n in (2, 4, 6, 8, 10, 12):
-        space = parity_feasibility(complete(n))
-        assert space.certifies_nonexistence, n
+        cert = parity_feasibility(complete(n))
+        assert cert is not None and cert.reason == "parity-infeasible", n
 
 
 def test_parity_odd_order_is_out_of_scope():
@@ -83,11 +85,16 @@ def test_parity_solutions_caps_return_none():
     assert parity_solutions(cycle(4), max_solutions=0) is None
 
 
+def test_parity_solutions_stop_at_a_passed_deadline():
+    with pytest.raises(TimeoutError):
+        parity_solutions(prism(4), deadline=perf_counter() - 1)
+    # no deadline, no limit on the time spent
+    assert parity_solutions(prism(4), deadline=None) == {0: [], 1: []}
+
+
 def test_parity_feasibility_kernel_cap_gives_inconclusive_not_certificate():
     # 26 isolated vertices: kernel dimension 26 exceeds the default cap
-    space = parity_feasibility(empty_graph(26))
-    assert space.inconclusive
-    assert not space.certifies_nonexistence
+    assert parity_feasibility(empty_graph(26)) is None
 
 
 SMALL_GRAPHS = [
@@ -102,21 +109,30 @@ SMALL_GRAPHS = [
 
 
 def test_parity_feasibility_matches_brute_force():
+    # a constant c is feasible exactly when its solution list is not empty
     for g in SMALL_GRAPHS:
-        space = parity_feasibility(g)
-        assert space is not None and not space.inconclusive
+        sols = parity_solutions(g)
+        assert sols is not None
+        expected = [brute_parity_feasible(g.vertex_count, g.edges, c) for c in (0, 1)]
         for c in (0, 1):
-            expected = brute_parity_feasible(g.vertex_count, g.edges, c)
-            assert space.feasible[c] == expected, (g, c)
+            assert bool(sols[c]) == expected[c], (g, c)
+        assert (parity_feasibility(g) is not None) == (expected == [False, False]), g
 
 
 def test_parity_feasibility_matches_brute_force_large_prisms():
     for n in (9, 10):
         g = prism(n)
-        space = parity_feasibility(g)
+        sols = parity_solutions(g)
+        expected = [brute_parity_feasible_numpy(g.vertex_count, g.edges, c) for c in (0, 1)]
         for c in (0, 1):
-            expected = brute_parity_feasible_numpy(g.vertex_count, g.edges, c)
-            assert space.feasible[c] == expected, (n, c)
+            assert bool(sols[c]) == expected[c], (n, c)
+        assert (parity_feasibility(g) is not None) == (expected == [False, False]), n
+
+
+def test_parity_feasibility_certifies_exactly_when_no_vector_is_listed():
+    odd_order = [complete(5), cycle(7), path(9), empty_graph(3), complete_multipartite([1, 2, 2])]
+    for g in SMALL_GRAPHS + [empty_graph(26)] + odd_order:
+        assert (parity_feasibility(g) is not None) == (parity_solutions(g) == {0: [], 1: []}), g
 
 
 def test_parity_solutions_lists_match_brute_force():

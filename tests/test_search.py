@@ -239,6 +239,19 @@ def test_time_budget_is_inconclusive():
     assert out.verdict == VERDICT_INCONCLUSIVE
 
 
+def test_time_budget_bounds_the_root_parity_solve():
+    # 24 disjoint paths P3 and one edge: the parity system has a kernel of
+    # dimension 24 for both constants and no vector with 37 ones, so listing
+    # its solutions walks 2 * 2^24 vectors, seconds past the budget
+    edges = [(3 * i + j, 3 * i + j + 1) for i in range(24) for j in (0, 1)] + [(72, 73)]
+    graph = UndirectedGraph.from_edges(74, edges)
+    for workers in (1, 2):
+        started = perf_counter()
+        out = decide_existence(graph, SearchConfig(time_budget=0.2, workers=workers))
+        assert perf_counter() - started < 1.0, workers
+        assert (out.verdict, out.stats.nodes) == (VERDICT_INCONCLUSIVE, 0), workers
+
+
 def test_search_is_deterministic():
     a = decide_existence(complete(5))
     b = decide_existence(complete(5))

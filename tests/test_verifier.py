@@ -21,7 +21,7 @@ from dmagic.verifier import (
     parse_certificate,
     verify,
 )
-from oracles import brute_weights, units
+from oracles import brute_weights, reversed_orientation, scaled, units
 
 
 def oriented_triangle():
@@ -189,7 +189,7 @@ def test_weights_match_definition(seed):
 def test_reversal_negates_every_weight(seed):
     g, o, labeling = random_oriented_labeled(seed)
     forward = all_weights(g, o, labeling)
-    backward = all_weights(g, o.reverse(), labeling)
+    backward = all_weights(g, reversed_orientation(o), labeling)
     n = g.vertex_count
     assert backward == [(-w) % n for w in forward]
 
@@ -218,5 +218,4 @@ def test_unit_scaling_scales_weights(seed):
     n = g.vertex_count
     base = all_weights(g, o, labeling)
     for u in units(n):
-        scaled = all_weights(g, o, labeling.scaled(u))
-        assert scaled == [(w * u) % n for w in base]
+        assert all_weights(g, o, scaled(labeling, u)) == [(w * u) % n for w in base]
