@@ -273,7 +273,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                "with --threads each worker may run up to 1024 nodes past S")
     p_search.add_argument("--threads", type=int, default=1, metavar="T",
                           help="parallel workers over the kept pairs of first two "
-                               "labels; the first witness stops them all")
+                               "labels; on a graph proven vertex-transitive before any "
+                               "job starts, the first label's pairs only (a serial search "
+                               "asks once its first label is exhausted, so a witness "
+                               "search never pays); the first witness stops them all")
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--no-reduce", dest="reduce", action="store_false",
                           help="disable the symmetry reductions: arc reversal, "

@@ -18,38 +18,31 @@ def solve_affine(rows: Sequence[int], rhs: Sequence[int], n_cols: int,
     """
     if len(rows) != len(rhs):
         raise ValueError("rows and rhs lengths differ")
-    aug = [(row << 1) | (b & 1) for row, b in zip(rows, rhs)]
-    pivot_of_col: dict[int, int] = {}
-    reduced: List[int] = []
-    for r in aug:
+    # pivot[col] is the reduced row led by column col, shifted left one bit
+    # with its right-hand side in bit 0
+    pivot: dict[int, int] = {}
+    for row, b in zip(rows, rhs):
         if deadline is not None and perf_counter() > deadline:
             raise TimeoutError("GF(2) elimination ran past its deadline")
-        for col in sorted(pivot_of_col, reverse=True):
-            if (r >> (col + 1)) & 1:
-                r ^= reduced[pivot_of_col[col]]
+        r = (row << 1) | (b & 1)
+        while r > 1 and r.bit_length() - 2 in pivot:
+            r ^= pivot[r.bit_length() - 2]
         if r == 1:
             return None
-        if r == 0:
-            continue
-        col = r.bit_length() - 2
-        for i, other in enumerate(reduced):
-            if (other >> (col + 1)) & 1:
-                reduced[i] = other ^ r
-        pivot_of_col[col] = len(reduced)
-        reduced.append(r)
-    particular = 0
-    for col, i in pivot_of_col.items():
-        if reduced[i] & 1:
-            particular |= 1 << col
-    basis: List[int] = []
-    for free in range(n_cols):
-        if free in pivot_of_col:
-            continue
-        vec = 1 << free
-        for col, i in pivot_of_col.items():
-            if (reduced[i] >> (free + 1)) & 1:
-                vec |= 1 << col
-        basis.append(vec)
+        if r:
+            pivot[r.bit_length() - 2] = r
+    # back-substitute, lowest pivot first: each row is cleared of the pivot
+    # columns below its own by rows that are already clear of the others
+    below = 0
+    for col in sorted(pivot):
+        r = pivot[col]
+        while r & below:
+            r ^= pivot[(r & below).bit_length() - 2]
+        pivot[col] = r
+        below |= 1 << (col + 1)
+    particular = sum(1 << col for col, r in pivot.items() if r & 1)
+    basis = [(1 << free) | sum(1 << col for col, r in pivot.items() if r >> (free + 1) & 1)
+             for free in range(n_cols) if free not in pivot]
     return particular, basis
 
 

@@ -81,10 +81,12 @@ l(v0) = g.  A reversal, if needed, gives the first arc its first direction
 and keeps every label, and then a unit of the stabilizer S_g keeps g and that
 arc while taking l(v1) to its kept second label.  The result is in the
 reduced subtree of g, which, exhausted under sound rules, holds no witness.
-The check (_vertex_transitive) runs once, when such a subtree is first
-exhausted, and only a proof counts.  On a vertex-transitive graph with a
-witness, every first label's subtree holds one, so a witness search reaches
-the check only on a graph that is not vertex-transitive.
+The check (_vertex_transitive) runs at most once, and only a proof counts.
+The serial search asks once its first label's subtree is exhausted, which a
+witness search on a vertex-transitive graph never reaches: every first
+label's subtree holds a witness.  A parallel run asks before it submits any
+job, as later labels' jobs would be running by then, and on a graph proven
+vertex-transitive its jobs are the first label's kept pairs only.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from math import gcd
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .graphs import Orientation, UndirectedGraph, regularity
 from .obstructions import parity_solutions
@@ -174,7 +176,8 @@ class SearchOutcome:
 # a (vertex parity pattern, weight parity c) pair; by_vertex[v][b] keeps those
 # giving v label parity b, by_c[c] those with weight parity c.
 _Parity = Optional[Tuple[int, Tuple[Tuple[int, int], ...], Tuple[int, int]]]
-_Plan = Tuple[List[Tuple], List[Sequence], int]  # see _steps
+_Orders = Tuple[List[int], List[List[int]], List[int]]  # see _label_orders
+_Plan = Tuple[List[Tuple], _Orders, int]  # see _steps
 
 
 def _visit_order(graph: UndirectedGraph) -> List[int]:
@@ -193,7 +196,7 @@ def _visit_order(graph: UndirectedGraph) -> List[int]:
     return order
 
 
-def _label_orders(n: int, config: SearchConfig) -> Tuple[List[int], List[List[int]], List[int]]:
+def _label_orders(n: int, config: SearchConfig) -> _Orders:
     """The label candidates: first, second[g] after a first label g, and later.
 
     Each is a list in seeded order; used labels are skipped when a step is
@@ -230,9 +233,10 @@ def _label_orders(n: int, config: SearchConfig) -> Tuple[List[int], List[List[in
     return first, second, labels
 
 
-def _vertex_transitive(graph: UndirectedGraph) -> bool:
-    """True once automorphisms found within a fixed work cap map vertex 0 onto
-    every vertex; false means not proven.
+def _vertex_transitive(graph: UndirectedGraph, deadline: Optional[float] = None) -> bool:
+    """True once automorphisms found within a fixed work cap, and before
+    perf_counter() passes deadline, map vertex 0 onto every vertex; false
+    means not proven.
 
     Individualization-refinement (McKay and Piperno): to map 0 onto t, give 0
     its own colour on one side and t on the other, and refine both colourings
@@ -260,6 +264,9 @@ def _vertex_transitive(graph: UndirectedGraph) -> bool:
         nonlocal work
         k = 0
         while work > 0:
+            if deadline is not None and perf_counter() > deadline:
+                work = 0  # give up, as at the cap
+                break
             work -= 2 * (n + 2 * len(graph.edges))
             sig = [[(c[v], tuple(sorted([c[u] for u in nbrs[v]]))) for v in range(n)]
                    for c in (left, right)]
@@ -314,7 +321,7 @@ def _vertex_transitive(graph: UndirectedGraph) -> bool:
 
 
 def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
-    """The check plan: steps in visit order, label candidates, pin depth.
+    """The check plan: steps in visit order, label orders, pin depth.
 
     The last vertex's label step comes right after the second-to-last's
     (see the module docstring).
@@ -341,20 +348,19 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
     makes a tuple.  Steps share these tuples, so the plan takes O(N + E)
     memory.
 
-    cands[d] lists the labels of label step d, except that cands[1], for the
-    second vertex, is a list by the label that step 0 chose.
+    Step 0 takes its labels from the first label order, step 1 from the
+    second order of the label step 0 chose, and every later label step from
+    the last (see _label_orders).
     """
     n = graph.vertex_count
     order = _visit_order(graph)
     pos = sorted(range(n), key=order.__getitem__)  # pos[v] is v's place in order
-    first, second, labels = _label_orders(n, config)
     last_arc = 0 if config.reduce else 1
     labeled = [False] * n
     unlabeled = [graph.degree(v) for v in range(n)]
     pend: List[Tuple[int, ...]] = [()] * n  # pend[y][start[y]:] are y's labeled
     start = [0] * n                          # neighbours on undecided edges
     steps: List[Tuple] = []
-    cands: List[Sequence] = []
     pin = -1
 
     def checks(touched: List[int], a: int = -1) -> Tuple[Tuple, Tuple, Tuple]:
@@ -387,7 +393,6 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
             unlabeled[u] -= 1
         pend[v] = tuple(nbrs)
         steps.append((True, v, v) + checks([v] + nbrs, v))
-        cands.append(labels)
 
     for i, v in enumerate(order):
         if not labeled[v]:
@@ -401,12 +406,8 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
                 a, b = graph.edges[e]
                 closes, opens, _ = checks([w, v])
                 steps.append((False, a, b, closes, opens, last_arc))
-                cands.append(())
                 last_arc = 1
-    cands[0] = first
-    if n > 1:
-        cands[1] = second
-    return steps, cands, pin
+    return steps, _label_orders(n, config), pin
 
 
 def _root_parity_candidates(graph: UndirectedGraph, config: SearchConfig,
@@ -428,22 +429,22 @@ def _root_parity_candidates(graph: UndirectedGraph, config: SearchConfig,
 
 
 def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
-            t0: float, pinned: Optional[Dict[int, int]] = None,
+            t0: float, pair: Optional[Tuple[int, int]] = None,
             poll: Optional[Callable[[], bool]] = None,
             plan: Optional[_Plan] = None) -> SearchOutcome:
     """Run the step loop from the root; budgets count from t0.
 
-    pinned maps a step index to its only label.  poll, if given, is called
-    every 1024 nodes, and the search stops as inconclusive once it returns
-    true; without one, a time budget is polled there.  plan is
-    _steps(graph, config), built here when not given.
+    pair, if given, is the only pair of first two labels tried: the subtree
+    of one parallel job.  poll, if given, is called every 1024 nodes, and the
+    search stops as inconclusive once it returns true; without one, a time
+    budget is polled there.  plan is _steps(graph, config), built here when
+    not given.
     """
-    steps, cands, pin = plan or _steps(graph, config)
+    steps, (first, second, later), pin = plan or _steps(graph, config)
+    if pair is not None:
+        first, second = (pair[0],), {pair[0]: (pair[1],)}
     mod = graph.vertex_count
-    if pinned:
-        cands = [(pinned[d],) if d in pinned else c for d, c in enumerate(cands)]
-        if 1 in pinned:
-            cands[1] = [cands[1]] * mod
+    deadline = None if config.time_budget is None else t0 + config.time_budget
     everything = (1 << mod) - 1
     root, by_vertex, by_c = parity or (-1, ((-1, -1),) * mod, (-1, -1))
     labels = [-1] * mod  # a label step's undo leaves its label stale
@@ -456,17 +457,17 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
         return SearchOutcome(verdict, cert, stats)
 
     node_limit = config.node_budget if config.node_budget is not None else sys.maxsize
-    if poll is None and config.time_budget is not None:
+    if poll is None and deadline is not None:
         def poll() -> bool:
-            return perf_counter() - t0 > config.time_budget
+            return perf_counter() > deadline
     tick = min(node_limit + 1, 1024)  # the next node count to check the budgets at
     last = len(steps) - 1
     todo = [iter(())] * len(steps)  # the untried labels of each label step
     applied = [-1] * len(steps)
     par = [root] * len(steps)  # the parity candidates left on entering each depth
     mus = [everything] * len(steps)  # the magic constants still possible there, as bits
-    todo[0] = iter(cands[0])  # no label is used yet
-    transitive_check = config.reduce and not pinned
+    todo[0] = iter(first)  # no label is used yet
+    transitive_check = config.reduce and pair is None
     used = mu = nodes = d = 0
     while True:
         # undo the choice this depth applied last, then take its next one
@@ -487,7 +488,7 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
                 return finish(VERDICT_EXHAUSTED, nodes)
             d -= 1
             if d == 0 and transitive_check:  # the first root subtree is exhausted
-                if _vertex_transitive(graph):
+                if _vertex_transitive(graph, deadline):
                     return finish(VERDICT_EXHAUSTED, nodes)
                 transitive_check = False
             continue
@@ -568,7 +569,7 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
         par[d], mus[d] = p, consts
         applied[d] = -1
         if steps[d][0]:
-            c = cands[d] if d > 1 else cands[1][x]  # x is still the first label
+            c = later if d > 1 else second[x]  # x is still the first label
             free = everything ^ used
             for y in steps[d][5]:
                 free &= 1 << (mu - pw[y]) % mod | 1 << (pw[y] - mu) % mod
@@ -584,12 +585,10 @@ _worker: Optional[Tuple] = None
 _subtrees: Optional[Tuple[UndirectedGraph, SearchConfig, _Parity, _Plan]] = None
 
 
-def _init_worker(stop, shared_nodes, node_budget: Optional[int], vertex_count: int,
-                 edges: Tuple[Tuple[int, int], ...], config: SearchConfig,
-                 parity: _Parity) -> None:
+def _init_worker(stop, shared_nodes, node_budget: Optional[int], graph: UndirectedGraph,
+                 config: SearchConfig, parity: _Parity) -> None:
     global _worker, _subtrees
     _worker = (stop, shared_nodes, node_budget)
-    graph = UndirectedGraph(vertex_count, edges)
     _subtrees = (graph, config, parity, _steps(graph, config))
 
 
@@ -608,50 +607,49 @@ def _add_nodes(k: int) -> bool:
     return stop.is_set()
 
 
-def _run_job(pair: Tuple[int, int]) -> Tuple[str, Optional[Tuple], int, Dict[str, int]]:
-    """Search the subtree whose first two labels are the pinned pair."""
+def _run_job(pair: Tuple[int, int]) -> SearchOutcome:
+    """Search the subtree whose first two labels are the pair."""
     if _worker[0].is_set():  # a job already queued when the run stopped
-        return VERDICT_INCONCLUSIVE, None, 0, {k: 0 for k in _PRUNE_KEYS}
+        return SearchOutcome(VERDICT_INCONCLUSIVE, None, SearchStats())
     graph, config, parity, plan = _subtrees
-    outcome = _search(graph, config, parity, perf_counter(), {0: pair[0], 1: pair[1]},
-                      lambda: _add_nodes(1024), plan)
+    outcome = _search(graph, config, parity, perf_counter(), pair, lambda: _add_nodes(1024), plan)
     _add_nodes(outcome.stats.nodes & 1023)  # the nodes since the last poll
-    c = outcome.certificate
-    cert = None if c is None else (c.labeling.labels, c.orientation.bits)
-    return outcome.verdict, cert, outcome.stats.nodes, outcome.stats.prunes
+    return outcome
 
 
 def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
                   t0: float) -> SearchOutcome:
     """Search the root subtrees in a process pool under one stop signal.
 
-    The signal is set by the first witness, by the run's deadline, or by the
-    worker whose nodes take the shared count past the node budget.  Jobs not
-    yet started are cancelled; running ones see the signal on their next
-    poll and return, and their nodes and prunes are counted too.
+    Each job is one kept pair of first two labels.  Under reduce, on a graph
+    proven vertex-transitive before any job is submitted, the jobs are the
+    first label's pairs only; the module docstring says why the serial search
+    asks later.  The signal is set by the first witness, by the run's
+    deadline, or by the worker whose nodes take the shared count past the
+    node budget.  Jobs not yet started are cancelled; running ones see the
+    signal on their next poll and return, and their nodes and prunes are
+    counted too.  The witness is verified again here before it is returned.
     """
     import multiprocessing
     import threading
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    stats = SearchStats()
-    n = graph.vertex_count
-    first, second, _ = _label_orders(n, config)
+    deadline = None if config.time_budget is None else t0 + config.time_budget
+    first, second, _ = _label_orders(graph.vertex_count, config)
+    if config.reduce and _vertex_transitive(graph, deadline):
+        first = first[:1]
     jobs = [(lam0, lam1) for lam0 in first for lam1 in second[lam0] if lam1 != lam0]
     job_config = replace(config, workers=1, node_budget=None, time_budget=None)
-    deadline = None if config.time_budget is None else t0 + config.time_budget
     stop = multiprocessing.Event()
     shared_nodes = multiprocessing.Value("q", 0)
+    stats = SearchStats()
     witness: Optional[MagicCertificate] = None
     exhausted = 0  # jobs that searched their whole subtree
-    unexhausted = Counter(lam0 for lam0, _ in jobs)  # by first label
-    transitive: Optional[bool] = None  # asked once some first label's jobs are all exhausted
     with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker,
-                             initargs=(stop, shared_nodes, config.node_budget, n, graph.edges,
+                             initargs=(stop, shared_nodes, config.node_budget, graph,
                                        job_config, parity)) as pool:
         try:
-            first_label = {pool.submit(_run_job, job): job[0] for job in jobs}
-            pending = set(first_label)
+            pending = {pool.submit(_run_job, job) for job in jobs}
             while pending:
                 timeout = None
                 if deadline is not None and not stop.is_set():
@@ -659,21 +657,14 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
                     timeout = min(max(0.0, deadline - perf_counter()), threading.TIMEOUT_MAX)
                 done, pending = wait(pending, timeout, FIRST_COMPLETED)
                 for fut in done:
-                    verdict, cert, nodes, prunes = fut.result()
-                    if verdict == VERDICT_EXHAUSTED:
-                        exhausted += 1
-                        g = first_label[fut]
-                        unexhausted[g] -= 1
-                        if config.reduce and transitive is None and not unexhausted[g]:
-                            transitive = _vertex_transitive(graph)
-                            if transitive:
-                                stop.set()
-                    stats.nodes += nodes
-                    for k, x in prunes.items():
+                    out = fut.result()
+                    exhausted += out.verdict == VERDICT_EXHAUSTED
+                    stats.nodes += out.stats.nodes
+                    for k, x in out.stats.prunes.items():
                         stats.prunes[k] += x
-                    if verdict == VERDICT_WITNESS and witness is None:
-                        labels, bits = cert
-                        witness = verified(graph, Orientation(graph, bits), Labeling(n, labels))
+                    if out.certificate is not None and witness is None:
+                        c = out.certificate
+                        witness = verified(graph, c.orientation, c.labeling)
                         stop.set()
                 if deadline is not None and perf_counter() >= deadline:
                     stop.set()
@@ -685,9 +676,8 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
     stats.elapsed = perf_counter() - t0
     if witness is not None:
         return SearchOutcome(VERDICT_WITNESS, witness, stats)
-    if exhausted == len(jobs) or transitive:
-        return SearchOutcome(VERDICT_EXHAUSTED, None, stats)
-    return SearchOutcome(VERDICT_INCONCLUSIVE, None, stats)
+    verdict = VERDICT_EXHAUSTED if exhausted == len(jobs) else VERDICT_INCONCLUSIVE
+    return SearchOutcome(verdict, None, stats)
 
 
 def decide_existence(graph: UndirectedGraph, config: Optional[SearchConfig] = None) -> SearchOutcome:

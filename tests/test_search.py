@@ -84,7 +84,7 @@ def test_every_pinned_pair_matches_brute_force():
         for config in configs:
             parity, plan = search._root_parity_candidates(g, config), search._steps(g, config)
             got = {(a, b) for a in range(n) for b in range(n) if a != b and search._search(
-                g, config, parity, perf_counter(), pinned={0: a, 1: b}, plan=plan).verdict == VERDICT_WITNESS}
+                g, config, parity, perf_counter(), pair=(a, b), plan=plan).verdict == VERDICT_WITNESS}
             assert got == expected, (g, config)
 
 
@@ -216,13 +216,17 @@ def test_label_representatives_cover_every_pair(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(search, "_worker", None)
     monkeypatch.setattr(search, "_subtrees", None)
-    for graph, config in ((complete(4), SearchConfig(workers=2, parity_prune=False)),
-                          (cycle(12), SearchConfig(workers=2, seed=2))):
+    # only the first label's pairs on a vertex-transitive graph
+    for graph, config, transitive in (
+            (complete(4), SearchConfig(workers=2, parity_prune=False), True),
+            (cycle(12), SearchConfig(workers=2, seed=2), True),
+            (path(6), SearchConfig(workers=2, parity_prune=False), False)):
         jobs.clear()
         out = decide_existence(graph, config)
         assert out.verdict == decide_existence(graph, replace(config, workers=1)).verdict
         first, second, _ = search._label_orders(graph.vertex_count, config)
-        assert jobs == [(g, b) for g in first for b in second[g]]
+        first = first[:1] if transitive else first
+        assert jobs == [(g, b) for g in first for b in second[g]], graph
 
 
 def test_node_budget_is_inconclusive_not_wrong():
@@ -334,8 +338,8 @@ def test_stopped_worker_returns_within_one_poll(monkeypatch):
     assert out.stats.nodes == 1024
     assert shared_nodes.value == 1024
     # a job taken from the queue after the stop visits no node at all
-    verdict, cert, nodes, _ = search._run_job((0, 1))
-    assert (verdict, cert, nodes) == (VERDICT_INCONCLUSIVE, None, 0)
+    out = search._run_job((0, 1))
+    assert (out.verdict, out.certificate, out.stats.nodes) == (VERDICT_INCONCLUSIVE, None, 0)
 
 
 def test_worker_past_the_shared_budget_sets_the_stop(monkeypatch):
@@ -365,7 +369,7 @@ def test_parallel_node_budget_is_shared_by_the_workers(workers):
 # Reference search trees: verdict, nodes, prunes (weight, interval, parity)
 # and the first 8 hex characters of the md5 of the certificate text.  Any
 # change to the visit order, the candidate order or a pruning rule shows up
-# here.  A row with a pinned pair runs one parallel job's subtree serially:
+# here.  A row with a pair runs one parallel job's subtree serially:
 # its first two labels are fixed, as _run_job fixes them.  K2[6]-unit-scaling
 # tries first label 2 before 0, so its witness (mu = 6) starts from a nonzero
 # orbit representative and second labels from the stabilizer of 2.  K6 and
@@ -406,8 +410,7 @@ def _tree(graph, config, pinned):
     if pinned is None:
         return decide_existence(graph, config)
     psols = search._root_parity_candidates(graph, config)
-    return search._search(graph, config, psols, perf_counter(),
-                          pinned={0: pinned[0], 1: pinned[1]})
+    return search._search(graph, config, psols, perf_counter(), pair=pinned)
 
 
 @pytest.mark.parametrize("graph, config, verdict, nodes, prunes, digest, pinned", _TREES,
@@ -500,6 +503,22 @@ def test_transitive_rule_keeps_every_verdict():
                 assert out.verdict == reference.verdict != VERDICT_INCONCLUSIVE, (g, config)
 
 
+def test_parallel_transitive_proof_walks_the_first_label_only():
+    # the serial tree counts the first label's node once, each of its k jobs
+    # once more: K6 has k = 3 (6,859 serial nodes), prism(4) k = 3 (27,765)
+    config = SearchConfig(workers=2, parity_prune=False)
+    for graph, nodes in ((complete(6), 6861), (prism(4), 27767)):
+        out = decide_existence(graph, config)
+        assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, nodes), graph
+
+
+def test_transitivity_check_stops_at_the_deadline():
+    # without a deadline, cycle(2000) refines colours for hundreds of milliseconds
+    started = perf_counter()
+    assert not search._vertex_transitive(cycle(2000), deadline=perf_counter())
+    assert perf_counter() - started < 0.1
+
+
 def test_unproven_transitivity_leaves_the_tree_alone(monkeypatch):
     # past the work cap nothing is proven, and K6 walks every first label's subtree
     monkeypatch.setattr(search, "_AUTOMORPHISM_CAP", 1)
@@ -552,9 +571,9 @@ def _random_graphs():
 def test_check_plan_matches_a_rescan():
     for graph in _random_graphs():
         n = graph.vertex_count
-        steps, cands, pin = search._steps(graph, SearchConfig())
+        steps, _, pin = search._steps(graph, SearchConfig())
         expected = _rescanned_checks(graph)
-        assert len(steps) == len(cands) == len(expected)
+        assert len(steps) == len(expected)
         assert [step[1] for step in steps if step[0]] == [a for a, _ in expected if a is not None]
         assert pin == min(d for d, (_, fs) in enumerate(expected)
                           if any(not k and not pend for _, k, pend in fs))
