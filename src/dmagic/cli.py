@@ -282,7 +282,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="disable the symmetry reductions: arc reversal, "
                                "the unit group of Z_N, and one first label's "
                                "subtree on vertex-transitive graphs")
-    p_search.add_argument("--no-parity-prune", dest="parity_prune", action="store_false")
+    p_search.add_argument("--no-parity-prune", dest="parity_prune", action="store_false",
+                          help="disable the parity rule: both the root parity test and "
+                               "the per-label parity masks")
     p_search.set_defaults(handler=_cmd_search)
 
     p_obstruct = sub.add_parser("obstruct", help="look for a nonexistence certificate")

@@ -12,19 +12,18 @@ choice is its undo record.
 
 The visit order is fixed, so what a step can check depends on its depth
 alone.  _steps builds this check plan once, from running counts in O(N + E):
-the touched vertices whose last edge the step decides (they close), and for
-each open one, its unlabeled neighbours and its labeled neighbours on
-undecided edges.  The magic constant is never enumerated: the first step that
-closes a vertex pins it, at the same depth on every branch.  Above that depth
-the search keeps the set of constants still possible instead, as one bit mask
-over Z_N.  Pruning rules:
+the touched vertices whose last edge the step decides (they close), and the
+touched vertices with all neighbours labeled and 1 to 3 undecided edges, with
+the neighbours on those edges (they are open).  The magic constant is never
+enumerated: the first step that closes a vertex pins it, at the same depth on
+every branch.  Above that depth the search keeps the set of constants still
+possible instead, as one bit mask over Z_N.  Pruning rules:
 
   weight    a closed vertex whose weight differs from the pinned constant
-  interval  an open vertex whose weight cannot reach the constant, each pending
-            label l adding +-l and each unlabeled neighbour at most +- one of
-            the largest unused labels; all signs are tried for up to 3 labels,
-            and above the pin depth these reach sets narrow the set of
-            possible constants, pruning once it is empty or lacks the pinned one
+  interval  an open vertex's reach set, its weight plus +-l for each label l
+            pending on its undecided edges, one sum per choice of signs,
+            narrows the set of possible constants: pruning once that set is
+            empty or lacks the pinned constant
   parity    the 0/1 label-parity pattern fixed so far extends to no solution of
             the weight-parity system with exactly N/2 odd labels
   forward   below the pin depth, a label step for a tries only labels l with
@@ -118,8 +117,9 @@ _PRUNE_KEYS = ("weight", "interval", "parity")
 # use the rule, so changing it changes their trees.
 PARITY_LIST_CAP = 4096
 
-# _vertex_transitive gives up, proving nothing, once its colour refinement has
-# read this many colours: each round over both sides reads 2(N + 2E).
+# _vertex_transitive gives up, proving nothing, before a round of its colour
+# refinement would read more than this many colours in all: each round over
+# both sides reads 2(N + 2E).
 _AUTOMORPHISM_CAP = 1 << 20
 
 
@@ -160,6 +160,16 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
+    """Nodes visited, prunes by rule, and seconds since the search began.
+
+    prunes counts the nodes each rule discarded: weight, a closed vertex off
+    the pinned constant; interval, the set of possible constants left empty
+    by the pin or by the reach sets of open vertices; parity, the parity
+    candidates left empty at a label step or at the pin, or at the root when
+    the parity system has no solution at all.  Labels dropped by forward
+    checking are never nodes, so no prune counts them.
+    """
+
     nodes: int = 0
     prunes: Dict[str, int] = field(default_factory=lambda: {k: 0 for k in _PRUNE_KEYS})
     elapsed: float = 0.0
@@ -258,16 +268,16 @@ def _vertex_transitive(graph: UndirectedGraph, deadline: Optional[float] = None)
     n = graph.vertex_count
     nbrs = [graph.neighbors(v) for v in range(n)]
     adj = [set(x) for x in nbrs]
-    work = _AUTOMORPHISM_CAP
+    work, cost = _AUTOMORPHISM_CAP, 2 * (n + 2 * len(graph.edges))  # cost: one round
 
     def refine(left: List[int], right: List[int]) -> Optional[Tuple[List[int], List[int]]]:
         nonlocal work
         k = 0
-        while work > 0:
-            if deadline is not None and perf_counter() > deadline:
-                work = 0  # give up, as at the cap
-                break
-            work -= 2 * (n + 2 * len(graph.edges))
+        while True:
+            if work < cost or (deadline is not None and perf_counter() > deadline):
+                work = 0  # give up before the round that would pass the cap
+                return None
+            work -= cost
             sig = [[(c[v], tuple(sorted([c[u] for u in nbrs[v]]))) for v in range(n)]
                    for c in (left, right)]
             if Counter(sig[0]) != Counter(sig[1]):
@@ -277,7 +287,6 @@ def _vertex_transitive(graph: UndirectedGraph, deadline: Optional[float] = None)
                 return left, right
             k = len(colour)
             left, right = ([colour[s] for s in side] for side in sig)
-        return None
 
     def individualize(c: List[int], v: int) -> List[int]:
         return c[:v] + [n] + c[v + 1:]  # above every colour in use; refine renumbers
@@ -329,15 +338,13 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
     A step is (label, a, b, closes, opens, last): a label step labels a (b is
     a); an arc step orients edge (a, b), a -> b by choice 0, and last is its
     last choice.  closes holds the touched vertices whose last edge the step
-    decides; opens the others as (y, k, pend, start): y has k unlabeled
-    neighbours and the labeled ones pend[start:] on undecided edges, or k = -1,
-    listed first, when pend is all of at most three.  A vertex with m
-    undecided edges is left out when m(m - 1) + 1 >= N: its m distinct pending
-    labels reach all of Z_N.  Above the pin depth closes is empty and opens
-    holds only the k = -1 vertices, which narrow the set of possible
-    constants.  Below the pin depth, last of a label step holds instead the
-    touched vertices with no unlabeled neighbour and one undecided edge, the
-    edge to a, left out of opens: they forward-check a's label.
+    decides; opens those with no unlabeled neighbour and 1 to 3 undecided
+    edges as (y, pend): pend holds the neighbours on those edges, whose labels
+    narrow the set of possible constants.  A touched vertex with an unlabeled
+    neighbour, or with more than 3 undecided edges, is not checked.  Above the pin depth
+    closes is empty.  Below the pin depth, last of a label step holds instead
+    the touched vertices with no unlabeled neighbour and one undecided edge,
+    the edge to a, left out of opens: they forward-check a's label.
 
     The counts come from a running state, not from the step's place in the
     label-then-arcs shape: y's labeled neighbours on undecided edges are
@@ -370,18 +377,16 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
         if closes and pin < 0:
             pin = len(steps)
         forward = a >= 0 and 0 <= pin < len(steps)
-        exact, bound, checked = [], [], []
+        opens, checked = [], []
         for y in touched:
-            k, p, s = unlabeled[y], pend[y], start[y]
-            m = k + len(p) - s  # undecided edges
-            if k or m > 3:
-                if pin >= 0 and m * (m - 1) + 1 < n:
-                    bound.append((y, k, p, s))
-            elif m == 1 and forward and y != a:
+            m = len(pend[y]) - start[y]  # undecided edges, if y has no unlabeled neighbour
+            if unlabeled[y] or m > 3:
+                continue
+            if m == 1 and forward and y != a:
                 checked.append(y)
             elif m:
-                exact.append((y, -1, p[s:], 0))
-        return closes, tuple(exact + bound), tuple(checked)
+                opens.append((y, pend[y][start[y]:]))
+        return closes, tuple(opens), tuple(checked)
 
     def label(v: int) -> None:
         labeled[v] = True
@@ -524,38 +529,23 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
         if closes and (pw[closes[0]] % mod != mu or pw[closes[-1]] % mod != mu):
             prunes["weight"] += 1  # closes has one or two vertices, none above the pin
             continue
-        failed = False
-        for y, k, pend, start in opens:
-            if k < 0:  # the weights y can still reach, one per choice of signs
-                s = pw[y]
-                if len(pend) == 1:
-                    lam = labels[pend[0]]
-                    consts &= 1 << (s + lam) % mod | 1 << (s - lam) % mod
-                else:
-                    sums = [s]
-                    for w in pend:
-                        lam = labels[w]
-                        sums = [s - lam for s in sums] + [s + lam for s in sums]
-                    reach = 0
-                    for s in sums:
-                        reach |= 1 << s % mod
-                    consts &= reach
-                failed = not consts
-            else:  # the weight moves by at most h: the labels pending, the k largest unused
-                need = (mu - pw[y]) % mod
-                h, free = 0, everything ^ used
-                for _ in range(k):
-                    top = free.bit_length() - 1
-                    h += top
-                    if 2 * h + 1 >= mod:
-                        break
-                    free ^= 1 << top
-                else:
-                    h += sum([labels[w] for w in pend[start:]])
-                    failed = 2 * h + 1 < mod and (need + h) % mod > 2 * h
-            if failed:
+        for y, pend in opens:  # the weights y can still reach, one per choice of signs
+            s = pw[y]
+            if len(pend) == 1:
+                lam = labels[pend[0]]
+                consts &= 1 << (s + lam) % mod | 1 << (s - lam) % mod
+            else:
+                sums = [s]
+                for w in pend:
+                    lam = labels[w]
+                    sums = [s - lam for s in sums] + [s + lam for s in sums]
+                reach = 0
+                for s in sums:
+                    reach |= 1 << s % mod
+                consts &= reach
+            if not consts:
                 break
-        if failed:
+        if not consts:
             prunes["interval"] += 1
             continue
         if d == last:

@@ -237,9 +237,10 @@ def test_node_budget_is_inconclusive_not_wrong():
 
 
 def test_time_budget_is_inconclusive():
-    out = decide_existence(prism(4), SearchConfig(parity_prune=False, time_budget=0.01))
+    out = decide_existence(complete(8), SearchConfig(parity_prune=False, time_budget=0.01))
     assert out.verdict in (VERDICT_INCONCLUSIVE, VERDICT_EXHAUSTED)
-    # on any realistic machine 10ms cannot cover the 28-thousand-node space
+    # K8 without parity is still inconclusive after a minute and millions of
+    # nodes, so 10ms cannot cover it on any realistic machine
     assert out.verdict == VERDICT_INCONCLUSIVE
 
 
@@ -379,7 +380,7 @@ _BUDGETED = SearchConfig(seed=1, node_budget=100000)
 # a star with a tail, plus an isolated vertex that closes at its label step
 _LEAFY = UndirectedGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6)])
 _TREES = [
-    (path(12), SearchConfig(), VERDICT_EXHAUSTED, 3193, (882, 18, 46), None, None),
+    (path(12), SearchConfig(), VERDICT_EXHAUSTED, 3194, (882, 16, 46), None, None),
     (complete(9), SearchConfig(), VERDICT_WITNESS, 146, (3, 35, 0), "df17a29c", None),
     (complete(7), _BUDGETED, VERDICT_WITNESS, 35, (3, 4, 0), "1c990400", None),
     (kmokn_graph(3, 3), _BUDGETED, VERDICT_WITNESS, 39, (0, 3, 0), "66ca6218", None),
@@ -388,7 +389,7 @@ _TREES = [
     (kmokn_graph(2, 6), replace(_BUDGETED, seed=4), VERDICT_WITNESS, 74, (13, 3, 0),
      "1c4a9cbc", None),
     (kmokn_graph(5, 2), _BUDGETED, VERDICT_WITNESS, 340, (3, 67, 56), "abcbe177", None),
-    (path(11), SearchConfig(), VERDICT_EXHAUSTED, 5253, (1548, 61, 0), None, None),
+    (path(11), SearchConfig(), VERDICT_EXHAUSTED, 5254, (1548, 58, 0), None, None),
     (cycle(12), SearchConfig(seed=2, reduce=False), VERDICT_WITNESS, 1429,
      (383, 0, 16), "db9d9579", None),
     (cycle(12), SearchConfig(seed=2, parity_prune=False), VERDICT_WITNESS, 632,
@@ -398,7 +399,7 @@ _TREES = [
      "66287c12", (2, 9)),
     (complete(6), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 6859, (0, 2304, 0),
      None, None),
-    (prism(4), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 27765, (3192, 168, 0),
+    (prism(4), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 27773, (3192, 0, 0),
      None, None),
 ]
 _TREE_IDS = ["P12", "K9", "K7", "K3[3]", "K3[4]", "K2[6]", "K2[6]-unit-scaling", "K5[2]", "P11",
@@ -505,9 +506,9 @@ def test_transitive_rule_keeps_every_verdict():
 
 def test_parallel_transitive_proof_walks_the_first_label_only():
     # the serial tree counts the first label's node once, each of its k jobs
-    # once more: K6 has k = 3 (6,859 serial nodes), prism(4) k = 3 (27,765)
+    # once more: K6 has k = 3 (6,859 serial nodes), prism(4) k = 3 (27,773)
     config = SearchConfig(workers=2, parity_prune=False)
-    for graph, nodes in ((complete(6), 6861), (prism(4), 27767)):
+    for graph, nodes in ((complete(6), 6861), (prism(4), 27775)):
         out = decide_existence(graph, config)
         assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, nodes), graph
 
@@ -525,6 +526,17 @@ def test_unproven_transitivity_leaves_the_tree_alone(monkeypatch):
     assert not search._vertex_transitive(complete(6))
     out = decide_existence(complete(6), SearchConfig(parity_prune=False))
     assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, 36580)
+
+
+def test_transitivity_check_stops_before_a_round_past_the_cap(monkeypatch):
+    # one refinement round on K6 reads 2(6 + 2 * 15) = 72 colours: with less
+    # work left the check gives up before it runs the round at all
+    def refuse(*args):
+        raise AssertionError("a refinement round ran past the work cap")
+
+    monkeypatch.setattr(search, "_AUTOMORPHISM_CAP", 71)
+    monkeypatch.setattr(search, "Counter", refuse)
+    assert not search._vertex_transitive(complete(6))
 
 
 def _rescanned_checks(graph):
@@ -570,7 +582,6 @@ def _random_graphs():
 
 def test_check_plan_matches_a_rescan():
     for graph in _random_graphs():
-        n = graph.vertex_count
         steps, _, pin = search._steps(graph, SearchConfig())
         expected = _rescanned_checks(graph)
         assert len(steps) == len(expected)
@@ -584,12 +595,9 @@ def test_check_plan_matches_a_rescan():
                              ) if a is not None and d > pin else []
             fs = [f for f in fs if f[0] not in checked]
             closes = sorted(y for y, k, pend in fs if not k and not pend)
-            # an open vertex is checked exactly; or, from the pin on, by its bound
-            # unless its m undecided edges carry m distinct labels that reach Z_N
-            opens = sorted((y, -1 if not k and len(pend) <= 3 else k, pend) for y, k, pend in fs
-                           if (k or pend) and (not k and len(pend) <= 3 or d >= pin and
-                                               (k + len(pend)) * (k + len(pend) - 1) + 1 < n))
-            got = sorted((y, k, sorted(pend[start:])) for y, k, pend, start in step[4])
+            # an open vertex has every neighbour labeled and 1 to 3 undecided edges
+            opens = sorted((y, pend) for y, k, pend in fs if not k and 1 <= len(pend) <= 3)
+            got = sorted((y, sorted(pend)) for y, pend in step[4])
             assert (sorted(step[3]), got) == (closes, opens), (graph, d)
             if step[0]:
                 assert sorted(step[5]) == checked, (graph, d)
