@@ -11,19 +11,20 @@ graph costs memory rather than interpreter stack.  Each depth's applied
 choice is its undo record.
 
 The visit order is fixed, so what a step can check depends on its depth
-alone.  _steps builds this check plan once, from running counts in O(N + E):
-the touched vertices whose last edge the step decides (they close), and the
-touched vertices with all neighbours labeled and 1 to 3 undecided edges, with
-the neighbours on those edges (they are open).  The magic constant is never
-enumerated: the first step that closes a vertex pins it, at the same depth on
-every branch.  Above that depth the search keeps the set of constants still
-possible instead, as one bit mask over Z_N.  Pruning rules:
+alone.  _steps builds this check plan once per run, from running counts in
+O(N + E): the touched vertices with all neighbours labeled and at most 3
+undecided edges, with the neighbours on those edges.  Such a vertex y is
+checked by its reach set, its weight plus +-l for each label l pending on its
+undecided edges, one sum per choice of signs; a closed vertex, with nothing
+pending, reaches its weight alone.  The magic constant is never enumerated:
+the search keeps the set of constants still possible, as one bit mask over
+Z_N, and each reach set narrows it.  The first step with a closed vertex, at
+the same depth on every branch, leaves one constant: it pins it.  Pruning
+rules:
 
-  weight    a closed vertex whose weight differs from the pinned constant
-  interval  an open vertex's reach set, its weight plus +-l for each label l
-            pending on its undecided edges, one sum per choice of signs,
-            narrows the set of possible constants: pruning once that set is
-            empty or lacks the pinned constant
+  weight    a closed vertex empties the set of possible constants: its weight
+            is off the pinned constant, or off every constant still possible
+  interval  an open vertex's reach set empties the set of possible constants
   parity    the 0/1 label-parity pattern fixed so far extends to no solution of
             the weight-parity system with exactly N/2 odd labels
   forward   below the pin depth, a label step for a tries only labels l with
@@ -34,12 +35,12 @@ possible instead, as one bit mask over Z_N.  Pruning rules:
             no prune is counted for them
 
 The set of possible constants is sound: a vertex y whose neighbours are all
-labeled and which has 1 to 3 undecided edges ends with weight pw(y) + sum of
-+-l(w) over the pending labels l(w), for one choice of signs, and a witness
-gives it weight mu.  So mu is among those sums, and deciding one of y's arcs
-fixes one sign, which keeps only some of them.  Intersecting these reach sets
-along a branch therefore keeps mu for every witness below it: a branch whose
-set is empty, or lacks the constant at the pin, holds no witness.
+labeled and which has at most 3 undecided edges ends with weight pw(y) + sum
+of +-l(w) over the pending labels l(w), for one choice of signs, and a
+witness gives it weight mu.  So mu is among those sums, and deciding one of
+y's arcs fixes one sign, which keeps only some of them.  Intersecting these
+reach sets along a branch therefore keeps mu for every witness below it: a
+branch whose set is empty holds no witness.
 
 The order of the steps does not change which witness is met first.  The
 last vertex's label step has one candidate on every branch, the one label
@@ -162,12 +163,13 @@ class SearchConfig:
 class SearchStats:
     """Nodes visited, prunes by rule, and seconds since the search began.
 
-    prunes counts the nodes each rule discarded: weight, a closed vertex off
-    the pinned constant; interval, the set of possible constants left empty
-    by the pin or by the reach sets of open vertices; parity, the parity
-    candidates left empty at a label step or at the pin, or at the root when
-    the parity system has no solution at all.  Labels dropped by forward
-    checking are never nodes, so no prune counts them.
+    prunes counts the nodes each rule discarded: weight, the set of possible
+    constants left empty by a closed vertex, whose reach set is its weight
+    alone; interval, that set left empty by the reach set of a vertex with
+    undecided edges; parity, the parity candidates left empty at a label step
+    or at the pin, or at the root when the parity system has no solution at
+    all.  Labels dropped by forward checking are never nodes, so no prune
+    counts them.
     """
 
     nodes: int = 0
@@ -261,14 +263,14 @@ def _vertex_transitive(graph: UndirectedGraph, deadline: Optional[float] = None)
 
     The orbit of 0 is closed under the automorphisms kept, so a target already
     in it needs none.  Targets are taken from the top: on K_n the map found
-    for n - 1 is an n-cycle, which closes the orbit at once.
+    for n - 1 is an n-cycle, which completes the orbit at once.
     """
-    if regularity(graph) is None:
-        return False
     n = graph.vertex_count
+    work, cost = _AUTOMORPHISM_CAP, 2 * (n + 2 * len(graph.edges))  # cost: one round
+    if cost > work or regularity(graph) is None:
+        return False
     nbrs = [graph.neighbors(v) for v in range(n)]
     adj = [set(x) for x in nbrs]
-    work, cost = _AUTOMORPHISM_CAP, 2 * (n + 2 * len(graph.edges))  # cost: one round
 
     def refine(left: List[int], right: List[int]) -> Optional[Tuple[List[int], List[int]]]:
         nonlocal work
@@ -335,16 +337,17 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
     The last vertex's label step comes right after the second-to-last's
     (see the module docstring).
 
-    A step is (label, a, b, closes, opens, last): a label step labels a (b is
-    a); an arc step orients edge (a, b), a -> b by choice 0, and last is its
-    last choice.  closes holds the touched vertices whose last edge the step
-    decides; opens those with no unlabeled neighbour and 1 to 3 undecided
-    edges as (y, pend): pend holds the neighbours on those edges, whose labels
-    narrow the set of possible constants.  A touched vertex with an unlabeled
-    neighbour, or with more than 3 undecided edges, is not checked.  Above the pin depth
-    closes is empty.  Below the pin depth, last of a label step holds instead
-    the touched vertices with no unlabeled neighbour and one undecided edge,
-    the edge to a, left out of opens: they forward-check a's label.
+    A step is (label, a, b, opens, last): a label step labels a (b is a); an
+    arc step orients edge (a, b), a -> b by choice 0, and last is its last
+    choice.  opens holds the touched vertices with no unlabeled neighbour and
+    at most 3 undecided edges as (y, pend): pend holds the neighbours on those
+    edges, whose labels give y's reach set.  A closed vertex, one whose last
+    edge is decided, has pend == (); the pin is the first step with one.  A
+    touched vertex with an unlabeled neighbour, or with more than 3 undecided
+    edges, is not checked.  Below the pin depth, last of a label step holds
+    instead the touched vertices with no unlabeled neighbour and one
+    undecided edge, the edge to a, left out of opens: they forward-check a's
+    label.
 
     The counts come from a running state, not from the step's place in the
     label-then-arcs shape: y's labeled neighbours on undecided edges are
@@ -370,13 +373,10 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
     steps: List[Tuple] = []
     pin = -1
 
-    def checks(touched: List[int], a: int = -1) -> Tuple[Tuple, Tuple, Tuple]:
-        """closes, opens and, for a label step of a, the forward-checked vertices."""
+    def checks(touched: List[int], a: int = -1) -> Tuple[Tuple, Tuple]:
+        """opens and, for a label step of a, the forward-checked vertices."""
         nonlocal pin
-        closes = tuple(y for y in touched if not unlabeled[y] and start[y] == len(pend[y]))
-        if closes and pin < 0:
-            pin = len(steps)
-        forward = a >= 0 and 0 <= pin < len(steps)
+        forward = a >= 0 and 0 <= pin
         opens, checked = [], []
         for y in touched:
             m = len(pend[y]) - start[y]  # undecided edges, if y has no unlabeled neighbour
@@ -384,9 +384,11 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
                 continue
             if m == 1 and forward and y != a:
                 checked.append(y)
-            elif m:
+            else:
                 opens.append((y, pend[y][start[y]:]))
-        return closes, tuple(opens), tuple(checked)
+                if not m and pin < 0:
+                    pin = len(steps)
+        return tuple(opens), tuple(checked)
 
     def label(v: int) -> None:
         labeled[v] = True
@@ -409,8 +411,7 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
                 start[w] += 1  # the edge leads to the first pending neighbour
                 start[v] += 1  # of each endpoint
                 a, b = graph.edges[e]
-                closes, opens, _ = checks([w, v])
-                steps.append((False, a, b, closes, opens, last_arc))
+                steps.append((False, a, b, checks([w, v])[0], last_arc))
                 last_arc = 1
     return steps, _label_orders(n, config), pin
 
@@ -433,19 +434,18 @@ def _root_parity_candidates(graph: UndirectedGraph, config: SearchConfig,
     return everything, tuple((everything ^ o, o) for o in odd), (even, everything ^ even)
 
 
-def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
+def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _Plan,
             t0: float, pair: Optional[Tuple[int, int]] = None,
-            poll: Optional[Callable[[], bool]] = None,
-            plan: Optional[_Plan] = None) -> SearchOutcome:
-    """Run the step loop from the root; budgets count from t0.
+            poll: Optional[Callable[[], bool]] = None) -> SearchOutcome:
+    """Run the step loop of plan, _steps(graph, config), from the root;
+    budgets count from t0.
 
     pair, if given, is the only pair of first two labels tried: the subtree
     of one parallel job.  poll, if given, is called every 1024 nodes, and the
     search stops as inconclusive once it returns true; without one, a time
-    budget is polled there.  plan is _steps(graph, config), built here when
-    not given.
+    budget is polled there.
     """
-    steps, (first, second, later), pin = plan or _steps(graph, config)
+    steps, (first, second, later), pin = plan
     if pair is not None:
         first, second = (pair[0],), {pair[0]: (pair[1],)}
     mod = graph.vertex_count
@@ -476,7 +476,7 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
     used = mu = nodes = d = 0
     while True:
         # undo the choice this depth applied last, then take its next one
-        label, a, b, closes, opens, last_arc = steps[d]
+        label, a, b, opens, last_arc = steps[d]
         x = applied[d]
         if x >= 0:
             if label:
@@ -516,22 +516,11 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
         else:
             pw[b] += labels[a]
             pw[a] -= labels[b]
-        if d == pin:
-            mu = pw[closes[0]] % mod  # any closer: candidates in p give all one parity
-            p &= by_c[mu & 1]
-            if not p:
-                prunes["parity"] += 1
-                continue
-            consts &= 1 << mu
-            if not consts:
-                prunes["interval"] += 1
-                continue
-        if closes and (pw[closes[0]] % mod != mu or pw[closes[-1]] % mod != mu):
-            prunes["weight"] += 1  # closes has one or two vertices, none above the pin
-            continue
         for y, pend in opens:  # the weights y can still reach, one per choice of signs
             s = pw[y]
-            if len(pend) == 1:
+            if not pend:
+                consts &= 1 << s % mod
+            elif len(pend) == 1:
                 lam = labels[pend[0]]
                 consts &= 1 << (s + lam) % mod | 1 << (s - lam) % mod
             else:
@@ -545,12 +534,18 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
                 consts &= reach
             if not consts:
                 break
-        if not consts:
-            prunes["interval"] += 1
+        if not consts:  # pend is that of the vertex that emptied the set
+            prunes["interval" if pend else "weight"] += 1
             continue
+        if d == pin:  # a closed vertex left one constant
+            mu = consts.bit_length() - 1
+            p &= by_c[mu & 1]
+            if not p:
+                prunes["parity"] += 1
+                continue
         if d == last:
             arcs = [(a, b) if x == 0 else (b, a)
-                    for (label, a, b, _, _, _), x in zip(steps, applied) if not label]
+                    for (label, a, b, _, _), x in zip(steps, applied) if not label]
             return finish(VERDICT_WITNESS, nodes, verified(
                 graph, Orientation.from_arcs(graph, arcs), Labeling(mod, tuple(labels))))
         # descend; a label step skips the labels used above it and, below the
@@ -561,7 +556,7 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
         if steps[d][0]:
             c = later if d > 1 else second[x]  # x is still the first label
             free = everything ^ used
-            for y in steps[d][5]:
+            for y in steps[d][4]:
                 free &= 1 << (mu - pw[y]) % mod | 1 << (pw[y] - mu) % mod
             todo[d] = iter([lam for lam in c if (free >> lam) & 1])
 
@@ -576,10 +571,10 @@ _subtrees: Optional[Tuple[UndirectedGraph, SearchConfig, _Parity, _Plan]] = None
 
 
 def _init_worker(stop, shared_nodes, node_budget: Optional[int], graph: UndirectedGraph,
-                 config: SearchConfig, parity: _Parity) -> None:
+                 config: SearchConfig, parity: _Parity, plan: _Plan) -> None:
     global _worker, _subtrees
     _worker = (stop, shared_nodes, node_budget)
-    _subtrees = (graph, config, parity, _steps(graph, config))
+    _subtrees = (graph, config, parity, plan)
 
 
 def _add_nodes(k: int) -> bool:
@@ -602,72 +597,64 @@ def _run_job(pair: Tuple[int, int]) -> SearchOutcome:
     if _worker[0].is_set():  # a job already queued when the run stopped
         return SearchOutcome(VERDICT_INCONCLUSIVE, None, SearchStats())
     graph, config, parity, plan = _subtrees
-    outcome = _search(graph, config, parity, perf_counter(), pair, lambda: _add_nodes(1024), plan)
+    outcome = _search(graph, config, parity, plan, perf_counter(), pair, lambda: _add_nodes(1024))
     _add_nodes(outcome.stats.nodes & 1023)  # the nodes since the last poll
     return outcome
 
 
-def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
+def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _Plan,
                   t0: float) -> SearchOutcome:
     """Search the root subtrees in a process pool under one stop signal.
 
-    Each job is one kept pair of first two labels.  Under reduce, on a graph
-    proven vertex-transitive before any job is submitted, the jobs are the
-    first label's pairs only; the module docstring says why the serial search
-    asks later.  The signal is set by the first witness, by the run's
-    deadline, or by the worker whose nodes take the shared count past the
-    node budget.  Jobs not yet started are cancelled; running ones see the
-    signal on their next poll and return, and their nodes and prunes are
-    counted too.  The witness is verified again here before it is returned.
+    Each job is one kept pair of first two labels from the plan's label
+    orders.  Under reduce, on a graph proven vertex-transitive before any job
+    is submitted, the jobs are the first label's pairs only; the module
+    docstring says why the serial search asks later.  The signal is set by
+    the first witness, by the run's deadline, by an error, or by the worker
+    whose nodes take the shared count past the node budget.  Running jobs see
+    it on their next poll and jobs taken after it return at once, so the pool
+    drains; then one pass tallies every job's nodes, prunes and verdict.  The
+    witness returned is the first in job order, verified again here.
     """
     import multiprocessing
     import threading
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent import futures
 
     deadline = None if config.time_budget is None else t0 + config.time_budget
-    first, second, _ = _label_orders(graph.vertex_count, config)
+    first, second, _ = plan[1]
     if config.reduce and _vertex_transitive(graph, deadline):
         first = first[:1]
-    jobs = [(lam0, lam1) for lam0 in first for lam1 in second[lam0] if lam1 != lam0]
+    pairs = [(lam0, lam1) for lam0 in first for lam1 in second[lam0] if lam1 != lam0]
     job_config = replace(config, workers=1, node_budget=None, time_budget=None)
     stop = multiprocessing.Event()
     shared_nodes = multiprocessing.Value("q", 0)
-    stats = SearchStats()
-    witness: Optional[MagicCertificate] = None
-    exhausted = 0  # jobs that searched their whole subtree
-    with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker,
-                             initargs=(stop, shared_nodes, config.node_budget, graph,
-                                       job_config, parity)) as pool:
+    with futures.ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker,
+                                     initargs=(stop, shared_nodes, config.node_budget, graph,
+                                               job_config, parity, plan)) as pool:
+        jobs = [pool.submit(_run_job, pair) for pair in pairs]
+        timeout = None
+        if deadline is not None:  # a huge budget, such as inf, would overflow the lock's timeout
+            timeout = min(max(0.0, deadline - perf_counter()), threading.TIMEOUT_MAX)
         try:
-            pending = {pool.submit(_run_job, job) for job in jobs}
-            while pending:
-                timeout = None
-                if deadline is not None and not stop.is_set():
-                    # a huge budget, such as inf, would overflow the lock's timeout
-                    timeout = min(max(0.0, deadline - perf_counter()), threading.TIMEOUT_MAX)
-                done, pending = wait(pending, timeout, FIRST_COMPLETED)
-                for fut in done:
-                    out = fut.result()
-                    exhausted += out.verdict == VERDICT_EXHAUSTED
-                    stats.nodes += out.stats.nodes
-                    for k, x in out.stats.prunes.items():
-                        stats.prunes[k] += x
-                    if out.certificate is not None and witness is None:
-                        c = out.certificate
-                        witness = verified(graph, c.orientation, c.labeling)
-                        stop.set()
-                if deadline is not None and perf_counter() >= deadline:
-                    stop.set()
-                if stop.is_set():
-                    # cancel() is false for a running job: wait for its result
-                    pending = {fut for fut in pending if not fut.cancel()}
+            for job in futures.as_completed(jobs, timeout):
+                if job.result().certificate is not None:
+                    break
+        except futures.TimeoutError:  # the deadline passed; not the builtin on 3.10
+            pass
         finally:
-            stop.set()  # also on an error, so that shutdown need not wait for the jobs
+            stop.set()  # also on an error, so that the pool drains at once
+    outcomes = [job.result() for job in jobs]
+    stats = SearchStats()
+    for out in outcomes:
+        stats.nodes += out.stats.nodes
+        for k, x in out.stats.prunes.items():
+            stats.prunes[k] += x
     stats.elapsed = perf_counter() - t0
-    if witness is not None:
-        return SearchOutcome(VERDICT_WITNESS, witness, stats)
-    verdict = VERDICT_EXHAUSTED if exhausted == len(jobs) else VERDICT_INCONCLUSIVE
-    return SearchOutcome(verdict, None, stats)
+    c = next((out.certificate for out in outcomes if out.certificate is not None), None)
+    if c is not None:
+        return SearchOutcome(VERDICT_WITNESS, verified(graph, c.orientation, c.labeling), stats)
+    exhausted = all(out.verdict == VERDICT_EXHAUSTED for out in outcomes)
+    return SearchOutcome(VERDICT_EXHAUSTED if exhausted else VERDICT_INCONCLUSIVE, None, stats)
 
 
 def decide_existence(graph: UndirectedGraph, config: Optional[SearchConfig] = None) -> SearchOutcome:
@@ -690,6 +677,7 @@ def decide_existence(graph: UndirectedGraph, config: Optional[SearchConfig] = No
         stats.prunes["parity"] += 1
         stats.elapsed = perf_counter() - t0
         return SearchOutcome(VERDICT_EXHAUSTED, None, stats)
+    plan = _steps(graph, config)
     if config.workers > 1 and graph.vertex_count >= 2:
-        return _run_parallel(graph, config, parity, t0)
-    return _search(graph, config, parity, t0)
+        return _run_parallel(graph, config, parity, plan, t0)
+    return _search(graph, config, parity, plan, t0)

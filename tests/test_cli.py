@@ -266,6 +266,20 @@ def test_search_parallel_seconds_bound_the_whole_run(tmp_path, capsys):
     assert code in (0, 2), out
 
 
+def test_search_parallel_job_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("injected defect")
+
+    graph = tmp_path / "k6.graph"
+    run(capsys, "graph", "--family", "complete", "--n", "6", "-o", str(graph))
+    monkeypatch.setattr("dmagic.search._search", broken)
+    code, out, err = run(capsys, "search", "--graph", str(graph), "--threads", "2",
+                         "--no-parity-prune")
+    assert code == 3
+    assert out == ""
+    assert "internal error: RuntimeError: injected defect" in err
+
+
 def test_search_rejects_a_nan_time_budget(tmp_path, capsys):
     graph = tmp_path / "k4.graph"
     run(capsys, "graph", "--family", "complete", "--n", "4", "-o", str(graph))

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import multiprocessing
+import os
 import random
 from dataclasses import replace
 from time import perf_counter
@@ -84,7 +85,7 @@ def test_every_pinned_pair_matches_brute_force():
         for config in configs:
             parity, plan = search._root_parity_candidates(g, config), search._steps(g, config)
             got = {(a, b) for a in range(n) for b in range(n) if a != b and search._search(
-                g, config, parity, perf_counter(), pair=(a, b), plan=plan).verdict == VERDICT_WITNESS}
+                g, config, parity, plan, perf_counter(), pair=(a, b)).verdict == VERDICT_WITNESS}
             assert got == expected, (g, config)
 
 
@@ -326,8 +327,8 @@ def _worker_state(monkeypatch, node_budget=None):
 
 
 def _worker_search(graph, config):
-    return search._search(graph, config, None, perf_counter(), None,
-                          lambda: search._add_nodes(1024))
+    return search._search(graph, config, None, search._steps(graph, config), perf_counter(),
+                          None, lambda: search._add_nodes(1024))
 
 
 def test_stopped_worker_returns_within_one_poll(monkeypatch):
@@ -381,21 +382,21 @@ _BUDGETED = SearchConfig(seed=1, node_budget=100000)
 _LEAFY = UndirectedGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6)])
 _TREES = [
     (path(12), SearchConfig(), VERDICT_EXHAUSTED, 3194, (882, 16, 46), None, None),
-    (complete(9), SearchConfig(), VERDICT_WITNESS, 146, (3, 35, 0), "df17a29c", None),
-    (complete(7), _BUDGETED, VERDICT_WITNESS, 35, (3, 4, 0), "1c990400", None),
+    (complete(9), SearchConfig(), VERDICT_WITNESS, 146, (4, 34, 0), "df17a29c", None),
+    (complete(7), _BUDGETED, VERDICT_WITNESS, 35, (4, 3, 0), "1c990400", None),
     (kmokn_graph(3, 3), _BUDGETED, VERDICT_WITNESS, 39, (0, 3, 0), "66ca6218", None),
     (kmokn_graph(3, 4), _BUDGETED, VERDICT_WITNESS, 373, (1, 64, 65), "6f7a6400", None),
-    (kmokn_graph(2, 6), _BUDGETED, VERDICT_WITNESS, 64, (9, 2, 0), "5249cd97", None),
-    (kmokn_graph(2, 6), replace(_BUDGETED, seed=4), VERDICT_WITNESS, 74, (13, 3, 0),
+    (kmokn_graph(2, 6), _BUDGETED, VERDICT_WITNESS, 64, (10, 1, 0), "5249cd97", None),
+    (kmokn_graph(2, 6), replace(_BUDGETED, seed=4), VERDICT_WITNESS, 74, (15, 1, 0),
      "1c4a9cbc", None),
-    (kmokn_graph(5, 2), _BUDGETED, VERDICT_WITNESS, 340, (3, 67, 56), "abcbe177", None),
+    (kmokn_graph(5, 2), _BUDGETED, VERDICT_WITNESS, 340, (4, 66, 56), "abcbe177", None),
     (path(11), SearchConfig(), VERDICT_EXHAUSTED, 5254, (1548, 58, 0), None, None),
     (cycle(12), SearchConfig(seed=2, reduce=False), VERDICT_WITNESS, 1429,
      (383, 0, 16), "db9d9579", None),
     (cycle(12), SearchConfig(seed=2, parity_prune=False), VERDICT_WITNESS, 632,
      (164, 0, 0), "f3c5ba05", None),
     (_LEAFY, SearchConfig(), VERDICT_EXHAUSTED, 1367, (312, 190, 92), None, None),
-    (kmokn_graph(5, 2), SearchConfig(seed=1), VERDICT_WITNESS, 414, (4, 84, 67),
+    (kmokn_graph(5, 2), SearchConfig(seed=1), VERDICT_WITNESS, 414, (6, 82, 67),
      "66287c12", (2, 9)),
     (complete(6), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 6859, (0, 2304, 0),
      None, None),
@@ -411,7 +412,8 @@ def _tree(graph, config, pinned):
     if pinned is None:
         return decide_existence(graph, config)
     psols = search._root_parity_candidates(graph, config)
-    return search._search(graph, config, psols, perf_counter(), pair=pinned)
+    return search._search(graph, config, psols, search._steps(graph, config), perf_counter(),
+                          pair=pinned)
 
 
 @pytest.mark.parametrize("graph, config, verdict, nodes, prunes, digest, pinned", _TREES,
@@ -513,6 +515,30 @@ def test_parallel_transitive_proof_walks_the_first_label_only():
         assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, nodes), graph
 
 
+def test_plan_is_built_once_per_run(monkeypatch):
+    # the workers search the plan the run built, and build none of their own
+    steps, here = search._steps, os.getpid()
+
+    def steps_here_only(graph, config):
+        assert os.getpid() == here, "a worker built the plan"
+        return steps(graph, config)
+
+    monkeypatch.setattr(search, "_steps", steps_here_only)
+    out = decide_existence(complete(6), SearchConfig(workers=2, parity_prune=False))
+    assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, 6861)
+
+
+def test_parallel_job_error_is_raised_once_the_pool_drains(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("injected defect")
+
+    monkeypatch.setattr(search, "_search", broken)
+    started = perf_counter()
+    with pytest.raises(RuntimeError, match="injected defect"):
+        decide_existence(complete(6), SearchConfig(workers=2, parity_prune=False))
+    assert perf_counter() - started < 5
+
+
 def test_transitivity_check_stops_at_the_deadline():
     # without a deadline, cycle(2000) refines colours for hundreds of milliseconds
     started = perf_counter()
@@ -537,6 +563,16 @@ def test_transitivity_check_stops_before_a_round_past_the_cap(monkeypatch):
     monkeypatch.setattr(search, "_AUTOMORPHISM_CAP", 71)
     monkeypatch.setattr(search, "Counter", refuse)
     assert not search._vertex_transitive(complete(6))
+
+
+def test_transitivity_check_skips_a_graph_whose_round_passes_the_cap(monkeypatch):
+    # one round on K30[30] reads 2(900 + 2 * 391500) colours, past 2^20: the
+    # check gives up before it reads a single edge
+    def refuse(graph):
+        raise AssertionError("the check read the edges")
+
+    monkeypatch.setattr(search, "regularity", refuse)
+    assert not search._vertex_transitive(kmokn_graph(30, 30))
 
 
 def _rescanned_checks(graph):
@@ -594,13 +630,14 @@ def test_check_plan_matches_a_rescan():
             checked = sorted(y for y, k, pend in fs if y != a and not k and pend == [a]
                              ) if a is not None and d > pin else []
             fs = [f for f in fs if f[0] not in checked]
-            closes = sorted(y for y, k, pend in fs if not k and not pend)
-            # an open vertex has every neighbour labeled and 1 to 3 undecided edges
-            opens = sorted((y, pend) for y, k, pend in fs if not k and 1 <= len(pend) <= 3)
-            got = sorted((y, sorted(pend)) for y, pend in step[4])
-            assert (sorted(step[3]), got) == (closes, opens), (graph, d)
+            # a checked vertex has every neighbour labeled and at most 3 undecided
+            # edges; a closed one has none, and its pend is empty
+            opens = sorted((y, pend) for y, k, pend in fs if not k and len(pend) <= 3)
+            got = sorted((y, sorted(pend)) for y, pend in step[3])
+            assert got == opens, (graph, d)
+            assert len(step) == 5
             if step[0]:
-                assert sorted(step[5]) == checked, (graph, d)
+                assert sorted(step[4]) == checked, (graph, d)
 
 
 def test_visit_order_is_maximum_adjacency():
