@@ -127,10 +127,13 @@ class Orientation:
     @classmethod
     def from_arcs(cls, graph: UndirectedGraph, arcs: Iterable[Tuple[int, int]]) -> "Orientation":
         """Build an orientation from (tail, head) pairs covering each edge once."""
+        arcs = list(arcs)
+        keys = [(tail, head) if tail < head else (head, tail) for tail, head in arcs]
+        if tuple(keys) == graph.edges:  # in canonical edge order, as certificates list them
+            return cls(graph, tuple([int(tail > head) for tail, head in arcs]))
         index = {e: i for i, e in enumerate(graph.edges)}
         bits: List[Optional[int]] = [None] * len(graph.edges)
-        for tail, head in arcs:
-            key = (tail, head) if tail < head else (head, tail)
+        for (tail, head), key in zip(arcs, keys):
             if key not in index:
                 raise ValueError(f"arc ({tail}, {head}) is not an edge of the graph")
             i = index[key]

@@ -84,9 +84,9 @@ reduced subtree of g, which, exhausted under sound rules, holds no witness.
 The check (_vertex_transitive) runs at most once, and only a proof counts.
 The serial search asks once its first label's subtree is exhausted, which a
 witness search on a vertex-transitive graph never reaches: every first
-label's subtree holds a witness.  A parallel run asks before it submits any
-job, as later labels' jobs would be running by then, and on a graph proven
-vertex-transitive its jobs are the first label's kept pairs only.
+label's subtree holds a witness.  A parallel run asks before its first pair,
+as helpers could be searching later labels' pairs by then, and on a graph
+proven vertex-transitive its pairs are the first label's kept pairs only.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 from math import gcd
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
@@ -123,6 +124,8 @@ PARITY_LIST_CAP = 4096
 # both sides reads 2(N + 2E).
 _AUTOMORPHISM_CAP = 1 << 20
 
+_POLL = 1024  # nodes between polls; a parallel run starts its helpers after the first
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -134,13 +137,14 @@ class SearchConfig:
     the module docstring); off, the search walks the whole unreduced tree, the
     reference for tests.  seed shuffles the order in which labels are tried.
 
-    With workers > 1 each kept pair of first two labels is one independent
-    subtree job.  The budgets still bound the whole run: the node budget
-    counts the nodes of all workers together and the time budget is one
-    deadline, and the first witness stops the run.  Each running worker
-    notices a stop on its next poll, every 1024 nodes, so a parallel run may
-    overshoot its budgets by up to one such tick per worker.  Which witness
-    is found first is no longer determined by the config alone.
+    With workers > 1 the calling process searches the kept pairs of first two
+    labels, one subtree each, and workers - 1 helper processes join it once
+    the run passes 1024 nodes: a run that ends sooner returns the serial
+    witness, and in a longer one timing decides which witness comes first.
+    The node budget counts the nodes of all workers, the time budget is one
+    deadline, and the first witness stops the run.  Each worker notices a
+    stop on its next poll, every 1024 nodes, so a run may overshoot its
+    budgets by up to 1024 nodes per worker.
     """
 
     node_budget: Optional[int] = None
@@ -263,13 +267,21 @@ def _vertex_transitive(graph: UndirectedGraph, deadline: Optional[float] = None)
 
     The orbit of 0 is closed under the automorphisms kept, so a target already
     in it needs none.  Targets are taken from the top: on K_n the map found
-    for n - 1 is an n-cycle, which completes the orbit at once.
+    for n - 1 is an n-cycle, which completes the orbit at once.  A connected
+    2-regular graph needs no search: it is a cycle, whose rotations map 0
+    onto every vertex.
     """
     n = graph.vertex_count
     work, cost = _AUTOMORPHISM_CAP, 2 * (n + 2 * len(graph.edges))  # cost: one round
-    if cost > work or regularity(graph) is None:
+    if cost > work or (degree := regularity(graph)) is None:
         return False
     nbrs = [graph.neighbors(v) for v in range(n)]
+    if degree == 2:  # walk the cycle through 0; the other neighbour of v is the sum less prev
+        prev, v, k = 0, nbrs[0][0], 1
+        while v != 0:
+            prev, v, k = v, sum(nbrs[v]) - prev, k + 1
+        if k == n:
+            return True
     adj = [set(x) for x in nbrs]
 
     def refine(left: List[int], right: List[int]) -> Optional[Tuple[List[int], List[int]]]:
@@ -441,7 +453,7 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
     budgets count from t0.
 
     pair, if given, is the only pair of first two labels tried: the subtree
-    of one parallel job.  poll, if given, is called every 1024 nodes, and the
+    of one parallel job.  poll, if given, is called every _POLL nodes, and the
     search stops as inconclusive once it returns true; without one, a time
     budget is polled there.
     """
@@ -465,7 +477,7 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
     if poll is None and deadline is not None:
         def poll() -> bool:
             return perf_counter() > deadline
-    tick = min(node_limit + 1, 1024)  # the next node count to check the budgets at
+    tick = min(node_limit + 1, _POLL)  # the next node count to check the budgets at
     last = len(steps) - 1
     todo = [iter(())] * len(steps)  # the untried labels of each label step
     applied = [-1] * len(steps)
@@ -501,7 +513,7 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
         if nodes == tick:
             if nodes > node_limit or (poll is not None and poll()):
                 return finish(VERDICT_INCONCLUSIVE, nodes)
-            tick = min(node_limit + 1, nodes + 1024)
+            tick = min(node_limit + 1, nodes + _POLL)
         p, consts = par[d], mus[d]
         if label:
             labels[a] = x
@@ -561,64 +573,66 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
             todo[d] = iter([lam for lam in c if (free >> lam) & 1])
 
 
-# What a pool process shares with the rest of the run: the stop signal, the
-# node count of all workers and the run's node budget; and what every job
-# searches: the graph, the worker config, the root parity masks and the check
-# plan.  _init_worker sets them once per pool process; a serial search never
-# reads them.
-_worker: Optional[Tuple] = None
-_subtrees: Optional[Tuple[UndirectedGraph, SearchConfig, _Parity, _Plan]] = None
-
-
-def _init_worker(stop, shared_nodes, node_budget: Optional[int], graph: UndirectedGraph,
-                 config: SearchConfig, parity: _Parity, plan: _Plan) -> None:
-    global _worker, _subtrees
-    _worker = (stop, shared_nodes, node_budget)
-    _subtrees = (graph, config, parity, plan)
-
-
-def _add_nodes(k: int) -> bool:
-    """Add k nodes to the run's count; true once the run is to stop.
-
-    The worker whose nodes take the count past the node budget sets the stop
-    signal itself, at the moment the count passes it.
-    """
-    stop, shared_nodes, node_budget = _worker
+def _add_nodes(run: Tuple, k: int) -> bool:
+    """Add k nodes to the run's count, and stop the run once the count is
+    past the node budget or the clock past the deadline; true once stopped."""
+    stop, shared_nodes, _, node_budget, deadline = run[:5]
     with shared_nodes.get_lock():
         shared_nodes.value += k
         over = node_budget is not None and shared_nodes.value > node_budget
-    if over:
+    if over or (deadline is not None and perf_counter() > deadline):
         stop.set()
     return stop.is_set()
 
 
-def _run_job(pair: Tuple[int, int]) -> SearchOutcome:
-    """Search the subtree whose first two labels are the pair."""
-    if _worker[0].is_set():  # a job already queued when the run stopped
-        return SearchOutcome(VERDICT_INCONCLUSIVE, None, SearchStats())
-    graph, config, parity, plan = _subtrees
-    outcome = _search(graph, config, parity, plan, perf_counter(), pair, lambda: _add_nodes(1024))
-    _add_nodes(outcome.stats.nodes & 1023)  # the nodes since the last poll
-    return outcome
+def _take_pairs(run: Tuple, add: Optional[Callable] = None) -> List[Tuple]:
+    """(index, outcome) of each pair taken from the shared index until none is
+    left, the run stops or a witness turns up.  add(k), by default _add_nodes,
+    counts k nodes and says whether to stop.  An error stops the run."""
+    stop, _, next_pair, _, _, graph, config, parity, plan, pairs = run
+    add = add or partial(_add_nodes, run)
+    done = []
+    try:
+        while not stop.is_set():
+            with next_pair.get_lock():
+                i, next_pair.value = next_pair.value, next_pair.value + 1
+            if i >= len(pairs):
+                break
+            out = _search(graph, config, parity, plan, perf_counter(), pairs[i],
+                          partial(add, _POLL))
+            done.append((i, out))
+            if out.certificate is not None:
+                stop.set()
+            add(out.stats.nodes % _POLL)
+    except BaseException:
+        stop.set()
+        raise
+    return done
+
+
+def _helper(run: Tuple, conn) -> None:
+    """A helper process: send its pairs' outcomes, or its error, to conn."""
+    try:
+        conn.send(_take_pairs(run))
+    except BaseException as exc:  # raised again in the calling process
+        conn.send(exc)
 
 
 def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _Plan,
                   t0: float) -> SearchOutcome:
-    """Search the root subtrees in a process pool under one stop signal.
+    """Search the root subtrees under one stop signal: in the calling process,
+    and once the run passes _POLL nodes in workers - 1 helper processes too,
+    each taking kept pairs of first two labels from one shared index.
 
-    Each job is one kept pair of first two labels from the plan's label
-    orders.  Under reduce, on a graph proven vertex-transitive before any job
-    is submitted, the jobs are the first label's pairs only; the module
-    docstring says why the serial search asks later.  The signal is set by
-    the first witness, by the run's deadline, by an error, or by the worker
-    whose nodes take the shared count past the node budget.  Running jobs see
-    it on their next poll and jobs taken after it return at once, so the pool
-    drains; then one pass tallies every job's nodes, prunes and verdict.  The
-    witness returned is the first in job order, verified again here.
+    Under reduce, on a graph proven vertex-transitive before the first pair,
+    the pairs are the first label's only (see the module docstring).  The
+    signal is set by the first witness, by an error, or by the worker that
+    polls past the deadline or takes the shared count past the node budget.
+    Workers see it on their next poll and take no pair after it; once every
+    helper is done, one pass tallies every pair's nodes, prunes and verdict.
+    The witness returned is the first in job order, verified again here.
     """
     import multiprocessing
-    import threading
-    from concurrent import futures
 
     deadline = None if config.time_budget is None else t0 + config.time_budget
     first, second, _ = plan[1]
@@ -626,34 +640,46 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
         first = first[:1]
     pairs = [(lam0, lam1) for lam0 in first for lam1 in second[lam0] if lam1 != lam0]
     job_config = replace(config, workers=1, node_budget=None, time_budget=None)
-    stop = multiprocessing.Event()
-    shared_nodes = multiprocessing.Value("q", 0)
-    with futures.ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker,
-                                     initargs=(stop, shared_nodes, config.node_budget, graph,
-                                               job_config, parity, plan)) as pool:
-        jobs = [pool.submit(_run_job, pair) for pair in pairs]
-        timeout = None
-        if deadline is not None:  # a huge budget, such as inf, would overflow the lock's timeout
-            timeout = min(max(0.0, deadline - perf_counter()), threading.TIMEOUT_MAX)
-        try:
-            for job in futures.as_completed(jobs, timeout):
-                if job.result().certificate is not None:
-                    break
-        except futures.TimeoutError:  # the deadline passed; not the builtin on 3.10
-            pass
-        finally:
-            stop.set()  # also on an error, so that the pool drains at once
-    outcomes = [job.result() for job in jobs]
-    stats = SearchStats()
-    for out in outcomes:
-        stats.nodes += out.stats.nodes
-        for k, x in out.stats.prunes.items():
-            stats.prunes[k] += x
-    stats.elapsed = perf_counter() - t0
-    c = next((out.certificate for out in outcomes if out.certificate is not None), None)
+    # the workers share the stop signal, the node count, the next pair's index,
+    # the budgets, and what they search: graph, config, parity masks, plan, pairs
+    run = (multiprocessing.Event(), multiprocessing.Value("q", 0), multiprocessing.Value("q", 0),
+           config.node_budget, deadline, graph, job_config, parity, plan, pairs)
+    stop, shared_nodes, next_pair = run[:3]
+    helpers = []
+
+    def add(k: int) -> bool:  # the calling process's poll also starts the helpers
+        if (not _add_nodes(run, k) and not helpers and shared_nodes.value >= _POLL
+                and next_pair.value < len(pairs)):
+            for _ in range(config.workers - 1):
+                receive, send = multiprocessing.Pipe(duplex=False)
+                helper = multiprocessing.Process(target=_helper, args=(run, send), daemon=True)
+                helper.start()
+                send.close()  # so that receive sees the end of a helper that died
+                helpers.append((helper, receive))
+        return stop.is_set()
+
+    try:
+        done = _take_pairs(run, add)
+    finally:  # wait for the helpers, which an error here has stopped
+        results = []
+        for helper, receive in helpers:
+            try:
+                results.append(receive.recv())
+            except EOFError:  # it died before it could send
+                results.append(RuntimeError("a search helper process died"))
+            receive.close()
+            helper.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+        done += result
+    outs = [out for _, out in sorted(done, key=lambda d: d[0])]
+    stats = SearchStats(sum(out.stats.nodes for out in outs), {
+        k: sum(out.stats.prunes[k] for out in outs) for k in _PRUNE_KEYS}, perf_counter() - t0)
+    c = next((out.certificate for out in outs if out.certificate is not None), None)
     if c is not None:
         return SearchOutcome(VERDICT_WITNESS, verified(graph, c.orientation, c.labeling), stats)
-    exhausted = all(out.verdict == VERDICT_EXHAUSTED for out in outcomes)
+    exhausted = len(outs) == len(pairs) and all(out.verdict == VERDICT_EXHAUSTED for out in outs)
     return SearchOutcome(VERDICT_EXHAUSTED if exhausted else VERDICT_INCONCLUSIVE, None, stats)
 
 

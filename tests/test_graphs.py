@@ -183,6 +183,17 @@ def test_round_trip_any_graph(g):
 
 
 @settings(max_examples=60)
+@given(graphs, st.randoms(use_true_random=False))
+def test_from_arcs_binds_canonical_and_shuffled_order_alike(g, rng):
+    bits = tuple(rng.randrange(2) for _ in g.edges)
+    arcs = Orientation(g, bits).arcs()
+    shuffled = arcs[:]
+    rng.shuffle(shuffled)
+    assert Orientation.from_arcs(g, arcs).bits == Orientation.from_arcs(g, shuffled).bits == bits
+    assert all(type(b) is int for b in Orientation.from_arcs(g, arcs).bits)
+
+
+@settings(max_examples=60)
 @given(graphs)
 def test_handshake(g):
     assert sum(g.degree(v) for v in range(g.vertex_count)) == 2 * len(g.edges)

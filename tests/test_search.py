@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import multiprocessing
 import os
@@ -195,39 +194,38 @@ def test_label_representatives_cover_every_pair(monkeypatch):
                     image = (u * g % n, u * b % n)
                     assert image == (g, b) or image not in kept_set, (n, g, b, u)
 
-    # the parallel run submits exactly the kept pairs, in order
-    jobs = []
+    # the parallel run searches exactly the kept pairs, each once, in order,
+    # up to a witness; these runs end within one poll, so no helper starts
+    searched, real_search = [], search._search
 
-    class InlinePool:  # runs each job in this process as it is submitted
-        def __init__(self, max_workers, initializer, initargs):
-            initializer(*initargs)
+    def spy(graph, config, parity, plan, t0, pair=None, poll=None):
+        searched.append(pair)
+        return real_search(graph, config, parity, plan, t0, pair, poll)
 
-        def __enter__(self):
-            return self
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run within one poll started helper processes")
 
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, job):
-            jobs.append(job)
-            fut = concurrent.futures.Future()
-            fut.set_result(fn(job))
-            return fut
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(search, "_worker", None)
-    monkeypatch.setattr(search, "_subtrees", None)
+    monkeypatch.setattr(search, "_search", spy)
+    monkeypatch.setattr(multiprocessing, "Process", refuse)
     # only the first label's pairs on a vertex-transitive graph
     for graph, config, transitive in (
             (complete(4), SearchConfig(workers=2, parity_prune=False), True),
             (cycle(12), SearchConfig(workers=2, seed=2), True),
-            (path(6), SearchConfig(workers=2, parity_prune=False), False)):
-        jobs.clear()
+            (path(6), SearchConfig(workers=2, parity_prune=False), False),
+            (path(7), SearchConfig(workers=2, parity_prune=False), False)):
+        serial = decide_existence(graph, replace(config, workers=1))
+        searched.clear()
         out = decide_existence(graph, config)
-        assert out.verdict == decide_existence(graph, replace(config, workers=1)).verdict
+        assert out.verdict == serial.verdict
         first, second, _ = search._label_orders(graph.vertex_count, config)
         first = first[:1] if transitive else first
-        assert jobs == [(g, b) for g in first for b in second[g]], graph
+        kept = [(g, b) for g in first for b in second[g]]
+        if out.verdict == VERDICT_WITNESS:
+            assert searched == kept[:len(searched)], graph
+            assert out.certificate.labeling.labels[search._visit_order(graph)[0]] \
+                == searched[-1][0], graph
+        else:
+            assert searched == kept, graph
 
 
 def test_node_budget_is_inconclusive_not_wrong():
@@ -319,37 +317,44 @@ def test_parallel_root_parity_closure():
     assert out.stats.nodes == 0
 
 
-def _worker_state(monkeypatch, node_budget=None):
-    stop = multiprocessing.Event()
-    shared_nodes = multiprocessing.Value("q", 0)
-    monkeypatch.setattr(search, "_worker", (stop, shared_nodes, node_budget))
-    return stop, shared_nodes
+def _run_state(graph, config, node_budget=None, deadline=None):
+    """A parallel run's shared state, as _run_parallel builds it, with the one
+    pair (0, 1) left to take."""
+    return (multiprocessing.Event(), multiprocessing.Value("q", 0), multiprocessing.Value("q", 0),
+            node_budget, deadline, graph, config, None, search._steps(graph, config), [(0, 1)])
 
 
-def _worker_search(graph, config):
-    return search._search(graph, config, None, search._steps(graph, config), perf_counter(),
-                          None, lambda: search._add_nodes(1024))
+def _worker_search(run):
+    graph, config, _, plan, _ = run[5:]
+    return search._search(graph, config, None, plan, perf_counter(), None,
+                          lambda: search._add_nodes(run, 1024))
 
 
-def test_stopped_worker_returns_within_one_poll(monkeypatch):
-    stop, shared_nodes = _worker_state(monkeypatch)
+def test_stopped_worker_returns_within_one_poll():
+    run = _run_state(complete(6), SearchConfig(parity_prune=False))
+    stop, shared_nodes, next_pair = run[:3]
     stop.set()
-    config = SearchConfig(parity_prune=False)
-    out = _worker_search(complete(6), config)
+    out = _worker_search(run)
     assert out.verdict == VERDICT_INCONCLUSIVE
     assert out.stats.nodes == 1024
     assert shared_nodes.value == 1024
-    # a job taken from the queue after the stop visits no node at all
-    out = search._run_job((0, 1))
-    assert (out.verdict, out.certificate, out.stats.nodes) == (VERDICT_INCONCLUSIVE, None, 0)
+    # a worker that comes for a pair after the stop takes none and visits no node
+    assert search._take_pairs(run) == []
+    assert (next_pair.value, shared_nodes.value) == (0, 1024)
 
 
-def test_worker_past_the_shared_budget_sets_the_stop(monkeypatch):
-    stop, shared_nodes = _worker_state(monkeypatch, node_budget=1500)
-    out = _worker_search(complete(6), SearchConfig(parity_prune=False))
+def test_worker_past_the_shared_budget_sets_the_stop():
+    run = _run_state(complete(6), SearchConfig(parity_prune=False), node_budget=1500)
+    stop, shared_nodes, _ = run[:3]
+    out = _worker_search(run)
     assert out.verdict == VERDICT_INCONCLUSIVE
     assert out.stats.nodes == shared_nodes.value == 2048
     assert stop.is_set()
+    # a worker polling past the deadline sets the stop itself, also in a helper
+    run = _run_state(complete(6), SearchConfig(parity_prune=False), deadline=perf_counter())
+    [(i, out)] = search._take_pairs(run)
+    assert (i, out.verdict, out.stats.nodes) == (0, VERDICT_INCONCLUSIVE, 1024)
+    assert run[0].is_set()
 
 
 def test_parallel_time_budget_bounds_the_whole_run():
@@ -372,7 +377,7 @@ def test_parallel_node_budget_is_shared_by_the_workers(workers):
 # and the first 8 hex characters of the md5 of the certificate text.  Any
 # change to the visit order, the candidate order or a pruning rule shows up
 # here.  A row with a pair runs one parallel job's subtree serially:
-# its first two labels are fixed, as _run_job fixes them.  K2[6]-unit-scaling
+# its first two labels are fixed, as _take_pairs fixes them.  K2[6]-unit-scaling
 # tries first label 2 before 0, so its witness (mu = 6) starts from a nonzero
 # orbit representative and second labels from the stabilizer of 2.  K6 and
 # prism(4) are vertex-transitive: their proofs end with the first label's
@@ -529,21 +534,100 @@ def test_plan_is_built_once_per_run(monkeypatch):
 
 
 def test_parallel_job_error_is_raised_once_the_pool_drains(monkeypatch):
-    def broken(*args):
-        raise RuntimeError("injected defect")
+    # the defect strikes in a helper process only: K6 without parity passes
+    # 1024 nodes, so the helper starts while this process searches on
+    here, real_search = os.getpid(), search._search
 
-    monkeypatch.setattr(search, "_search", broken)
+    def broken_in_a_helper(*args):
+        if os.getpid() != here:
+            raise RuntimeError("injected defect")
+        return real_search(*args)
+
+    monkeypatch.setattr(search, "_search", broken_in_a_helper)
     started = perf_counter()
     with pytest.raises(RuntimeError, match="injected defect"):
         decide_existence(complete(6), SearchConfig(workers=2, parity_prune=False))
     assert perf_counter() - started < 5
 
 
-def test_transitivity_check_stops_at_the_deadline():
-    # without a deadline, cycle(2000) refines colours for hundreds of milliseconds
+def test_a_helper_that_dies_is_an_error_not_a_verdict(monkeypatch):
+    # the pair a dead helper took is never searched, so the run may not
+    # answer "no"
+    here, real_search = os.getpid(), search._search
+
+    def dies_in_a_helper(*args):
+        if os.getpid() != here:
+            os._exit(3)
+        return real_search(*args)
+
+    monkeypatch.setattr(search, "_search", dies_in_a_helper)
+    with pytest.raises(RuntimeError, match="helper process died"):
+        decide_existence(complete(6), SearchConfig(workers=2, parity_prune=False))
+
+
+def test_short_parallel_witness_searches_start_no_process(monkeypatch):
+    # a witness within the first 1024 nodes is the serial one, found before
+    # any helper process starts
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run within one poll started helper processes")
+
+    monkeypatch.setattr(multiprocessing, "Process", refuse)
+    for graph in (complete(9), kmokn_graph(2, 6), complete_multipartite([1, 2, 2, 2, 2])):
+        serial = decide_existence(graph, SearchConfig())
+        out = decide_existence(graph, SearchConfig(workers=2))
+        assert out.verdict == serial.verdict == VERDICT_WITNESS, graph
+        assert certificate_to_text(out.certificate) == certificate_to_text(serial.certificate)
+
+
+def test_more_workers_than_cores_take_every_pair_once():
+    # a lost update on the shared pair index would search a pair twice or
+    # skip one; each pair's subtree counts its first label's node once more
+    # than the serial tree does
     started = perf_counter()
-    assert not search._vertex_transitive(cycle(2000), deadline=perf_counter())
+    for graph in (path(11), path(12)):
+        serial = decide_existence(graph, SearchConfig())
+        first, second, _ = search._label_orders(graph.vertex_count, SearchConfig())
+        extra = sum(len(second[g]) - 1 for g in first)
+        for _ in range(3):
+            out = decide_existence(graph, SearchConfig(workers=4))
+            assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, serial.stats.nodes + extra)
+    assert perf_counter() - started < 20
+
+
+def test_parallel_proof_under_spawn():
+    # spawned helpers inherit nothing: they search only what their process arguments carry
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        out = decide_existence(complete(6), SearchConfig(workers=2, parity_prune=False))
+    finally:
+        multiprocessing.set_start_method(before, force=True)
+    assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, 6861)
+
+
+def test_transitivity_check_stops_at_the_deadline():
+    # without a deadline, prism(1000) refines colours for hundreds of milliseconds
+    started = perf_counter()
+    assert not search._vertex_transitive(prism(1000), deadline=perf_counter())
     assert perf_counter() - started < 0.1
+
+
+def test_a_connected_2_regular_graph_is_transitive_at_once():
+    started = perf_counter()
+    assert search._vertex_transitive(cycle(2000))
+    assert perf_counter() - started < 0.1
+    # every 2-regular graph of order at most 8, as unions of cycles, renumbered
+    rng = random.Random(3)
+    for lengths in ([3], [4], [5], [6], [3, 3], [7], [3, 4], [8], [4, 4], [3, 5]):
+        edges, start = [], 0
+        for k in lengths:
+            edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+            start += k
+        for _ in range(3):
+            perm = list(range(start))
+            rng.shuffle(perm)
+            g = UndirectedGraph.from_edges(start, [(perm[u], perm[v]) for u, v in edges])
+            assert search._vertex_transitive(g) == brute_vertex_transitive(start, g.edges), g
 
 
 def test_unproven_transitivity_leaves_the_tree_alone(monkeypatch):
