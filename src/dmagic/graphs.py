@@ -3,13 +3,23 @@
 Vertices are 0-based integers.  Edge lists are kept canonical: every pair is
 stored as (u, v) with u < v, deduplicated and sorted lexicographically, so
 equal graphs compare equal and file output is byte-stable.
+
+Text is read two ways.  dmagic's own files are read in bulk, the integers
+taken a bounded chunk of lines at a time, and the graph built from them is
+kept only if writing it gives back the input exactly.  That guard is sound:
+the line reader reads what graph_to_text writes back into the same graph,
+so it would read the input into that graph too.  Any other text (comments,
+blank lines, other spacing, errors) goes to the line reader, the one reader
+of hand-written files and the one source of error messages.  The chunks
+keep the bulk peak below the line reader's, which holds every line at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
+from operator import getitem, itemgetter, lt
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -32,6 +42,10 @@ __all__ = [
 
 class FormatError(ValueError):
     """Raised for malformed text input; the message names the offending line."""
+
+
+_TAIL, _HEAD, _REVERSED = itemgetter(0), itemgetter(1), itemgetter(1, 0)
+_CHUNK = 1 << 16  # characters of text read at once in bulk, then on to a line end
 
 
 def _canonical_edges(vertex_count: int, edges: Iterable[Sequence[int]]) -> Tuple[Tuple[int, int], ...]:
@@ -58,11 +72,10 @@ class UndirectedGraph:
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
             raise ValueError(f"vertex_count must be non-negative, got {self.vertex_count}")
-        prev = (-1, -1)
-        for u, v in self.edges:
-            if not (0 <= u < v < self.vertex_count and prev < (u, v)):
-                raise ValueError("edge list is not canonical; use UndirectedGraph.from_edges")
-            prev = u, v
+        e = self.edges  # every parse pays this check again, so it runs in bulk
+        if e and not (0 <= e[0][0] and all(map(lt, map(_TAIL, e), map(_HEAD, e)))
+                      and max(map(_HEAD, e)) < self.vertex_count and all(map(lt, e, e[1:]))):
+            raise ValueError("edge list is not canonical; use UndirectedGraph.from_edges")
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[Sequence[int]]) -> "UndirectedGraph":
@@ -119,10 +132,8 @@ class Orientation:
 
     def arcs(self) -> List[Tuple[int, int]]:
         """(tail, head) per edge, in canonical edge order."""
-        out = []
-        for (u, v), b in zip(self.graph.edges, self.bits):
-            out.append((u, v) if b == 0 else (v, u))
-        return out
+        edges = self.graph.edges
+        return list(map(getitem, zip(edges, map(_REVERSED, edges)), self.bits))
 
     @classmethod
     def from_arcs(cls, graph: UndirectedGraph, arcs: Iterable[Tuple[int, int]]) -> "Orientation":
@@ -253,17 +264,55 @@ def prism(n: int) -> UndirectedGraph:
 
 def graph_to_text(graph: UndirectedGraph) -> str:
     """Canonical text form: header line then one 'e u v' line per edge."""
-    lines = [f"graph {graph.vertex_count} {len(graph.edges)}"]
-    lines.extend(f"e {u} {v}" for u, v in graph.edges)
-    return "\n".join(lines) + "\n"
+    edges = graph.edges
+    return (f"graph {graph.vertex_count} {len(edges)}\n"
+            + "e %d %d\n" * len(edges) % tuple(chain.from_iterable(edges)))
+
+
+def _bulk_read(text: str, header_lines: int) -> Tuple[List[str], List[Tuple[int, int]]]:
+    """The words of the first header_lines lines, then the int pairs of the
+    'x a b' lines after them, split a bounded chunk of whole lines at a time;
+    ValueError where such a field is not an integer.  The words x are not read:
+    callers keep what they build only if it writes back to text exactly.
+    """
+    start = 0
+    for _ in range(header_lines):
+        start = text.find("\n", start) + 1 or len(text)
+    head = text[:start].split()
+    pairs: List[Tuple[int, int]] = []
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK) + 1 or len(text)
+        fields, value = text[start:stop].split(), _Numerals().__getitem__
+        pairs.extend(zip(map(value, fields[1::3]), map(value, fields[2::3])))
+        start = stop
+    return head, pairs
+
+
+class _Numerals(dict):
+    """The int of each numeral, converted once: a chunk repeats few numerals."""
+
+    def __missing__(self, numeral: str) -> int:
+        self[numeral] = value = int(numeral)
+        return value
 
 
 def parse_graph(text: str) -> UndirectedGraph:
     """Parse the graph text format; raises FormatError naming the bad line.
 
     Lines starting with '#' are comments.  Edges must appear canonically
-    (u < v, strictly increasing lexicographic order).
+    (u < v, strictly increasing lexicographic order).  Text exactly as
+    graph_to_text writes it is read in bulk; see the module docstring.
     """
+    try:
+        (_, vertices, _), edges = _bulk_read(text, 1)
+        graph = UndirectedGraph(int(vertices), tuple(edges))
+    except ValueError:
+        return _parse_graph_lines(text)
+    return graph if graph_to_text(graph) == text else _parse_graph_lines(text)
+
+
+def _parse_graph_lines(text: str) -> UndirectedGraph:
+    """The line reader: any spacing, comments and blank lines; errors name the line."""
     header: Optional[Tuple[int, int]] = None
     edges: List[Tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

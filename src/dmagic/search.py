@@ -267,21 +267,27 @@ def _vertex_transitive(graph: UndirectedGraph, deadline: Optional[float] = None)
 
     The orbit of 0 is closed under the automorphisms kept, so a target already
     in it needs none.  Targets are taken from the top: on K_n the map found
-    for n - 1 is an n-cycle, which completes the orbit at once.  A connected
-    2-regular graph needs no search: it is a cycle, whose rotations map 0
-    onto every vertex.
+    for n - 1 is an n-cycle, which completes the orbit at once.  A 2-regular
+    graph needs no search: it is a union of cycles, and it is transitive
+    exactly when they all have one length, as rotations and swaps of equal
+    cycles then map 0 onto every vertex, and an automorphism keeps the
+    length of the cycle through a vertex.
     """
     n = graph.vertex_count
     work, cost = _AUTOMORPHISM_CAP, 2 * (n + 2 * len(graph.edges))  # cost: one round
     if cost > work or (degree := regularity(graph)) is None:
         return False
     nbrs = [graph.neighbors(v) for v in range(n)]
-    if degree == 2:  # walk the cycle through 0; the other neighbour of v is the sum less prev
-        prev, v, k = 0, nbrs[0][0], 1
-        while v != 0:
-            prev, v, k = v, sum(nbrs[v]) - prev, k + 1
-        if k == n:
-            return True
+    if degree == 2:  # walk each cycle; the other neighbour of v is the sum less prev
+        lengths, seen = set(), [False] * n
+        for s in range(n):
+            if not seen[s]:
+                prev, v, k = s, nbrs[s][0], 1
+                while v != s:
+                    seen[v] = True
+                    prev, v, k = v, sum(nbrs[v]) - prev, k + 1
+                lengths.add(k)
+        return len(lengths) == 1
     adj = [set(x) for x in nbrs]
 
     def refine(left: List[int], right: List[int]) -> Optional[Tuple[List[int], List[int]]]:

@@ -4,14 +4,23 @@ The weight of a vertex x is the sum of the labels of its in-neighbors minus
 the sum of the labels of its out-neighbors: each arc u -> v contributes +l(u)
 to w(v) and -l(v) to w(u).  A labeling is magic when every weight equals the
 same residue mu.
+
+Certificate text is read as graph text is (see the graphs module).  Text
+exactly as certificate_to_text writes it is read in bulk, and the fields read
+are kept only if they pass the line reader's range checks and write back to
+the input exactly.  That guard is sound because the line reader reads the
+text written from any fields that pass its checks back into those fields.
+All other text, and every error message, is the line reader's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from itertools import chain
+from operator import itemgetter, ne
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .graphs import FormatError, Orientation, UndirectedGraph
+from .graphs import FormatError, Orientation, UndirectedGraph, _bulk_read
 
 __all__ = [
     "NotALabelingError",
@@ -121,10 +130,15 @@ def verified(graph: UndirectedGraph, orientation: Orientation, labeling: Labelin
 
 def certificate_to_text(cert: MagicCertificate) -> str:
     """Canonical certificate text; arcs follow the canonical edge order."""
-    lines = [f"certificate {cert.labeling.modulus}", _CONVENTION_LINE, f"mu {cert.mu}"]
-    lines.extend(f"l {v} {x}" for v, x in enumerate(cert.labeling.labels))
-    lines.extend(f"a {t} {h}" for t, h in cert.orientation.arcs())
-    return "\n".join(lines) + "\n"
+    ends = tuple(chain.from_iterable(cert.orientation.arcs()))
+    return _certificate_text(cert.labeling.modulus, cert.mu, cert.labeling.labels, ends)
+
+
+def _certificate_text(order: int, mu: int, labels: Sequence[int], ends: Tuple[int, ...]) -> str:
+    """The text of a certificate whose arcs, flattened, are tail, head, tail, ..."""
+    return (f"certificate {order}\n{_CONVENTION_LINE}\nmu {mu}\n"
+            + "l %d %d\n" * len(labels) % tuple(chain.from_iterable(enumerate(labels)))
+            + "a %d %d\n" * (len(ends) // 2) % ends)
 
 
 @dataclass(frozen=True)
@@ -138,7 +152,28 @@ class ParsedCertificate:
 
 
 def parse_certificate(text: str) -> ParsedCertificate:
-    """Parse the certificate text format; raises FormatError naming the bad line."""
+    """Parse the certificate text format; raises FormatError naming the bad line.
+
+    Text exactly as certificate_to_text writes it is read in bulk; see the
+    module docstring.
+    """
+    try:
+        (_, order, *_, mu), pairs = _bulk_read(text, 3)
+        order, mu = int(order), int(mu)
+    except ValueError:
+        return _parse_certificate_lines(text)
+    labels, arcs = tuple(map(itemgetter(1), pairs[:order])), tuple(pairs[order:])
+    ends = tuple(chain.from_iterable(arcs))
+    if (0 < order == len(labels) and 0 <= min(labels) and max(labels) < order
+            and 0 <= min(ends, default=0) and max(ends, default=0) < order
+            and all(map(ne, ends[::2], ends[1::2]))
+            and _certificate_text(order, mu, labels, ends) == text):
+        return ParsedCertificate(order, mu, labels, arcs)
+    return _parse_certificate_lines(text)
+
+
+def _parse_certificate_lines(text: str) -> ParsedCertificate:
+    """The line reader: any spacing, comments and blank lines; errors name the line."""
     order: Optional[int] = None
     mu: Optional[int] = None
     labels: dict[int, int] = {}
@@ -197,7 +232,7 @@ def parse_certificate(text: str) -> ParsedCertificate:
         raise FormatError("line 1: missing 'certificate' header")
     if mu is None:
         raise FormatError("line 1: missing 'mu' line")
-    if sorted(labels) != list(range(order)):
+    if len(labels) != order:  # each labeled vertex is in range and labeled once
         raise FormatError("line 1: label lines must cover vertices 0..N-1 exactly")
     return ParsedCertificate(order, mu, tuple(labels[v] for v in range(order)), tuple(arcs))
 

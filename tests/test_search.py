@@ -616,6 +616,16 @@ def test_a_connected_2_regular_graph_is_transitive_at_once():
     started = perf_counter()
     assert search._vertex_transitive(cycle(2000))
     assert perf_counter() - started < 0.1
+    # unions of cycles are answered from their lengths, without refinement
+    for lengths, transitive in (([1000, 1000], True), ([1000, 1001], False)):
+        edges, start = [], 0
+        for k in lengths:
+            edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+            start += k
+        g = UndirectedGraph.from_edges(start, edges)
+        started = perf_counter()
+        assert search._vertex_transitive(g) is transitive, lengths
+        assert perf_counter() - started < 0.1
     # every 2-regular graph of order at most 8, as unions of cycles, renumbered
     rng = random.Random(3)
     for lengths in ([3], [4], [5], [6], [3, 3], [7], [3, 4], [8], [4, 4], [3, 5]):

@@ -1,0 +1,136 @@
+"""The bulk readers of graph and certificate text against the line readers.
+
+parse_graph and parse_certificate read text exactly as dmagic writes it in
+bulk, and hand any other text to the line readers.  Whatever the text, the
+two must agree: the same result, or a FormatError with the same message.
+"""
+
+import tracemalloc
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dmagic import graphs, verifier
+from dmagic.cli import main
+from dmagic.constructors import construct_case1, kmokn_graph
+from dmagic.graphs import FormatError, Orientation, UndirectedGraph, graph_to_text, parse_graph
+from dmagic.verifier import Labeling, MagicCertificate, certificate_to_text, parse_certificate
+
+
+def graphs_on(n):
+    if n == 0:
+        return st.just(UndirectedGraph(0, ()))
+    edges = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return st.lists(edges, max_size=12).map(lambda edges: UndirectedGraph.from_edges(n, edges))
+
+
+small_graphs = st.integers(0, 8).flatmap(graphs_on)
+
+
+@st.composite
+def certificate_texts(draw):
+    """The text of a random oriented, labeled graph; the labeling need not be magic."""
+    g = draw(small_graphs.filter(lambda g: g.vertex_count > 0))
+    n = g.vertex_count
+    bits = tuple(draw(st.lists(st.integers(0, 1), min_size=len(g.edges), max_size=len(g.edges))))
+    labels = tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    mu = draw(st.integers(-2 * n, 2 * n))
+    return certificate_to_text(MagicCertificate(g, Orientation(g, bits), Labeling(n, labels), mu))
+
+
+@st.composite
+def edited(draw, texts):
+    """A dmagic text, unchanged (None) or with one edit of the kind named."""
+    text = draw(texts)
+    lines = text.split("\n")[:-1]
+    kind = draw(st.sampled_from([None, "digit", "drop", "duplicate", "swap", "space",
+                                 "comment", "blank", "crlf", "count"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if kind == "digit":
+        digits = [i for i, c in enumerate(text) if c.isdigit()]
+        i = draw(st.sampled_from(digits))
+        return kind, text[:i] + draw(st.sampled_from("0123456789")) + text[i + 1:]
+    if kind == "space":
+        i = draw(st.sampled_from([i for i, c in enumerate(text) if c == " "]))
+        return kind, text[:i] + " " + text[i:]
+    if kind == "crlf":
+        return kind, text.replace("\n", "\r\n")
+    if kind == "count":  # the last header field, the edge count or the order, off by one
+        head, _, rest = text.partition("\n")
+        *words, count = head.split(" ")
+        count = str(int(count) + draw(st.sampled_from([-1, 1])))
+        return kind, " ".join(words + [count]) + "\n" + rest
+    if kind == "drop":
+        del lines[at]
+    elif kind == "duplicate":
+        lines.insert(at, lines[at])
+    elif kind == "swap":
+        other = draw(st.integers(0, len(lines) - 1))
+        lines[at], lines[other] = lines[other], lines[at]
+    elif kind in ("comment", "blank"):
+        lines.insert(at, "# an edit" if kind == "comment" else "")
+    return kind, "".join(line + "\n" for line in lines)
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except FormatError as err:
+        return f"FormatError: {err}"
+
+
+def assert_readers_agree(kind, text, read, module, line_reader):
+    expected = outcome(getattr(module, line_reader), text)
+    if kind is None:  # dmagic's own text: the line reader must not be needed
+        with mock.patch.object(module, line_reader, side_effect=AssertionError("line reader")):
+            assert read(text) == expected
+    else:
+        assert outcome(read, text) == expected, (kind, text)
+
+
+@settings(max_examples=300)
+@given(edited(small_graphs.map(graph_to_text)))
+def test_graph_readers_agree_on_edited_text(edit):
+    assert_readers_agree(*edit, parse_graph, graphs, "_parse_graph_lines")
+
+
+@settings(max_examples=300)
+@given(edited(certificate_texts()))
+def test_certificate_readers_agree_on_edited_text(edit):
+    assert_readers_agree(*edit, parse_certificate, verifier, "_parse_certificate_lines")
+
+
+def test_construct_output_is_read_in_bulk(tmp_path, capsys, monkeypatch):
+    # a silent fall back to the line readers on dmagic's own files fails here
+    graph_file, cert_file = tmp_path / "k54.graph", tmp_path / "k54.cert"
+    assert main(["construct", "--family", "kmokn", "--m", "5", "--n", "4",
+                 "--graph-out", str(graph_file), "--cert-out", str(cert_file)]) == 0
+    for module, line_reader in ((graphs, "_parse_graph_lines"), (verifier, "_parse_certificate_lines")):
+        monkeypatch.setattr(module, line_reader, mock.Mock(side_effect=AssertionError("line reader")))
+    assert parse_graph(graph_file.read_text()) == kmokn_graph(5, 4)
+    assert parse_certificate(cert_file.read_text()).order == 20
+    capsys.readouterr()
+    assert main(["verify", "--graph", str(graph_file), "--cert", str(cert_file)]) == 0
+    assert capsys.readouterr().out.strip() == "magic mu=10"
+
+
+def traced_peak(read, text):
+    tracemalloc.start()
+    try:
+        read(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("to_text, read, line_reader", [
+    (lambda cert: graph_to_text(cert.graph), parse_graph, graphs._parse_graph_lines),
+    (certificate_to_text, parse_certificate, verifier._parse_certificate_lines),
+])
+def test_bulk_read_peaks_no_higher_than_the_line_reader(to_text, read, line_reader):
+    # K3[88]: 23,232 edges on 264 vertices, so most numerals are above the
+    # small ints Python shares; reading the whole text in one split would
+    # hold three strings per line at once and peak above the line reader
+    text = to_text(construct_case1(3, 88))
+    assert traced_peak(read, text) <= traced_peak(line_reader, text)

@@ -24,6 +24,10 @@ from dmagic.verifier import (
 from oracles import brute_weights, reversed_orientation, scaled, units
 
 
+CERT2 = ("certificate 2\n"
+         "# weight convention: in-neighbor labels add, out-neighbor labels subtract\nmu 0\n")
+
+
 def oriented_triangle():
     g = cycle(3)
     # arcs 0 -> 1 -> 2 -> 0 over edges (0,1), (0,2), (1,2)
@@ -142,6 +146,12 @@ def test_certificate_text_exact_form():
     ("certificate 3\nmu 0\nl 0 0\nl 0 1\nl 2 2\n", 4),
     ("certificate x\n", 1),
     ("mu 0\n", 1),
+    ("certificate 1000000000000\nmu 0\n", 1),  # the header alone must not size memory
+    # written as dmagic writes certificates, so read in bulk up to the range checks
+    (CERT2 + "l 0 0\nl 1 2\na 0 1\n", 5),
+    (CERT2 + "l 0 0\nl 1 1\na 0 2\n", 6),
+    (CERT2 + "l 0 0\nl 1 1\na 1 1\n", 6),
+    (CERT2.replace("2", "0", 1), 1),
 ])
 def test_certificate_parse_errors_name_the_line(text, line):
     with pytest.raises(FormatError) as err:
