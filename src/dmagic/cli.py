@@ -7,12 +7,18 @@ proven no (or a certificate that fails verification), 2 means undecided, bad
 input, or a usage error, and 3 means an internal error: a defect in dmagic,
 never a verdict.  An answer line's exit code is read off its first word in
 ANSWER_EXIT, the one place where answers are mapped to exit codes.
+
+The parser is built once per process, at the first call of main, and reused
+by every later call.  Its handlers are bound then, so a test should patch the
+module-level names the handlers call (decide_existence, decide_kmokn, ...),
+not the _cmd_* functions.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -218,6 +224,7 @@ def _add_output_option(parser: argparse.ArgumentParser) -> None:
                         help="write to FILE atomically instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dmagic",

@@ -16,6 +16,7 @@ keep the bulk peak below the line reader's, which holds every line at once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -105,7 +106,10 @@ def regularity(graph: UndirectedGraph) -> Optional[int]:
     """The common degree r if the graph is r-regular, else None."""
     if graph.vertex_count == 0:
         return 0
-    degrees = {graph.degree(v) for v in range(graph.vertex_count)}
+    counts = Counter(chain.from_iterable(graph.edges))  # no incidence lists
+    degrees = set(counts.values())
+    if len(counts) < graph.vertex_count:
+        degrees.add(0)  # isolated vertices
     if len(degrees) == 1:
         return degrees.pop()
     return None

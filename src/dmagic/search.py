@@ -271,11 +271,13 @@ def _vertex_transitive(graph: UndirectedGraph, deadline: Optional[float] = None)
     graph needs no search: it is a union of cycles, and it is transitive
     exactly when they all have one length, as rotations and swaps of equal
     cycles then map 0 onto every vertex, and an automorphism keeps the
-    length of the cycle through a vertex.
+    length of the cycle through a vertex.  The walk reads each vertex once,
+    so it runs however far one refinement round would pass the work cap.
     """
     n = graph.vertex_count
     work, cost = _AUTOMORPHISM_CAP, 2 * (n + 2 * len(graph.edges))  # cost: one round
-    if cost > work or (degree := regularity(graph)) is None:
+    # a regular graph with as many edges as vertices is 2-regular: it takes the walk
+    if (cost > work and len(graph.edges) != n) or (degree := regularity(graph)) is None:
         return False
     nbrs = [graph.neighbors(v) for v in range(n)]
     if degree == 2:  # walk each cycle; the other neighbour of v is the sum less prev

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,8 +11,10 @@ from time import perf_counter
 
 import pytest
 
+from dmagic import cli
 from dmagic.cli import main
-from dmagic.graphs import parse_graph, prism
+from dmagic.graphs import complete, graph_to_text, parse_graph, prism
+from dmagic.search import SearchConfig
 from dmagic.verifier import parse_certificate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -307,6 +311,46 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "internal error: RuntimeError: injected defect" in err
+
+
+def test_later_calls_reuse_the_parser_and_keep_nothing_between_calls(tmp_path, capsys,
+                                                                     monkeypatch):
+    k5, cert, k6 = tmp_path / "k5.graph", tmp_path / "k5.cert", tmp_path / "k6.graph"
+    code, out, _ = run(capsys, "construct", "--family", "complete", "--n", "5",
+                       "--graph-out", str(k5), "--cert-out", str(cert))
+    assert (code, out) == (0, "magic mu=4\n")
+    k6.write_text(graph_to_text(complete(6)))
+    configs, decide_existence = [], cli.decide_existence
+
+    def recording(graph, config):
+        configs.append(config)
+        return decide_existence(graph, config)
+
+    monkeypatch.setattr("dmagic.cli.decide_existence", recording)
+
+    def calls():
+        results = [run(capsys, "verify", "--graph", str(k5), "--cert", str(cert)),
+                   run(capsys, "obstruct", "--graph", str(k6))]
+        for options in (["--threads", "2", "--no-parity-prune", "--seed", "3"], []):
+            code, out, err = run(capsys, "search", "--graph", str(k5), *options)
+            results.append((code, re.sub(r" time_ms=\S+", "", out), err))
+        for argv in (["--version"], []):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            results.append((exit_info.value.code, *capsys.readouterr()))
+        return results
+
+    before = calls()
+    assert [r[0] for r in before] == [0, 1, 0, 0, 0, 2]
+    assert before[:2] == [(0, "magic mu=4\n", ""), (1, "not-magic theorem1 r=5 order=6\n", "")]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a later call built a new parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert calls() == before
+    optioned = SearchConfig(workers=2, parity_prune=False, seed=3)
+    assert configs == [optioned, SearchConfig(), optioned, SearchConfig()]
 
 
 def test_obstruct(tmp_path, capsys):

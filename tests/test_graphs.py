@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -43,6 +45,22 @@ def test_path_and_cycle():
     assert regularity(path(4)) is None
     with pytest.raises(ValueError):
         cycle(2)
+
+
+def test_regularity_is_the_common_degree_of_every_vertex():
+    # random graphs of order 0-9, isolated vertices and edgeless graphs included
+    rng = random.Random(5)
+    for n in range(10):
+        for density in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
+            for _ in range(20):
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if rng.random() < density]
+                g = UndirectedGraph(n, tuple(edges))
+                degrees = {sum(v in e for e in edges) for v in range(n)}
+                expected = 0 if n == 0 else degrees.pop() if len(degrees) == 1 else None
+                assert regularity(g) == expected, (n, edges)
+    assert regularity(UndirectedGraph(3, ((0, 1),))) is None  # vertex 2 has degree 0
+    assert regularity(UndirectedGraph(4, ((0, 1), (2, 3)))) == 1
 
 
 def test_complete_multipartite_counts():

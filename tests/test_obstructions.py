@@ -3,6 +3,7 @@ from time import perf_counter
 import pytest
 
 from dmagic import gf2
+from dmagic.constructors import kmokn_graph
 from dmagic.graphs import (
     UndirectedGraph,
     complete,
@@ -30,6 +31,12 @@ def test_theorem1_applies_to_odd_regular_orders_2_mod_4():
     cert = theorem1_check(complete(6))
     assert cert is not None and cert.details["r"] == 5
     assert theorem1_check(complete_multipartite([3, 3])) is not None
+
+
+def test_theorem1_counts_degrees_without_incidence_lists():
+    g = kmokn_graph(14, 15)
+    assert theorem1_check(g).details == {"r": 195, "order": 210}
+    assert "_incidence" not in g.__dict__
 
 
 def test_theorem1_does_not_apply_elsewhere():

@@ -616,6 +616,9 @@ def test_a_connected_2_regular_graph_is_transitive_at_once():
     started = perf_counter()
     assert search._vertex_transitive(cycle(2000))
     assert perf_counter() - started < 0.1
+    # one refinement round on cycle(200000) reads 6 * 200000 colours, past the
+    # work cap, but the walk needs no round
+    assert search._vertex_transitive(cycle(200000))
     # unions of cycles are answered from their lengths, without refinement
     for lengths, transitive in (([1000, 1000], True), ([1000, 1001], False)):
         edges, start = [], 0
