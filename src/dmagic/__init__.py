@@ -62,6 +62,7 @@ from .verifier import (
     bind_certificate,
     certificate_to_text,
     parse_certificate,
+    read_certificate,
     verify,
 )
 from .zero_sum import (
@@ -85,7 +86,7 @@ __all__ = [
     "validate_partition", "symmetric_set",
     "Labeling", "MagicCertificate", "Violation", "NotALabelingError",
     "verify", "all_weights",
-    "certificate_to_text", "parse_certificate", "bind_certificate",
+    "certificate_to_text", "parse_certificate", "bind_certificate", "read_certificate",
     "FamilyDecision", "STATUS_MAGIC", "STATUS_NOT_MAGIC",
     "construct_complete", "construct_empty", "construct_case1", "construct_case2",
     "case2_expected_mu", "decide_kmokn", "kmokn_graph",

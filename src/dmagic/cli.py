@@ -45,9 +45,8 @@ from .obstructions import parity_feasibility, theorem1_check
 from .search import SearchConfig, decide_existence
 from .verifier import (
     Violation,
-    bind_certificate,
     certificate_to_text,
-    parse_certificate,
+    read_certificate,
     verify,
 )
 from .zero_sum import zero_sum_partition
@@ -135,8 +134,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
-    parsed = parse_certificate(Path(args.certificate).read_text())
-    orientation, labeling, claimed_mu = bind_certificate(parsed, graph)
+    orientation, labeling, claimed_mu = read_certificate(Path(args.certificate).read_text(), graph)
     result = verify(graph, orientation, labeling)
     if isinstance(result, Violation):
         return _answer(f"violation vertex={result.vertex} weight={result.weight} "

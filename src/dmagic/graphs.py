@@ -19,9 +19,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import getitem, itemgetter, lt
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, compress, repeat
+from operator import eq, getitem, itemgetter, lt, ne, xor
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "FormatError",
@@ -131,23 +131,25 @@ class Orientation:
             raise ValueError(
                 f"expected {len(self.graph.edges)} orientation bits, got {len(self.bits)}"
             )
-        if any(b not in (0, 1) for b in self.bits):
+        if self.bits.count(0) + self.bits.count(1) != len(self.bits):  # b == 0 or b == 1, in bulk
             raise ValueError("orientation bits must be 0 or 1")
 
     def arcs(self) -> List[Tuple[int, int]]:
         """(tail, head) per edge, in canonical edge order."""
-        edges = self.graph.edges
-        return list(map(getitem, zip(edges, map(_REVERSED, edges)), self.bits))
+        ends = iter(_arc_ends(self.graph.edges, self.bits))
+        return list(zip(ends, ends))
 
     @classmethod
     def from_arcs(cls, graph: UndirectedGraph, arcs: Iterable[Tuple[int, int]]) -> "Orientation":
         """Build an orientation from (tail, head) pairs covering each edge once."""
-        arcs = list(arcs)
+        arcs, edges = list(arcs), graph.edges
+        if len(arcs) == len(edges):  # certificates list arcs in canonical edge order
+            flips = list(map(ne, arcs, edges))
+            if all(map(eq, compress(arcs, flips), map(_REVERSED, compress(edges, flips)))):
+                return cls(graph, tuple(bytes(flips)))  # the bools as ints 0 and 1
         keys = [(tail, head) if tail < head else (head, tail) for tail, head in arcs]
-        if tuple(keys) == graph.edges:  # in canonical edge order, as certificates list them
-            return cls(graph, tuple([int(tail > head) for tail, head in arcs]))
-        index = {e: i for i, e in enumerate(graph.edges)}
-        bits: List[Optional[int]] = [None] * len(graph.edges)
+        index = {e: i for i, e in enumerate(edges)}
+        bits: List[Optional[int]] = [None] * len(edges)
         for (tail, head), key in zip(arcs, keys):
             if key not in index:
                 raise ValueError(f"arc ({tail}, {head}) is not an edge of the graph")
@@ -155,12 +157,20 @@ class Orientation:
             if bits[i] is not None:
                 raise ValueError(f"edge {key} oriented twice")
             bits[i] = 0 if (tail, head) == key else 1
-        missing = [graph.edges[i] for i, b in enumerate(bits) if b is None]
+        missing = [edges[i] for i, b in enumerate(bits) if b is None]
         if missing:
             # name a few: a certificate without arcs on a large graph misses them all
             shown = ", ".join(map(str, missing[:3])) + (", ..." if len(missing) > 3 else "")
             raise ValueError(f"{len(missing)} edges left unoriented: {shown}")
         return cls(graph, tuple(b for b in bits if b is not None))
+
+
+def _arc_ends(edges: Sequence[Tuple[int, int]], bits: Sequence[int]) -> List[int]:
+    """Tail, head, tail, head, ... of the arcs that bits orient edges into."""
+    ends = [0] * (2 * len(bits))
+    ends[::2] = map(getitem, edges, bits)
+    ends[1::2] = map(getitem, edges, map(xor, bits, repeat(1)))
+    return ends
 
 
 def complete(n: int) -> UndirectedGraph:
@@ -273,23 +283,25 @@ def graph_to_text(graph: UndirectedGraph) -> str:
             + "e %d %d\n" * len(edges) % tuple(chain.from_iterable(edges)))
 
 
-def _bulk_read(text: str, header_lines: int) -> Tuple[List[str], List[Tuple[int, int]]]:
-    """The words of the first header_lines lines, then the int pairs of the
-    'x a b' lines after them, split a bounded chunk of whole lines at a time;
-    ValueError where such a field is not an integer.  The words x are not read:
-    callers keep what they build only if it writes back to text exactly.
+def _bulk_chunks(text: str, start: int) -> Iterator[Tuple[List[str], Callable[[str], int]]]:
+    """The words of text from offset start, split a bounded chunk of whole
+    lines at a time, each chunk with the int of its numerals (ValueError for
+    a word that is not one).  Callers read the 'x a b' lines of dmagic's files
+    by stride and keep what they build only if it writes back to text exactly,
+    so the words x are never read.
     """
-    start = 0
-    for _ in range(header_lines):
-        start = text.find("\n", start) + 1 or len(text)
-    head = text[:start].split()
-    pairs: List[Tuple[int, int]] = []
     while start < len(text):
         stop = text.find("\n", start + _CHUNK) + 1 or len(text)
-        fields, value = text[start:stop].split(), _Numerals().__getitem__
-        pairs.extend(zip(map(value, fields[1::3]), map(value, fields[2::3])))
+        yield text[start:stop].split(), _Numerals().__getitem__
         start = stop
-    return head, pairs
+
+
+def _bulk_pairs(text: str, start: int) -> List[Tuple[int, int]]:
+    """The int pairs (a, b) of the 'x a b' lines of text from offset start."""
+    pairs: List[Tuple[int, int]] = []
+    for fields, value in _bulk_chunks(text, start):
+        pairs.extend(zip(map(value, fields[1::3]), map(value, fields[2::3])))
+    return pairs
 
 
 class _Numerals(dict):
@@ -308,8 +320,9 @@ def parse_graph(text: str) -> UndirectedGraph:
     graph_to_text writes it is read in bulk; see the module docstring.
     """
     try:
-        (_, vertices, _), edges = _bulk_read(text, 1)
-        graph = UndirectedGraph(int(vertices), tuple(edges))
+        start = text.find("\n") + 1 or len(text)
+        _, vertices, _ = text[:start].split()
+        graph = UndirectedGraph(int(vertices), tuple(_bulk_pairs(text, start)))
     except ValueError:
         return _parse_graph_lines(text)
     return graph if graph_to_text(graph) == text else _parse_graph_lines(text)

@@ -11,16 +11,28 @@ are kept only if they pass the line reader's range checks and write back to
 the input exactly.  That guard is sound because the line reader reads the
 text written from any fields that pass its checks back into those fields.
 All other text, and every error message, is the line reader's.
+
+read_certificate reads a certificate against the graph it is bound to, as
+bind_certificate(parse_certificate(text), graph) does, but builds no arc: it
+reads only the tail of each arc line, takes bit i as whether that tail
+differs from the tail of edge i, and keeps the result only if the
+certificate of that graph, those bits, the labels and mu writes back to the
+input exactly.  That guard is sound too: the line reader reads that text
+back into the same order, mu and labels, and into the graph's edges, in
+canonical order, oriented by those bits, which bind_certificate binds to
+exactly those bits.  Any other text, or a graph the text does not fit, goes
+through bind_certificate(parse_certificate(text), graph) itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter, ne
+from operator import ne
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .graphs import FormatError, Orientation, UndirectedGraph, _bulk_read
+from .graphs import (FormatError, Orientation, UndirectedGraph, _TAIL, _arc_ends, _bulk_chunks,
+                     _bulk_pairs)
 
 __all__ = [
     "NotALabelingError",
@@ -34,6 +46,7 @@ __all__ = [
     "ParsedCertificate",
     "parse_certificate",
     "bind_certificate",
+    "read_certificate",
 ]
 
 _CONVENTION_LINE = "# weight convention: in-neighbor labels add, out-neighbor labels subtract"
@@ -86,9 +99,10 @@ def all_weights(graph: UndirectedGraph, orientation: Orientation, labeling: Labe
     w = [0] * n
     lab = labeling.labels
     for (u, v), b in zip(graph.edges, orientation.bits):
-        tail, head = (u, v) if b == 0 else (v, u)
-        w[head] += lab[tail]
-        w[tail] -= lab[head]
+        if b:  # the arc v -> u
+            u, v = v, u
+        w[v] += lab[u]
+        w[u] -= lab[v]
     return [x % mod for x in w]
 
 
@@ -130,15 +144,34 @@ def verified(graph: UndirectedGraph, orientation: Orientation, labeling: Labelin
 
 def certificate_to_text(cert: MagicCertificate) -> str:
     """Canonical certificate text; arcs follow the canonical edge order."""
-    ends = tuple(chain.from_iterable(cert.orientation.arcs()))
+    orientation = cert.orientation
+    ends = _arc_ends(orientation.graph.edges, orientation.bits)
     return _certificate_text(cert.labeling.modulus, cert.mu, cert.labeling.labels, ends)
 
 
-def _certificate_text(order: int, mu: int, labels: Sequence[int], ends: Tuple[int, ...]) -> str:
+def _certificate_text(order: int, mu: int, labels: Sequence[int], ends: Sequence[int]) -> str:
     """The text of a certificate whose arcs, flattened, are tail, head, tail, ..."""
     return (f"certificate {order}\n{_CONVENTION_LINE}\nmu {mu}\n"
             + "l %d %d\n" * len(labels) % tuple(chain.from_iterable(enumerate(labels)))
-            + "a %d %d\n" * (len(ends) // 2) % ends)
+            + "a %d %d\n" * (len(ends) // 2) % tuple(ends))
+
+
+def _bulk_head(text: str) -> Tuple[int, int, Tuple[int, ...], int]:
+    """Order, mu, labels and the offset of the first arc line, read from text
+    laid out as certificate_to_text writes it; ValueError where a field is not
+    an integer or the labels are not one residue mod order per vertex.  The
+    bulk readers share it and differ only in how they read the arc lines.
+    """
+    start = 0
+    for _ in range(3):  # the header, the weight convention and mu
+        start = text.find("\n", start) + 1 or len(text)
+    _, order, *_, mu = text[:start].split()
+    order, mu = int(order), int(mu)
+    arcs = text.find("\na ", start - 1) + 1 or len(text)
+    labels = tuple(map(int, text[start:arcs].split()[2::3]))
+    if not (0 < order == len(labels) and 0 <= min(labels) and max(labels) < order):
+        raise ValueError("not the labels of a certificate")
+    return order, mu, labels, arcs
 
 
 @dataclass(frozen=True)
@@ -158,14 +191,12 @@ def parse_certificate(text: str) -> ParsedCertificate:
     module docstring.
     """
     try:
-        (_, order, *_, mu), pairs = _bulk_read(text, 3)
-        order, mu = int(order), int(mu)
+        order, mu, labels, start = _bulk_head(text)
+        arcs = tuple(_bulk_pairs(text, start))
     except ValueError:
         return _parse_certificate_lines(text)
-    labels, arcs = tuple(map(itemgetter(1), pairs[:order])), tuple(pairs[order:])
     ends = tuple(chain.from_iterable(arcs))
-    if (0 < order == len(labels) and 0 <= min(labels) and max(labels) < order
-            and 0 <= min(ends, default=0) and max(ends, default=0) < order
+    if (0 <= min(ends, default=0) and max(ends, default=0) < order
             and all(map(ne, ends[::2], ends[1::2]))
             and _certificate_text(order, mu, labels, ends) == text):
         return ParsedCertificate(order, mu, labels, arcs)
@@ -251,3 +282,23 @@ def bind_certificate(parsed: ParsedCertificate,
     orientation = Orientation.from_arcs(graph, parsed.arcs)
     labeling = Labeling(parsed.order, parsed.labels)
     return orientation, labeling, parsed.mu % parsed.order
+
+
+def read_certificate(text: str, graph: UndirectedGraph) -> Tuple[Orientation, Labeling, int]:
+    """bind_certificate(parse_certificate(text), graph): the same result, or
+    the same error.  Text exactly as certificate_to_text writes it for this
+    graph is read in one bulk pass that builds no arc; see the module docstring.
+    """
+    edges = graph.edges
+    try:
+        order, mu, labels, start = _bulk_head(text)
+        tails: List[int] = []
+        for fields, value in _bulk_chunks(text, start):
+            tails.extend(map(value, fields[1::3]))
+    except ValueError:
+        return bind_certificate(parse_certificate(text), graph)
+    if order == graph.vertex_count and len(tails) == len(edges):
+        bits = tuple(bytes(map(ne, tails, map(_TAIL, edges))))  # the bools as ints 0 and 1
+        if _certificate_text(order, mu, labels, _arc_ends(edges, bits)) == text:
+            return Orientation(graph, bits), Labeling(order, labels), mu % order
+    return bind_certificate(parse_certificate(text), graph)

@@ -3,8 +3,11 @@
 parse_graph and parse_certificate read text exactly as dmagic writes it in
 bulk, and hand any other text to the line readers.  Whatever the text, the
 two must agree: the same result, or a FormatError with the same message.
+read_certificate reads a certificate against a graph in bulk, and must agree
+with bind_certificate(parse_certificate(text), graph) in the same way.
 """
 
+import contextlib
 import tracemalloc
 from unittest import mock
 
@@ -13,9 +16,16 @@ from hypothesis import given, settings, strategies as st
 
 from dmagic import graphs, verifier
 from dmagic.cli import main
-from dmagic.constructors import construct_case1, kmokn_graph
+from dmagic.constructors import construct_case1, construct_complete, kmokn_graph
 from dmagic.graphs import FormatError, Orientation, UndirectedGraph, graph_to_text, parse_graph
-from dmagic.verifier import Labeling, MagicCertificate, certificate_to_text, parse_certificate
+from dmagic.verifier import (
+    Labeling,
+    MagicCertificate,
+    bind_certificate,
+    certificate_to_text,
+    parse_certificate,
+    read_certificate,
+)
 
 
 def graphs_on(n):
@@ -29,14 +39,39 @@ small_graphs = st.integers(0, 8).flatmap(graphs_on)
 
 
 @st.composite
-def certificate_texts(draw):
-    """The text of a random oriented, labeled graph; the labeling need not be magic."""
+def certificates(draw):
+    """A random graph and the certificate text of an orientation and labeling
+    of it; the labeling need not be magic."""
     g = draw(small_graphs.filter(lambda g: g.vertex_count > 0))
     n = g.vertex_count
     bits = tuple(draw(st.lists(st.integers(0, 1), min_size=len(g.edges), max_size=len(g.edges))))
     labels = tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
     mu = draw(st.integers(-2 * n, 2 * n))
-    return certificate_to_text(MagicCertificate(g, Orientation(g, bits), Labeling(n, labels), mu))
+    return g, certificate_to_text(MagicCertificate(g, Orientation(g, bits), Labeling(n, labels), mu))
+
+
+def certificate_texts():
+    return certificates().map(lambda cert: cert[1])
+
+
+@st.composite
+def misfits(draw, g):
+    """g itself, or a graph a certificate of g does not fit: one edge moved,
+    the order one more or one less, or no edges."""
+    n, edges = g.vertex_count, g.edges
+    kind = draw(st.sampled_from(["own", "moved", "order+1", "order-1", "no edges"]))
+    if kind == "moved":
+        non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+        if edges and non_edges:
+            i, moved = draw(st.integers(0, len(edges) - 1)), draw(st.sampled_from(non_edges))
+            return UndirectedGraph.from_edges(n, edges[:i] + edges[i + 1:] + (moved,))
+    if kind == "order+1":
+        return UndirectedGraph(n + 1, edges)
+    if kind == "order-1":
+        return UndirectedGraph.from_edges(n - 1, [e for e in edges if e[1] < n - 1])
+    if kind == "no edges":
+        return UndirectedGraph(n, ())
+    return g
 
 
 @st.composite
@@ -101,6 +136,52 @@ def test_certificate_readers_agree_on_edited_text(edit):
     assert_readers_agree(*edit, parse_certificate, verifier, "_parse_certificate_lines")
 
 
+def parse_then_bind(text, graph):
+    return bind_certificate(parse_certificate(text), graph)
+
+
+def bound(read, text, graph):
+    try:
+        return read(text, graph)
+    except ValueError as err:  # FormatError among them
+        return f"{type(err).__name__}: {err}"
+
+
+# read_certificate's way round the bulk read, and the line reader under it
+ROUND_THE_BULK_READ = ("parse_certificate", "bind_certificate", "_parse_certificate_lines")
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_read_certificate_is_bind_of_parse_on_edited_text_and_misfit_graphs(data):
+    g, text = data.draw(certificates())
+    kind, text = data.draw(edited(st.just(text)))
+    graph = data.draw(misfits(g))
+    expected = bound(parse_then_bind, text, graph)
+    if kind is None and graph == g:  # a certificate of this graph: the bulk read must take it
+        with contextlib.ExitStack() as stack:
+            for name in ROUND_THE_BULK_READ:
+                stack.enter_context(mock.patch.object(verifier, name, side_effect=AssertionError(name)))
+            assert read_certificate(text, graph) == expected
+    else:
+        assert bound(read_certificate, text, graph) == expected, (kind, graph, text)
+
+
+@pytest.mark.parametrize("cut", [
+    lambda lines: lines[:-1],                    # the last arc missing
+    lambda lines: lines + lines[-1:],            # the last arc twice
+    lambda lines: lines[:-2] + lines[:-3:-1],    # the last two arcs swapped
+])
+def test_read_certificate_is_bind_of_parse_on_arcs_cut_or_added_at_the_end(cut):
+    # K5's arcs cut short, one too many, or out of edge order: the first
+    # still writes back from the arcs it holds, so only their count against
+    # the graph's edges tells it from a certificate of K5
+    cert = construct_complete(5)
+    lines = certificate_to_text(cert).splitlines(keepends=True)
+    text = "".join(cut(lines))
+    assert bound(read_certificate, text, cert.graph) == bound(parse_then_bind, text, cert.graph)
+
+
 def test_construct_output_is_read_in_bulk(tmp_path, capsys, monkeypatch):
     # a silent fall back to the line readers on dmagic's own files fails here
     graph_file, cert_file = tmp_path / "k54.graph", tmp_path / "k54.cert"
@@ -110,6 +191,8 @@ def test_construct_output_is_read_in_bulk(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(module, line_reader, mock.Mock(side_effect=AssertionError("line reader")))
     assert parse_graph(graph_file.read_text()) == kmokn_graph(5, 4)
     assert parse_certificate(cert_file.read_text()).order == 20
+    for name in ROUND_THE_BULK_READ:  # dmagic verify reads a certificate in one bulk pass
+        monkeypatch.setattr(verifier, name, mock.Mock(side_effect=AssertionError(name)))
     capsys.readouterr()
     assert main(["verify", "--graph", str(graph_file), "--cert", str(cert_file)]) == 0
     assert capsys.readouterr().out.strip() == "magic mu=10"
@@ -134,3 +217,11 @@ def test_bulk_read_peaks_no_higher_than_the_line_reader(to_text, read, line_read
     # hold three strings per line at once and peak above the line reader
     text = to_text(construct_case1(3, 88))
     assert traced_peak(read, text) <= traced_peak(line_reader, text)
+
+
+def test_read_certificate_peaks_no_higher_than_parse_then_bind():
+    # K3[88] again: reading only the tails builds no pair per arc
+    cert = construct_case1(3, 88)
+    g, text = cert.graph, certificate_to_text(cert)
+    assert (traced_peak(lambda text: read_certificate(text, g), text)
+            <= traced_peak(lambda text: parse_then_bind(text, g), text))
