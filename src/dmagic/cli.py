@@ -22,7 +22,6 @@ import functools
 import io
 import os
 import sys
-import tempfile
 import traceback
 from pathlib import Path
 from time import perf_counter
@@ -75,7 +74,9 @@ def _write_text(target: Optional[str], text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(target)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dmagic.")
+    tmp = os.path.join(directory, f".dmagic.{os.urandom(8).hex()}")
+    # mode 0666 less the umask, as open() gives; mkstemp would give 0600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

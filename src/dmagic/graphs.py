@@ -4,14 +4,15 @@ Vertices are 0-based integers.  Edge lists are kept canonical: every pair is
 stored as (u, v) with u < v, deduplicated and sorted lexicographically, so
 equal graphs compare equal and file output is byte-stable.
 
-Text is read two ways.  dmagic's own files are read in bulk, the integers
-taken a bounded chunk of lines at a time, and the graph built from them is
-kept only if writing it gives back the input exactly.  That guard is sound:
-the line reader reads what graph_to_text writes back into the same graph,
-so it would read the input into that graph too.  Any other text (comments,
-blank lines, other spacing, errors) goes to the line reader, the one reader
-of hand-written files and the one source of error messages.  The chunks
-keep the bulk peak below the line reader's, which holds every line at once.
+Graph text is read two ways.  dmagic's own graph files are read in bulk,
+the integers taken a bounded chunk of lines at a time, and the graph built
+from them is kept only if writing it gives back the input exactly.  That
+guard is sound: the line reader reads what graph_to_text writes back into
+the same graph, so it would read the input into that graph too.  Any other
+text (comments, blank lines, other spacing, errors) goes to the line reader,
+the one reader of hand-written files and the one source of error messages.
+The chunks keep the bulk peak below the line reader's, which holds every
+line at once.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
-from operator import eq, getitem, itemgetter, lt, ne, xor
+from itertools import chain, repeat
+from operator import getitem, itemgetter, lt, xor
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -45,7 +46,7 @@ class FormatError(ValueError):
     """Raised for malformed text input; the message names the offending line."""
 
 
-_TAIL, _HEAD, _REVERSED = itemgetter(0), itemgetter(1), itemgetter(1, 0)
+_TAIL, _HEAD = itemgetter(0), itemgetter(1)
 _CHUNK = 1 << 16  # characters of text read at once in bulk, then on to a line end
 
 
@@ -142,15 +143,11 @@ class Orientation:
     @classmethod
     def from_arcs(cls, graph: UndirectedGraph, arcs: Iterable[Tuple[int, int]]) -> "Orientation":
         """Build an orientation from (tail, head) pairs covering each edge once."""
-        arcs, edges = list(arcs), graph.edges
-        if len(arcs) == len(edges):  # certificates list arcs in canonical edge order
-            flips = list(map(ne, arcs, edges))
-            if all(map(eq, compress(arcs, flips), map(_REVERSED, compress(edges, flips)))):
-                return cls(graph, tuple(bytes(flips)))  # the bools as ints 0 and 1
-        keys = [(tail, head) if tail < head else (head, tail) for tail, head in arcs]
+        edges = graph.edges
         index = {e: i for i, e in enumerate(edges)}
         bits: List[Optional[int]] = [None] * len(edges)
-        for (tail, head), key in zip(arcs, keys):
+        for tail, head in arcs:
+            key = (tail, head) if tail < head else (head, tail)
             if key not in index:
                 raise ValueError(f"arc ({tail}, {head}) is not an edge of the graph")
             i = index[key]
@@ -296,14 +293,6 @@ def _bulk_chunks(text: str, start: int) -> Iterator[Tuple[List[str], Callable[[s
         start = stop
 
 
-def _bulk_pairs(text: str, start: int) -> List[Tuple[int, int]]:
-    """The int pairs (a, b) of the 'x a b' lines of text from offset start."""
-    pairs: List[Tuple[int, int]] = []
-    for fields, value in _bulk_chunks(text, start):
-        pairs.extend(zip(map(value, fields[1::3]), map(value, fields[2::3])))
-    return pairs
-
-
 class _Numerals(dict):
     """The int of each numeral, converted once: a chunk repeats few numerals."""
 
@@ -322,7 +311,10 @@ def parse_graph(text: str) -> UndirectedGraph:
     try:
         start = text.find("\n") + 1 or len(text)
         _, vertices, _ = text[:start].split()
-        graph = UndirectedGraph(int(vertices), tuple(_bulk_pairs(text, start)))
+        pairs: List[Tuple[int, int]] = []
+        for fields, value in _bulk_chunks(text, start):
+            pairs.extend(zip(map(value, fields[1::3]), map(value, fields[2::3])))
+        graph = UndirectedGraph(int(vertices), tuple(pairs))
     except ValueError:
         return _parse_graph_lines(text)
     return graph if graph_to_text(graph) == text else _parse_graph_lines(text)

@@ -629,8 +629,9 @@ def _helper(run: Tuple, conn) -> None:
 def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _Plan,
                   t0: float) -> SearchOutcome:
     """Search the root subtrees under one stop signal: in the calling process,
-    and once the run passes _POLL nodes in workers - 1 helper processes too,
-    each taking kept pairs of first two labels from one shared index.
+    and once the run passes _POLL nodes in up to workers - 1 helper processes
+    too, no more than there are pairs left, each taking kept pairs of first
+    two labels from one shared index.
 
     Under reduce, on a graph proven vertex-transitive before the first pair,
     the pairs are the first label's only (see the module docstring).  The
@@ -658,7 +659,7 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
     def add(k: int) -> bool:  # the calling process's poll also starts the helpers
         if (not _add_nodes(run, k) and not helpers and shared_nodes.value >= _POLL
                 and next_pair.value < len(pairs)):
-            for _ in range(config.workers - 1):
+            for _ in range(min(config.workers - 1, len(pairs) - next_pair.value)):
                 receive, send = multiprocessing.Pipe(duplex=False)
                 helper = multiprocessing.Process(target=_helper, args=(run, send), daemon=True)
                 helper.start()

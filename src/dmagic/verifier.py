@@ -5,23 +5,20 @@ the sum of the labels of its out-neighbors: each arc u -> v contributes +l(u)
 to w(v) and -l(v) to w(u).  A labeling is magic when every weight equals the
 same residue mu.
 
-Certificate text is read as graph text is (see the graphs module).  Text
-exactly as certificate_to_text writes it is read in bulk, and the fields read
-are kept only if they pass the line reader's range checks and write back to
-the input exactly.  That guard is sound because the line reader reads the
-text written from any fields that pass its checks back into those fields.
-All other text, and every error message, is the line reader's.
-
-read_certificate reads a certificate against the graph it is bound to, as
+Certificate text is read as graph text is (see the graphs module), by one
+bulk reader and one line reader.  parse_certificate is the line reader: any
+spacing, comments and blank lines, and every error message.  read_certificate
+is the bulk reader; dmagic verify reads every certificate through it.  It
+reads a certificate against the graph it is bound to, as
 bind_certificate(parse_certificate(text), graph) does, but builds no arc: it
 reads only the tail of each arc line, takes bit i as whether that tail
 differs from the tail of edge i, and keeps the result only if the
 certificate of that graph, those bits, the labels and mu writes back to the
-input exactly.  That guard is sound too: the line reader reads that text
-back into the same order, mu and labels, and into the graph's edges, in
-canonical order, oriented by those bits, which bind_certificate binds to
-exactly those bits.  Any other text, or a graph the text does not fit, goes
-through bind_certificate(parse_certificate(text), graph) itself.
+input exactly.  That guard is sound: the line reader reads that text back
+into the same order, mu and labels, and into the graph's edges, in canonical
+order, oriented by those bits, which bind_certificate binds to exactly those
+bits.  Any other text, or a graph the text does not fit, goes through
+bind_certificate(parse_certificate(text), graph) itself.
 """
 
 from __future__ import annotations
@@ -31,8 +28,7 @@ from itertools import chain
 from operator import ne
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .graphs import (FormatError, Orientation, UndirectedGraph, _TAIL, _arc_ends, _bulk_chunks,
-                     _bulk_pairs)
+from .graphs import FormatError, Orientation, UndirectedGraph, _TAIL, _arc_ends, _bulk_chunks
 
 __all__ = [
     "NotALabelingError",
@@ -156,24 +152,6 @@ def _certificate_text(order: int, mu: int, labels: Sequence[int], ends: Sequence
             + "a %d %d\n" * (len(ends) // 2) % tuple(ends))
 
 
-def _bulk_head(text: str) -> Tuple[int, int, Tuple[int, ...], int]:
-    """Order, mu, labels and the offset of the first arc line, read from text
-    laid out as certificate_to_text writes it; ValueError where a field is not
-    an integer or the labels are not one residue mod order per vertex.  The
-    bulk readers share it and differ only in how they read the arc lines.
-    """
-    start = 0
-    for _ in range(3):  # the header, the weight convention and mu
-        start = text.find("\n", start) + 1 or len(text)
-    _, order, *_, mu = text[:start].split()
-    order, mu = int(order), int(mu)
-    arcs = text.find("\na ", start - 1) + 1 or len(text)
-    labels = tuple(map(int, text[start:arcs].split()[2::3]))
-    if not (0 < order == len(labels) and 0 <= min(labels) and max(labels) < order):
-        raise ValueError("not the labels of a certificate")
-    return order, mu, labels, arcs
-
-
 @dataclass(frozen=True)
 class ParsedCertificate:
     """Raw fields of a certificate file, before binding to a graph."""
@@ -187,24 +165,8 @@ class ParsedCertificate:
 def parse_certificate(text: str) -> ParsedCertificate:
     """Parse the certificate text format; raises FormatError naming the bad line.
 
-    Text exactly as certificate_to_text writes it is read in bulk; see the
-    module docstring.
+    The line reader: any spacing, comments and blank lines.
     """
-    try:
-        order, mu, labels, start = _bulk_head(text)
-        arcs = tuple(_bulk_pairs(text, start))
-    except ValueError:
-        return _parse_certificate_lines(text)
-    ends = tuple(chain.from_iterable(arcs))
-    if (0 <= min(ends, default=0) and max(ends, default=0) < order
-            and all(map(ne, ends[::2], ends[1::2]))
-            and _certificate_text(order, mu, labels, ends) == text):
-        return ParsedCertificate(order, mu, labels, arcs)
-    return _parse_certificate_lines(text)
-
-
-def _parse_certificate_lines(text: str) -> ParsedCertificate:
-    """The line reader: any spacing, comments and blank lines; errors name the line."""
     order: Optional[int] = None
     mu: Optional[int] = None
     labels: dict[int, int] = {}
@@ -291,13 +253,20 @@ def read_certificate(text: str, graph: UndirectedGraph) -> Tuple[Orientation, La
     """
     edges = graph.edges
     try:
-        order, mu, labels, start = _bulk_head(text)
+        start = 0
+        for _ in range(3):  # the header, the weight convention and mu
+            start = text.find("\n", start) + 1 or len(text)
+        _, order, *_, mu = text[:start].split()
+        order, mu = int(order), int(mu)
+        arcs = text.find("\na ", start - 1) + 1 or len(text)
+        labels = tuple(map(int, text[start:arcs].split()[2::3]))
         tails: List[int] = []
-        for fields, value in _bulk_chunks(text, start):
+        for fields, value in _bulk_chunks(text, arcs):
             tails.extend(map(value, fields[1::3]))
     except ValueError:
         return bind_certificate(parse_certificate(text), graph)
-    if order == graph.vertex_count and len(tails) == len(edges):
+    if (0 < order == graph.vertex_count == len(labels) and 0 <= min(labels)
+            and max(labels) < order and len(tails) == len(edges)):
         bits = tuple(bytes(map(ne, tails, map(_TAIL, edges))))  # the bools as ints 0 and 1
         if _certificate_text(order, mu, labels, _arc_ends(edges, bits)) == text:
             return Orientation(graph, bits), Labeling(order, labels), mu % order

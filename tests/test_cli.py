@@ -4,6 +4,7 @@ import io
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +52,17 @@ def test_graph_generation(tmp_path, capsys):
     assert code == 0
     assert parse_graph(target.read_text()) == prism(4)
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".dmagic.")]
+
+
+def test_output_files_take_the_umask(tmp_path, capsys):
+    target = tmp_path / "k4.graph"
+    previous = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "graph", "--family", "complete", "--n", "4", "-o", str(target))
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
 
 
 def test_graph_to_stdout(capsys):

@@ -579,6 +579,23 @@ def test_short_parallel_witness_searches_start_no_process(monkeypatch):
         assert certificate_to_text(out.certificate) == certificate_to_text(serial.certificate)
 
 
+def test_no_more_helpers_start_than_pairs_are_left(monkeypatch):
+    # K6 keeps 3 pairs, and this process holds one when the helpers start
+    started = []
+
+    class Counted(multiprocessing.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    config = SearchConfig(workers=2, parity_prune=False)
+    two = decide_existence(complete(6), config)
+    monkeypatch.setattr(multiprocessing, "Process", Counted)
+    out = decide_existence(complete(6), replace(config, workers=8))
+    assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, two.stats.nodes)
+    assert 1 <= len(started) <= 2
+
+
 def test_more_workers_than_cores_take_every_pair_once():
     # a lost update on the shared pair index would search a pair twice or
     # skip one; each pair's subtree counts its first label's node once more
