@@ -10,6 +10,7 @@ unverified certificate is never produced.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -53,9 +54,14 @@ def _rotational(graph: UndirectedGraph, blocks: int, size: int) -> MagicCertific
     1..(blocks-1)/2 (a rotational tournament on the blocks).
     """
     window = (blocks - 1) // 2
-    bits = tuple(0 if (v // size - u // size) % blocks <= window else 1 for u, v in graph.edges)
-    order = graph.vertex_count
-    return verified(graph, Orientation(graph, bits), Labeling(order, tuple(range(order))))
+    edges, order = graph.edges, graph.vertex_count
+    bits = bytearray(len(edges))
+    for u in range(order):
+        # u's edges run to later blocks in order; those past the window point into u
+        lo = bisect_left(edges, (u, (u // size + window + 1) * size))
+        hi = bisect_left(edges, (u + 1,), lo)
+        bits[lo:hi] = b"\1" * (hi - lo)
+    return verified(graph, Orientation(graph, tuple(bits)), Labeling(order, tuple(range(order))))
 
 
 def construct_complete(n: int) -> MagicCertificate:
@@ -106,13 +112,11 @@ def construct_case1(m: int, n: int) -> MagicCertificate:
         for j, x in enumerate(assigned):
             labels[start + j] = x
     special_vertex = (q - 1) * n
-    bits = []
-    for u, v in graph.edges:
-        bu, bv = u // n + 1, v // n + 1
-        if bu == 1 and bv == q:
-            bits.append(0 if v == special_vertex else 1)
-        else:
-            bits.append(0)
+    edges = graph.edges
+    bits = bytearray(len(edges))
+    for u in range(n):  # block q after its special vertex points into block 1
+        lo, hi = bisect_left(edges, (u, special_vertex)) + 1, bisect_left(edges, (u, q * n))
+        bits[lo:hi] = b"\1" * (hi - lo)
     return verified(graph, Orientation(graph, tuple(bits)), Labeling(order, tuple(labels)))
 
 

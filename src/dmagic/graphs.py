@@ -174,7 +174,10 @@ def complete(n: int) -> UndirectedGraph:
     """The complete graph on n >= 1 vertices."""
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
-    return UndirectedGraph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
+    edges: List[Tuple[int, int]] = []
+    for u in range(n):
+        edges.extend(zip(repeat(u), range(u + 1, n)))
+    return UndirectedGraph(n, tuple(edges))
 
 
 def empty_graph(n: int) -> UndirectedGraph:

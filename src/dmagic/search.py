@@ -16,11 +16,12 @@ O(N + E): the touched vertices with all neighbours labeled and at most 3
 undecided edges, with the neighbours on those edges.  Such a vertex y is
 checked by its reach set, its weight plus +-l for each label l pending on its
 undecided edges, one sum per choice of signs; a closed vertex, with nothing
-pending, reaches its weight alone.  The magic constant is never enumerated:
-the search keeps the set of constants still possible, as one bit mask over
-Z_N, and each reach set narrows it.  The first step with a closed vertex, at
-the same depth on every branch, leaves one constant: it pins it.  Pruning
-rules:
+pending, reaches its weight alone.  The reach set is one bit mask over Z_N:
+the bit of y's weight, rotated both ways by each pending label in turn.  The
+magic constant is never enumerated: the search keeps the set of constants
+still possible, as one such mask, and each reach set narrows it.  The first
+step with a closed vertex, at the same depth on every branch, leaves one
+constant: it pins it.  Pruning rules:
 
   weight    a closed vertex empties the set of possible constants: its weight
             is off the pinned constant, or off every constant still possible
@@ -48,6 +49,11 @@ the other vertices left unused, wherever it stands, so moving it earlier
 keeps the complete assignments in the same depth-first order.  Each rule
 discards only branches that hold no witness, so the walk meets the first
 witness of that order, the one it meets with no pruning at all.
+
+A label step's candidates are one bit mask over places in the seeded label
+order (_label_orders), from which the used labels and the forward check clear
+bits; the step tries the set bits low to high, so in seeded order, at a cost
+that grows with the candidates left rather than with N.
 
 The parity candidates are one int over candidate indices, narrowed by a
 per-vertex mask at each label step and by a weight-parity mask at the pin.
@@ -93,12 +99,13 @@ from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
 from math import gcd
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .graphs import Orientation, UndirectedGraph, regularity
 from .obstructions import parity_solutions
@@ -194,6 +201,20 @@ class SearchOutcome:
 _Parity = Optional[Tuple[int, Tuple[Tuple[int, int], ...], Tuple[int, int]]]
 _Orders = Tuple[List[int], List[List[int]], List[int]]  # see _label_orders
 _Plan = Tuple[List[Tuple], _Orders, int]  # see _steps
+
+
+def _turn(reach: int, lam: int, mod: int, everything: int) -> int:
+    """The residues of mask reach over Z_mod moved by +lam and by -lam: the
+    mask rotated both ways."""
+    return (reach << lam | reach >> mod - lam | reach >> lam | reach << mod - lam) & everything
+
+
+def _members(mask: int, order: List[int]) -> Iterator[int]:
+    """order[i] for each set bit i of mask, low to high."""
+    while mask:
+        low = mask & -mask
+        yield order[low.bit_length() - 1]
+        mask ^= low
 
 
 def _visit_order(graph: UndirectedGraph) -> List[int]:
@@ -471,6 +492,12 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
     mod = graph.vertex_count
     deadline = None if config.time_budget is None else t0 + config.time_budget
     everything = (1 << mod) - 1
+    # label sets are masks over places in the seeded order later, of which
+    # first and every second[g] are subsequences: bit[lam] is lam's place's bit
+    bit = [0] * mod
+    for i, lam in enumerate(later):
+        bit[lam] = 1 << i
+    second_masks: Dict[int, int] = {}  # second[g] as a mask, built once g is tried
     root, by_vertex, by_c = parity or (-1, ((-1, -1),) * mod, (-1, -1))
     labels = [-1] * mod  # a label step's undo leaves its label stale
     pw = [0] * mod
@@ -500,7 +527,7 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
         x = applied[d]
         if x >= 0:
             if label:
-                used ^= 1 << x
+                used ^= bit[x]
             elif x:
                 pw[a] -= labels[b]
                 pw[b] += labels[a]
@@ -525,7 +552,7 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
         p, consts = par[d], mus[d]
         if label:
             labels[a] = x
-            used |= 1 << x
+            used |= bit[x]
             p &= by_vertex[a][x & 1]
             if not p:
                 prunes["parity"] += 1
@@ -536,22 +563,11 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
         else:
             pw[b] += labels[a]
             pw[a] -= labels[b]
-        for y, pend in opens:  # the weights y can still reach, one per choice of signs
-            s = pw[y]
-            if not pend:
-                consts &= 1 << s % mod
-            elif len(pend) == 1:
-                lam = labels[pend[0]]
-                consts &= 1 << (s + lam) % mod | 1 << (s - lam) % mod
-            else:
-                sums = [s]
-                for w in pend:
-                    lam = labels[w]
-                    sums = [s - lam for s in sums] + [s + lam for s in sums]
-                reach = 0
-                for s in sums:
-                    reach |= 1 << s % mod
-                consts &= reach
+        for y, pend in opens:  # the weights y can still reach
+            reach = 1 << pw[y] % mod
+            for w in pend:
+                reach = _turn(reach, labels[w], mod, everything)
+            consts &= reach
             if not consts:
                 break
         if not consts:  # pend is that of the vertex that emptied the set
@@ -563,22 +579,27 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
             if not p:
                 prunes["parity"] += 1
                 continue
-        if d == last:
-            arcs = [(a, b) if x == 0 else (b, a)
-                    for (label, a, b, _, _), x in zip(steps, applied) if not label]
+        if d == last:  # an arc step's (a, b) is a stored edge, and its choice is the edge's bit
+            bits = bytearray(len(graph.edges))
+            for (label, a, b, _, _), x in zip(steps, applied):
+                if not label:
+                    bits[bisect_left(graph.edges, (a, b))] = x
             return finish(VERDICT_WITNESS, nodes, verified(
-                graph, Orientation.from_arcs(graph, arcs), Labeling(mod, tuple(labels))))
+                graph, Orientation(graph, tuple(bits)), Labeling(mod, tuple(labels))))
         # descend; a label step skips the labels used above it and, below the
         # pin, those that leave a forward-checked vertex off mu
         d += 1
         par[d], mus[d] = p, consts
         applied[d] = -1
         if steps[d][0]:
-            c = later if d > 1 else second[x]  # x is still the first label
-            free = everything ^ used
+            if d > 1:
+                free = everything
+            elif (free := second_masks.get(x)) is None:  # x is still the first label
+                free = second_masks[x] = sum(bit[lam] for lam in second[x])
+            free &= ~used
             for y in steps[d][4]:
-                free &= 1 << (mu - pw[y]) % mod | 1 << (pw[y] - mu) % mod
-            todo[d] = iter([lam for lam in c if (free >> lam) & 1])
+                free &= bit[(mu - pw[y]) % mod] | bit[(pw[y] - mu) % mod]
+            todo[d] = _members(free, later)
 
 
 def _add_nodes(run: Tuple, k: int) -> bool:

@@ -407,10 +407,15 @@ _TREES = [
      None, None),
     (prism(4), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 27773, (3192, 0, 0),
      None, None),
+    (path(13), SearchConfig(), VERDICT_EXHAUSTED, 11064, (3384, 60, 0), None, None),
+    (complete(8), SearchConfig(parity_prune=False, node_budget=100000), VERDICT_INCONCLUSIVE,
+     100001, (0, 33389, 0), None, None),
+    (path(8), SearchConfig(parity_prune=False, reduce=False, seed=3), VERDICT_EXHAUSTED, 15472,
+     (3584, 688, 0), None, None),
 ]
 _TREE_IDS = ["P12", "K9", "K7", "K3[3]", "K3[4]", "K2[6]", "K2[6]-unit-scaling", "K5[2]", "P11",
              "C12-free-first-arc", "C12-no-parity", "leafy", "K5[2]-pinned", "K6-no-parity",
-             "prism4-no-parity"]
+             "prism4-no-parity", "P13", "K8-no-parity-budgeted", "P8-unreduced-no-parity"]
 
 
 def _tree(graph, config, pinned):
@@ -433,6 +438,33 @@ def test_same_tree(graph, config, verdict, nodes, prunes, digest, pinned):
     else:
         text = certificate_to_text(out.certificate)
         assert hashlib.md5(text.encode()).hexdigest()[:8] == digest
+
+
+def test_turned_reach_set_is_every_signed_sum():
+    # the search's reach set of a weight s with pending labels lams, against
+    # the residues of s +- l1 +- ... +- lk listed one choice of signs at a time
+    rng = random.Random(4)
+    for n in range(1, 71):
+        for _ in range(20):
+            s = rng.randint(-5 * n, 5 * n)
+            lams = [rng.randrange(n) for _ in range(rng.randint(0, 3))]
+            reach = 1 << s % n
+            for lam in lams:
+                reach = search._turn(reach, lam, n, (1 << n) - 1)
+            sums = {s}
+            for lam in lams:
+                sums = {x + lam for x in sums} | {x - lam for x in sums}
+            assert reach == sum(1 << r for r in {x % n for x in sums}), (n, s, lams)
+
+
+def test_members_of_a_mask_over_places_keep_the_seeded_order():
+    rng = random.Random(5)
+    for _ in range(300):
+        order = list(range(rng.randint(1, 70)))
+        rng.shuffle(order)
+        chosen = set(rng.sample(order, rng.randint(0, len(order))))
+        mask = sum(1 << i for i, lam in enumerate(order) if lam in chosen)
+        assert list(search._members(mask, order)) == [lam for lam in order if lam in chosen]
 
 
 def test_witness_trees_never_check_transitivity(monkeypatch):
