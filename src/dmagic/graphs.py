@@ -2,7 +2,10 @@
 
 Vertices are 0-based integers.  Edge lists are kept canonical: every pair is
 stored as (u, v) with u < v, deduplicated and sorted lexicographically, so
-equal graphs compare equal and file output is byte-stable.
+equal graphs compare equal and file output is byte-stable.  The generators
+and products build their edges in canonical order directly;
+UndirectedGraph.from_edges canonicalizes edges that come from outside the
+package, in any order and orientation and with repeats.
 
 Graph text is read two ways.  dmagic's own graph files are read in bulk,
 the integers taken a bounded chunk of lines at a time, and the graph built
@@ -12,7 +15,9 @@ the same graph, so it would read the input into that graph too.  Any other
 text (comments, blank lines, other spacing, errors) goes to the line reader,
 the one reader of hand-written files and the one source of error messages.
 The chunks keep the bulk peak below the line reader's, which holds every
-line at once.
+line at once.  The line readers of graph and certificate text share one
+grammar: _lines skips blank and comment lines, and _ints names the line of a
+word that is not an integer.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import getitem, itemgetter, lt, xor
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -50,20 +55,6 @@ _TAIL, _HEAD = itemgetter(0), itemgetter(1)
 _CHUNK = 1 << 16  # characters of text read at once in bulk, then on to a line end
 
 
-def _canonical_edges(vertex_count: int, edges: Iterable[Sequence[int]]) -> Tuple[Tuple[int, int], ...]:
-    seen = set()
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
-        if u == v:
-            raise ValueError(f"loop at vertex {u} is not allowed")
-        if u > v:
-            u, v = v, u
-        if not (0 <= u and v < vertex_count):
-            raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
-        seen.add((u, v))
-    return tuple(sorted(seen))
-
-
 @dataclass(frozen=True)
 class UndirectedGraph:
     """A finite simple graph with a canonical sorted edge list."""
@@ -82,7 +73,17 @@ class UndirectedGraph:
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[Sequence[int]]) -> "UndirectedGraph":
         """Build a graph, canonicalizing the edge list (orderings, duplicates)."""
-        return cls(vertex_count, _canonical_edges(vertex_count, edges))
+        seen = set()
+        for e in edges:
+            u, v = int(e[0]), int(e[1])
+            if u == v:
+                raise ValueError(f"loop at vertex {u} is not allowed")
+            if u > v:
+                u, v = v, u
+            if not (0 <= u and v < vertex_count):
+                raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
+            seen.add((u, v))
+        return cls(vertex_count, tuple(sorted(seen)))
 
     @cached_property
     def _incidence(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
@@ -134,11 +135,6 @@ class Orientation:
             )
         if self.bits.count(0) + self.bits.count(1) != len(self.bits):  # b == 0 or b == 1, in bulk
             raise ValueError("orientation bits must be 0 or 1")
-
-    def arcs(self) -> List[Tuple[int, int]]:
-        """(tail, head) per edge, in canonical edge order."""
-        ends = iter(_arc_ends(self.graph.edges, self.bits))
-        return list(zip(ends, ends))
 
     @classmethod
     def from_arcs(cls, graph: UndirectedGraph, arcs: Iterable[Tuple[int, int]]) -> "Orientation":
@@ -198,24 +194,21 @@ def cycle(n: int) -> UndirectedGraph:
     """The cycle on n >= 3 vertices."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    return UndirectedGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    # canonical order: 0's two neighbours, then each later vertex's next one
+    return UndirectedGraph(n, ((0, 1), (0, n - 1), *((i, i + 1) for i in range(1, n - 1))))
 
 
 def complete_multipartite(sizes: Sequence[int]) -> UndirectedGraph:
     """Complete multipartite graph; part i occupies a consecutive index block."""
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError(f"part sizes must be positive, got {list(sizes)}")
-    starts = [0]
-    for s in sizes:
-        starts.append(starts[-1] + s)
+    starts = [0, *accumulate(sizes)]
     n = starts[-1]
-    edges = []
-    for a in range(len(sizes)):
-        for b in range(a + 1, len(sizes)):
-            for u in range(starts[a], starts[a + 1]):
-                for v in range(starts[b], starts[b + 1]):
-                    edges.append((u, v))
-    return UndirectedGraph.from_edges(n, edges)
+    edges: List[Tuple[int, int]] = []
+    for a, b in zip(starts, starts[1:]):  # u's higher neighbours are the later parts
+        for u in range(a, b):
+            edges.extend(zip(repeat(u), range(b, n)))
+    return UndirectedGraph(n, tuple(edges))
 
 
 def _upper_neighbors(g: UndirectedGraph) -> List[List[int]]:
@@ -323,38 +316,44 @@ def parse_graph(text: str) -> UndirectedGraph:
     return graph if graph_to_text(graph) == text else _parse_graph_lines(text)
 
 
+def _lines(text: str) -> Iterator[Tuple[int, List[str]]]:
+    """The line number and words of each line that is neither blank nor a comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        words = line.split()
+        if words and not words[0].startswith("#"):
+            yield lineno, words
+
+
+def _ints(lineno: int, words: Sequence[str], message: str) -> List[int]:
+    """The words as ints, or the FormatError of that line with that message."""
+    try:
+        return list(map(int, words))
+    except ValueError:
+        raise FormatError(f"line {lineno}: {message}") from None
+
+
 def _parse_graph_lines(text: str) -> UndirectedGraph:
     """The line reader: any spacing, comments and blank lines; errors name the line."""
-    header: Optional[Tuple[int, int]] = None
+    lines = _lines(text)
+    for lineno, fields in lines:  # the first line read is the header
+        if fields[0] != "graph" or len(fields) != 3:
+            raise FormatError(f"line {lineno}: expected 'graph <vertices> <edges>'")
+        n, m = _ints(lineno, fields[1:], "vertex/edge counts must be integers")
+        if n < 0 or m < 0:
+            raise FormatError(f"line {lineno}: counts must be non-negative")
+        break
+    else:
+        raise FormatError("line 1: missing 'graph' header")
     edges: List[Tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if header is None:
-            if fields[0] != "graph" or len(fields) != 3:
-                raise FormatError(f"line {lineno}: expected 'graph <vertices> <edges>'")
-            try:
-                header = (int(fields[1]), int(fields[2]))
-            except ValueError:
-                raise FormatError(f"line {lineno}: vertex/edge counts must be integers") from None
-            if header[0] < 0 or header[1] < 0:
-                raise FormatError(f"line {lineno}: counts must be non-negative")
-            continue
+    for lineno, fields in lines:
         if fields[0] != "e" or len(fields) != 3:
             raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
-        try:
-            u, v = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise FormatError(f"line {lineno}: edge endpoints must be integers") from None
-        if not 0 <= u < v < header[0]:
-            raise FormatError(f"line {lineno}: edge ({u}, {v}) must satisfy 0 <= u < v < {header[0]}")
+        u, v = _ints(lineno, fields[1:], "edge endpoints must be integers")
+        if not 0 <= u < v < n:
+            raise FormatError(f"line {lineno}: edge ({u}, {v}) must satisfy 0 <= u < v < {n}")
         if edges and (u, v) <= edges[-1]:
             raise FormatError(f"line {lineno}: edges must be strictly increasing")
         edges.append((u, v))
-    if header is None:
-        raise FormatError("line 1: missing 'graph' header")
-    if len(edges) != header[1]:
-        raise FormatError(f"line 1: header declares {header[1]} edges, found {len(edges)}")
-    return UndirectedGraph(header[0], tuple(edges))
+    if len(edges) != m:
+        raise FormatError(f"line 1: header declares {m} edges, found {len(edges)}")
+    return UndirectedGraph(n, tuple(edges))

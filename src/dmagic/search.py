@@ -660,6 +660,8 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
     polls past the deadline or takes the shared count past the node budget.
     Workers see it on their next poll and take no pair after it; once every
     helper is done, one pass tallies every pair's nodes, prunes and verdict.
+    If this process took every pair, no helper holds one, and the helpers are
+    ended rather than waited for: a spawned one may still be starting.
     The witness returned is the first in job order, verified again here.
     """
     import multiprocessing
@@ -688,15 +690,19 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
                 helpers.append((helper, receive))
         return stop.is_set()
 
+    done: List[Tuple] = []
     try:
         done = _take_pairs(run, add)
     finally:  # wait for the helpers, which an error here has stopped
         results = []
         for helper, receive in helpers:
-            try:
-                results.append(receive.recv())
-            except EOFError:  # it died before it could send
-                results.append(RuntimeError("a search helper process died"))
+            if len(done) == len(pairs):  # this process took every pair: no helper holds one
+                helper.terminate()
+            else:
+                try:
+                    results.append(receive.recv())
+                except EOFError:  # it died before it could send
+                    results.append(RuntimeError("a search helper process died"))
             receive.close()
             helper.join()
     for result in results:

@@ -28,7 +28,8 @@ from itertools import chain
 from operator import ne
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .graphs import FormatError, Orientation, UndirectedGraph, _TAIL, _arc_ends, _bulk_chunks
+from .graphs import (FormatError, Orientation, UndirectedGraph, _TAIL, _arc_ends, _bulk_chunks,
+                     _ints, _lines)
 
 __all__ = [
     "NotALabelingError",
@@ -37,7 +38,6 @@ __all__ = [
     "Violation",
     "all_weights",
     "verify",
-    "verified",
     "certificate_to_text",
     "ParsedCertificate",
     "parse_certificate",
@@ -167,39 +167,28 @@ def parse_certificate(text: str) -> ParsedCertificate:
 
     The line reader: any spacing, comments and blank lines.
     """
-    order: Optional[int] = None
+    lines = _lines(text)
+    for lineno, fields in lines:  # the first line read is the header
+        if fields[0] != "certificate" or len(fields) != 2:
+            raise FormatError(f"line {lineno}: expected 'certificate <N>'")
+        order, = _ints(lineno, fields[1:], "order must be an integer")
+        if order < 1:
+            raise FormatError(f"line {lineno}: order must be positive")
+        break
+    else:
+        raise FormatError("line 1: missing 'certificate' header")
     mu: Optional[int] = None
     labels: dict[int, int] = {}
     arcs: List[Tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if order is None:
-            if fields[0] != "certificate" or len(fields) != 2:
-                raise FormatError(f"line {lineno}: expected 'certificate <N>'")
-            try:
-                order = int(fields[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: order must be an integer") from None
-            if order < 1:
-                raise FormatError(f"line {lineno}: order must be positive")
-            continue
+    for lineno, fields in lines:
         if fields[0] == "mu":
             if mu is not None or len(fields) != 2:
                 raise FormatError(f"line {lineno}: expected one 'mu <value>' line")
-            try:
-                mu = int(fields[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: mu must be an integer") from None
+            mu, = _ints(lineno, fields[1:], "mu must be an integer")
         elif fields[0] == "l":
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'l <vertex> <label>'")
-            try:
-                v, x = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise FormatError(f"line {lineno}: labels must be integers") from None
+            v, x = _ints(lineno, fields[1:], "labels must be integers")
             if not 0 <= v < order:
                 raise FormatError(f"line {lineno}: vertex {v} out of range 0..{order - 1}")
             if not 0 <= x < order:
@@ -210,10 +199,7 @@ def parse_certificate(text: str) -> ParsedCertificate:
         elif fields[0] == "a":
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'a <tail> <head>'")
-            try:
-                tail, head = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise FormatError(f"line {lineno}: arc endpoints must be integers") from None
+            tail, head = _ints(lineno, fields[1:], "arc endpoints must be integers")
             if not 0 <= tail < order or not 0 <= head < order:
                 raise FormatError(f"line {lineno}: arc endpoint out of range 0..{order - 1}")
             if tail == head:
@@ -221,8 +207,6 @@ def parse_certificate(text: str) -> ParsedCertificate:
             arcs.append((tail, head))
         else:
             raise FormatError(f"line {lineno}: unknown record '{fields[0]}'")
-    if order is None:
-        raise FormatError("line 1: missing 'certificate' header")
     if mu is None:
         raise FormatError("line 1: missing 'mu' line")
     if len(labels) != order:  # each labeled vertex is in range and labeled once

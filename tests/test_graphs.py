@@ -19,7 +19,7 @@ from dmagic.graphs import (
     prism,
     regularity,
 )
-from oracles import ProductIndexing, reversed_orientation
+from oracles import ProductIndexing
 
 
 def test_complete_counts():
@@ -121,14 +121,6 @@ def test_incidence():
     assert g.degree(2) == 2
 
 
-def test_orientation_arcs_and_reverse():
-    g = path(3)
-    o = Orientation(g, (0, 1))
-    assert o.arcs() == [(0, 1), (2, 1)]
-    assert reversed_orientation(o).arcs() == [(1, 0), (1, 2)]
-    assert reversed_orientation(reversed_orientation(o)) == o
-
-
 def test_orientation_from_arcs():
     g = cycle(3)
     o = Orientation.from_arcs(g, [(0, 1), (2, 0), (1, 2)])
@@ -204,7 +196,7 @@ def test_round_trip_any_graph(g):
 @given(graphs, st.randoms(use_true_random=False))
 def test_from_arcs_binds_canonical_and_shuffled_order_alike(g, rng):
     bits = tuple(rng.randrange(2) for _ in g.edges)
-    arcs = Orientation(g, bits).arcs()
+    arcs = [(v, u) if b else (u, v) for (u, v), b in zip(g.edges, bits)]
     shuffled = arcs[:]
     rng.shuffle(shuffled)
     assert Orientation.from_arcs(g, arcs).bits == Orientation.from_arcs(g, shuffled).bits == bits
@@ -247,6 +239,20 @@ def _cartesian_rule(g_adj, h_adj, p, q):
 def test_products_match_their_definitions(g, h):
     assert lexicographic(g, h) == _by_definition(g, h, _lexicographic_rule)
     assert cartesian(g, h) == _by_definition(g, h, _cartesian_rule)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=6), st.integers(3, 40))
+def test_generators_match_their_definitions(sizes, n):
+    # the generators build canonical edges directly; from_edges sorts the definitions
+    part = [i for i, s in enumerate(sizes) for _ in range(s)]
+    order = len(part)
+    assert complete_multipartite(sizes) == UndirectedGraph.from_edges(
+        order, [(u, v) for u in range(order) for v in range(u) if part[u] != part[v]])
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    assert cycle(n) == UndirectedGraph.from_edges(n, ring)
+    assert prism(n) == UndirectedGraph.from_edges(
+        2 * n, ring + [(u + n, v + n) for u, v in ring] + [(i, i + n) for i in range(n)])
 
 
 def test_products_reject_an_empty_factor():

@@ -67,6 +67,22 @@ def test_every_export_has_a_use():
     assert all(hasattr(dmagic, name) for name in dmagic.__all__)
 
 
+def test_module_exports_are_disjoint_and_defined_at_home():
+    # the package re-exports each module's __all__ by star import, so a name in
+    # two of them would be shadowed silently by the later import
+    home = {}
+    for stmt in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(stmt, ast.ImportFrom) and [a.name for a in stmt.names] == ["*"]:
+            module = getattr(dmagic, stmt.module)
+            source = ast.parse(Path(module.__file__).read_text())
+            defined = set().union(*map(_defined_names, source.body))
+            for name in module.__all__:
+                assert name not in home, f"{name} is exported by {home.get(name)} and {stmt.module}"
+                assert name in defined, f"{stmt.module} exports {name} but does not define it"
+                home[name] = stmt.module
+    assert set(dmagic.__all__) == set(home) | {"__version__"}
+
+
 def _transcripts():
     """Each text block's `$ dmagic` commands, with the output lines shown after each."""
     for block in re.findall(r"^```text\n(.*?)^```", README.read_text(), re.S | re.M):

@@ -643,10 +643,11 @@ def test_more_workers_than_cores_take_every_pair_once():
     assert perf_counter() - started < 20
 
 
-def test_parallel_proof_under_spawn():
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_parallel_proof_under_spawn(method):
     # spawned helpers inherit nothing: they search only what their process arguments carry
     before = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("spawn", force=True)
+    multiprocessing.set_start_method(method, force=True)
     try:
         out = decide_existence(complete(6), SearchConfig(workers=2, parity_prune=False))
     finally:
