@@ -7,26 +7,32 @@ and products build their edges in canonical order directly;
 UndirectedGraph.from_edges canonicalizes edges that come from outside the
 package, in any order and orientation and with repeats.
 
-Graph text is read two ways.  dmagic's own graph files are read in bulk,
-the integers taken a bounded chunk of lines at a time, and the graph built
-from them is kept only if writing it gives back the input exactly.  That
-guard is sound: the line reader reads what graph_to_text writes back into
-the same graph, so it would read the input into that graph too.  Any other
-text (comments, blank lines, other spacing, errors) goes to the line reader,
-the one reader of hand-written files and the one source of error messages.
-The chunks keep the bulk peak below the line reader's, which holds every
-line at once.  The line readers of graph and certificate text share one
-grammar: _lines skips blank and comment lines, and _ints names the line of a
-word that is not an integer.
+Graph text is written one vertex u's run of canonical edges at a time, its
+lines joined under the shared prefix 'e u ' from each vertex's name, made
+once; certificate text is written from the same runs.  A graph whose tails
+average fewer than _LONG_RUN edges, such as a path, cycle or prism, is
+written a line per edge, which is faster there.  Graph text is read two ways.
+dmagic's own graph files are read in bulk, the integers taken a bounded
+chunk of lines at a time, and the graph built from them is kept only if
+graph_to_text, the writer itself, gives back the input exactly.  That guard
+is sound: the line reader reads what graph_to_text writes back into the same
+graph, so it would read the input into that graph too.  Any other text
+(comments, blank lines, other spacing, errors) goes to the line reader, the
+one reader of hand-written files and the one source of error messages.  The
+chunks keep the bulk peak below the line reader's, which holds every line at
+once.  The line readers of graph and certificate text share one grammar:
+_lines skips blank and comment lines, and a word that is not an integer is
+an error of its line.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import getitem, itemgetter, lt, xor
+from operator import itemgetter, lt
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -53,6 +59,7 @@ class FormatError(ValueError):
 
 _TAIL, _HEAD = itemgetter(0), itemgetter(1)
 _CHUNK = 1 << 16  # characters of text read at once in bulk, then on to a line end
+_LONG_RUN = 16  # edges per tail from which joining a run writes faster than a line per edge
 
 
 @dataclass(frozen=True)
@@ -156,14 +163,6 @@ class Orientation:
             shown = ", ".join(map(str, missing[:3])) + (", ..." if len(missing) > 3 else "")
             raise ValueError(f"{len(missing)} edges left unoriented: {shown}")
         return cls(graph, tuple(b for b in bits if b is not None))
-
-
-def _arc_ends(edges: Sequence[Tuple[int, int]], bits: Sequence[int]) -> List[int]:
-    """Tail, head, tail, head, ... of the arcs that bits orient edges into."""
-    ends = [0] * (2 * len(bits))
-    ends[::2] = map(getitem, edges, bits)
-    ends[1::2] = map(getitem, edges, map(xor, bits, repeat(1)))
-    return ends
 
 
 def complete(n: int) -> UndirectedGraph:
@@ -272,8 +271,36 @@ def prism(n: int) -> UndirectedGraph:
 def graph_to_text(graph: UndirectedGraph) -> str:
     """Canonical text form: header line then one 'e u v' line per edge."""
     edges = graph.edges
-    return (f"graph {graph.vertex_count} {len(edges)}\n"
-            + "e %d %d\n" * len(edges) % tuple(chain.from_iterable(edges)))
+    header = f"graph {graph.vertex_count} {len(edges)}\n"
+    if _short_runs(edges, 0):
+        return header + "e %d %d\n" * len(edges) % tuple(chain.from_iterable(edges))
+    parts = [header]
+    for tail, _, heads in _edge_runs(edges, list(map(str, range(graph.vertex_count)))):
+        line = f"e {tail} "
+        parts += line, ("\n" + line).join(heads), "\n"
+    return "".join(parts)
+
+
+def _short_runs(edges: Sequence[Tuple[int, int]], splits: int) -> bool:
+    """Whether the tails' runs of the edges, cut at splits more places,
+    average fewer than _LONG_RUN edges, so that a line per edge writes them
+    faster.  The tails lie in 0..edges[-1][0], which bounds the runs' count."""
+    return bool(edges) and len(edges) < _LONG_RUN * (edges[-1][0] + 1 + splits)
+
+
+def _edge_runs(edges: Sequence[Tuple[int, int]],
+               names: Sequence[str]) -> Iterator[Tuple[str, int, Sequence[str]]]:
+    """Each tail's run of the canonical edges: the tail's name, the index of
+    its first edge and the names of its heads, a slice of names when the
+    heads are consecutive vertices."""
+    i = 0
+    while i < len(edges):
+        u, first = edges[i]
+        j = bisect_left(edges, (u + 1,), i)
+        last = edges[j - 1][1]  # heads increase, so last - first >= j - i - 1
+        yield names[u], i, (names[first:last + 1] if last - first < j - i
+                            else [names[v] for _, v in edges[i:j]])
+        i = j
 
 
 def _bulk_chunks(text: str, start: int) -> Iterator[Tuple[List[str], Callable[[str], int]]]:
@@ -324,21 +351,16 @@ def _lines(text: str) -> Iterator[Tuple[int, List[str]]]:
             yield lineno, words
 
 
-def _ints(lineno: int, words: Sequence[str], message: str) -> List[int]:
-    """The words as ints, or the FormatError of that line with that message."""
-    try:
-        return list(map(int, words))
-    except ValueError:
-        raise FormatError(f"line {lineno}: {message}") from None
-
-
 def _parse_graph_lines(text: str) -> UndirectedGraph:
     """The line reader: any spacing, comments and blank lines; errors name the line."""
     lines = _lines(text)
     for lineno, fields in lines:  # the first line read is the header
         if fields[0] != "graph" or len(fields) != 3:
             raise FormatError(f"line {lineno}: expected 'graph <vertices> <edges>'")
-        n, m = _ints(lineno, fields[1:], "vertex/edge counts must be integers")
+        try:
+            n, m = int(fields[1]), int(fields[2])
+        except ValueError:
+            raise FormatError(f"line {lineno}: vertex/edge counts must be integers") from None
         if n < 0 or m < 0:
             raise FormatError(f"line {lineno}: counts must be non-negative")
         break
@@ -348,7 +370,10 @@ def _parse_graph_lines(text: str) -> UndirectedGraph:
     for lineno, fields in lines:
         if fields[0] != "e" or len(fields) != 3:
             raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
-        u, v = _ints(lineno, fields[1:], "edge endpoints must be integers")
+        try:
+            u, v = int(fields[1]), int(fields[2])
+        except ValueError:
+            raise FormatError(f"line {lineno}: edge endpoints must be integers") from None
         if not 0 <= u < v < n:
             raise FormatError(f"line {lineno}: edge ({u}, {v}) must satisfy 0 <= u < v < {n}")
         if edges and (u, v) <= edges[-1]:

@@ -5,31 +5,35 @@ the sum of the labels of its out-neighbors: each arc u -> v contributes +l(u)
 to w(v) and -l(v) to w(u).  A labeling is magic when every weight equals the
 same residue mu.
 
-Certificate text is read as graph text is (see the graphs module), by one
+Certificate text is written and read as graph text is (see the graphs
+module).  The arcs are written one vertex u's run of edges at a time, split
+where the orientation bit changes: the lines of a bit-0 run share the
+prefix 'a u ', those of a bit-1 run the ending ' u'.  Runs that average
+fewer than _LONG_RUN arcs are written a line per arc.  It is read by one
 bulk reader and one line reader.  parse_certificate is the line reader: any
 spacing, comments and blank lines, and every error message.  read_certificate
 is the bulk reader; dmagic verify reads every certificate through it.  It
 reads a certificate against the graph it is bound to, as
 bind_certificate(parse_certificate(text), graph) does, but builds no arc: it
 reads only the tail of each arc line, takes bit i as whether that tail
-differs from the tail of edge i, and keeps the result only if the
-certificate of that graph, those bits, the labels and mu writes back to the
-input exactly.  That guard is sound: the line reader reads that text back
-into the same order, mu and labels, and into the graph's edges, in canonical
-order, oriented by those bits, which bind_certificate binds to exactly those
-bits.  Any other text, or a graph the text does not fit, goes through
-bind_certificate(parse_certificate(text), graph) itself.
+differs from the tail of edge i, and keeps the result only if the writer of
+certificate_to_text, given that graph, those bits, the labels and mu, gives
+back the input exactly.  That guard is sound: the line reader reads that
+text back into the same order, mu and labels, and into the graph's edges,
+in canonical order, oriented by those bits, which bind_certificate binds to
+exactly those bits.  Any other text, or a graph the text does not fit, goes
+through bind_certificate(parse_certificate(text), graph) itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import ne
+from itertools import chain, repeat
+from operator import getitem, ne, xor
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .graphs import (FormatError, Orientation, UndirectedGraph, _TAIL, _arc_ends, _bulk_chunks,
-                     _ints, _lines)
+from .graphs import (FormatError, Orientation, UndirectedGraph, _TAIL, _bulk_chunks, _edge_runs,
+                     _lines, _short_runs)
 
 __all__ = [
     "NotALabelingError",
@@ -140,16 +144,37 @@ def verified(graph: UndirectedGraph, orientation: Orientation, labeling: Labelin
 
 def certificate_to_text(cert: MagicCertificate) -> str:
     """Canonical certificate text; arcs follow the canonical edge order."""
-    orientation = cert.orientation
-    ends = _arc_ends(orientation.graph.edges, orientation.bits)
-    return _certificate_text(cert.labeling.modulus, cert.mu, cert.labeling.labels, ends)
+    return _certificate_text(cert.labeling.modulus, cert.mu, cert.labeling.labels, cert.orientation)
 
 
-def _certificate_text(order: int, mu: int, labels: Sequence[int], ends: Sequence[int]) -> str:
-    """The text of a certificate whose arcs, flattened, are tail, head, tail, ..."""
-    return (f"certificate {order}\n{_CONVENTION_LINE}\nmu {mu}\n"
-            + "l %d %d\n" * len(labels) % tuple(chain.from_iterable(enumerate(labels)))
-            + "a %d %d\n" * (len(ends) // 2) % tuple(ends))
+def _certificate_text(order: int, mu: int, labels: Sequence[int], orientation: Orientation) -> str:
+    """The text of a certificate; the arcs are written a run of one tail and
+    one bit at a time, as the module docstring says."""
+    edges, bits = orientation.graph.edges, orientation.bits
+    flags = bytes(bits)
+    parts = [f"certificate {order}\n{_CONVENTION_LINE}\nmu {mu}\n",
+             "l %d %d\n" * len(labels) % tuple(chain.from_iterable(enumerate(labels)))]
+    if _short_runs(edges, flags.count(b"\0\1") + flags.count(b"\1\0")):  # the bit changes
+        ends = [0] * (2 * len(bits))  # tail, head, tail, head, ...
+        ends[::2] = map(getitem, edges, bits)
+        ends[1::2] = map(getitem, edges, map(xor, bits, repeat(1)))
+        parts.append("a %d %d\n" * len(bits) % tuple(ends))
+        return "".join(parts)
+    names = list(map(str, range(orientation.graph.vertex_count)))
+    for tail, start, heads in _edge_runs(edges, names):
+        tail_flags, i = flags[start:start + len(heads)], 0
+        while i < len(heads):
+            j = tail_flags.find(tail_flags[i] ^ 1, i)
+            if j < 0:
+                j = len(heads)
+            run = heads[i:j]
+            if tail_flags[i]:
+                parts += "a ", f" {tail}\na ".join(run), f" {tail}\n"
+            else:
+                line = f"a {tail} "
+                parts += line, ("\n" + line).join(run), "\n"
+            i = j
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -171,7 +196,10 @@ def parse_certificate(text: str) -> ParsedCertificate:
     for lineno, fields in lines:  # the first line read is the header
         if fields[0] != "certificate" or len(fields) != 2:
             raise FormatError(f"line {lineno}: expected 'certificate <N>'")
-        order, = _ints(lineno, fields[1:], "order must be an integer")
+        try:
+            order = int(fields[1])
+        except ValueError:
+            raise FormatError(f"line {lineno}: order must be an integer") from None
         if order < 1:
             raise FormatError(f"line {lineno}: order must be positive")
         break
@@ -184,11 +212,17 @@ def parse_certificate(text: str) -> ParsedCertificate:
         if fields[0] == "mu":
             if mu is not None or len(fields) != 2:
                 raise FormatError(f"line {lineno}: expected one 'mu <value>' line")
-            mu, = _ints(lineno, fields[1:], "mu must be an integer")
+            try:
+                mu = int(fields[1])
+            except ValueError:
+                raise FormatError(f"line {lineno}: mu must be an integer") from None
         elif fields[0] == "l":
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'l <vertex> <label>'")
-            v, x = _ints(lineno, fields[1:], "labels must be integers")
+            try:
+                v, x = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise FormatError(f"line {lineno}: labels must be integers") from None
             if not 0 <= v < order:
                 raise FormatError(f"line {lineno}: vertex {v} out of range 0..{order - 1}")
             if not 0 <= x < order:
@@ -199,7 +233,10 @@ def parse_certificate(text: str) -> ParsedCertificate:
         elif fields[0] == "a":
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'a <tail> <head>'")
-            tail, head = _ints(lineno, fields[1:], "arc endpoints must be integers")
+            try:
+                tail, head = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise FormatError(f"line {lineno}: arc endpoints must be integers") from None
             if not 0 <= tail < order or not 0 <= head < order:
                 raise FormatError(f"line {lineno}: arc endpoint out of range 0..{order - 1}")
             if tail == head:
@@ -252,6 +289,7 @@ def read_certificate(text: str, graph: UndirectedGraph) -> Tuple[Orientation, La
     if (0 < order == graph.vertex_count == len(labels) and 0 <= min(labels)
             and max(labels) < order and len(tails) == len(edges)):
         bits = tuple(bytes(map(ne, tails, map(_TAIL, edges))))  # the bools as ints 0 and 1
-        if _certificate_text(order, mu, labels, _arc_ends(edges, bits)) == text:
-            return Orientation(graph, bits), Labeling(order, labels), mu % order
+        orientation = Orientation(graph, bits)
+        if _certificate_text(order, mu, labels, orientation) == text:
+            return orientation, Labeling(order, labels), mu % order
     return bind_certificate(parse_certificate(text), graph)

@@ -40,6 +40,25 @@ class ProductIndexing:
         return vertex_id // self.inner_count + 1, vertex_id % self.inner_count + 1
 
 
+def graph_text(vertex_count: int, edges: Sequence[Tuple[int, int]]) -> str:
+    """Graph text from the format's definition: the header, then one
+    'e u v' line per edge."""
+    return f"graph {vertex_count} {len(edges)}\n" + "".join("e %d %d\n" % e for e in edges)
+
+
+def certificate_text(order: int, mu: int, labels: Sequence[int],
+                     edges: Sequence[Tuple[int, int]], bits: Sequence[int]) -> str:
+    """Certificate text from the format's definition: the header, the weight
+    convention, mu, one 'l v x' line per vertex, then one 'a tail head' line
+    per edge in edge order, bit 0 orienting (u, v) as u -> v."""
+    lines = [f"certificate {order}",
+             "# weight convention: in-neighbor labels add, out-neighbor labels subtract",
+             f"mu {mu}"]
+    lines += ["l %d %d" % (v, x) for v, x in enumerate(labels)]
+    lines += ["a %d %d" % ((u, v) if b == 0 else (v, u)) for (u, v), b in zip(edges, bits)]
+    return "".join(line + "\n" for line in lines)
+
+
 def units(modulus: int) -> List[int]:
     """All multiplicatively invertible residues mod the given modulus."""
     if modulus <= 0:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import os
 import re
@@ -87,6 +88,18 @@ def test_construct_verify_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--graph", str(graph), "--cert", str(cert))
     assert code == 0
     assert out.strip() == "magic mu=6"
+
+
+def test_construct_writes_the_same_bytes(tmp_path, capsys):
+    # K5[4]'s graph and certificate files, as dmagic has always written them
+    graph, cert = tmp_path / "k54.graph", tmp_path / "k54.cert"
+    code, _, _ = run(capsys, "construct", "--family", "kmokn", "--m", "5", "--n", "4",
+                     "--graph-out", str(graph), "--cert-out", str(cert))
+    assert code == 0
+    assert (hashlib.sha256(graph.read_bytes()).hexdigest()
+            == "cd1929ed4728dfba9ffb2280cad78723a9c0bc97643b8636d3fdcba195c16444")
+    assert (hashlib.sha256(cert.read_bytes()).hexdigest()
+            == "dfa99fd7356d97edff87662ad9d3b47d9495914958e5a413673a71f2f0f89fc2")
 
 
 def test_construct_default_output_files(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,9 @@ any other text to its line reader.  Whatever the text, the two must agree:
 the same graph, or a FormatError with the same message.  read_certificate
 reads a certificate against a graph in bulk, and must agree in the same way
 with bind_certificate(parse_certificate(text), graph), where
-parse_certificate is the certificate line reader.
+parse_certificate is the certificate line reader.  Both bulk readers'
+guards re-render through the writers, which are checked byte for byte
+against per-line renderers written from the format's definition.
 """
 
 import contextlib
@@ -27,6 +29,7 @@ from dmagic.verifier import (
     parse_certificate,
     read_certificate,
 )
+from oracles import certificate_text, graph_text
 
 
 def graphs_on(n):
@@ -122,6 +125,41 @@ def test_graph_readers_agree_on_edited_text(edit):
             assert parse_graph(text) == expected
     else:
         assert outcome(parse_graph, text) == expected, (kind, text)
+
+
+@st.composite
+def oriented_graphs(draw):
+    """A graph on up to 12 vertices, often with long runs of edges from one
+    tail, some vertices isolated or with no higher neighbour, or no edges at
+    all; and orientation bits random, all 0, all 1 or alternating, the last
+    with a run of one bit per arc."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = UndirectedGraph.from_edges(n, edges)
+    m = len(g.edges)
+    kind = draw(st.sampled_from(["random", "zeros", "ones", "alternating"]))
+    if kind == "random":
+        bits = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    else:
+        bits = [{"zeros": 0, "ones": 1, "alternating": i % 2}[kind] for i in range(m)]
+    return Orientation(g, tuple(bits))
+
+
+@settings(max_examples=300)
+@given(oriented_graphs(), st.data())
+def test_writers_match_the_per_line_renderers(orientation, data):
+    g = orientation.graph
+    n = g.vertex_count
+    labels = tuple(data.draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)))
+    mu = data.draw(st.integers(-2 * n, 2 * n))
+    for long_run in (0, len(g.edges) + 1):  # every run joined, then every run short
+        with mock.patch.object(graphs, "_LONG_RUN", long_run):
+            assert graph_to_text(g) == graph_text(n, g.edges)
+            if n > 0:  # a certificate labels at least one vertex
+                cert = MagicCertificate(g, orientation, Labeling(n, labels), mu)
+                assert (certificate_to_text(cert)
+                        == certificate_text(n, mu, labels, g.edges, orientation.bits))
 
 
 def parse_then_bind(text, graph):
