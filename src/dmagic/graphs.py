@@ -2,27 +2,42 @@
 
 Vertices are 0-based integers.  Edge lists are kept canonical: every pair is
 stored as (u, v) with u < v, deduplicated and sorted lexicographically, so
-equal graphs compare equal and file output is byte-stable.  The generators
-and products build their edges in canonical order directly;
+equal graphs compare equal and file output is byte-stable.
 UndirectedGraph.from_edges canonicalizes edges that come from outside the
-package, in any order and orientation and with repeats.
+package, in any order and orientation and with repeats; the constructor
+checks canonical order edge by edge.  Edges built a run at a time, each
+tail's ascending heads, are checked a run at a time by _from_runs, the one
+place that checks the output of the generators complete,
+complete_multipartite and lexicographic and of the run reader below: a run
+given as a range costs O(1), a list one pass.
 
 Graph text is written one vertex u's run of canonical edges at a time, its
-lines joined under the shared prefix 'e u ' from each vertex's name, made
-once; certificate text is written from the same runs.  A graph whose tails
-average fewer than _LONG_RUN edges, such as a path, cycle or prism, is
-written a line per edge, which is faster there.  Graph text is read two ways.
-dmagic's own graph files are read in bulk, the integers taken a bounded
-chunk of lines at a time, and the graph built from them is kept only if
-graph_to_text, the writer itself, gives back the input exactly.  That guard
-is sound: the line reader reads what graph_to_text writes back into the same
+lines joined under the shared prefix 'e u ' from the names of the vertices up
+to the largest head, made once.  A graph whose tails average fewer than
+_LONG_RUN edges, such as a path, cycle or prism, or that would need more
+names than it has edges, is written a line per edge, which is faster there.
+Certificate text is written from the same runs.
+
+Graph text is read three ways.  In a complete multipartite graph, such as
+the blown-up cliques K_m[n], the heads of tail u are all of v..N-1 for its
+first head v; such a run is upper-closed.  A header that promises an average
+degree of at least _LONG_RUN sends the text to the run reader, which guesses
+that each run is upper-closed from its first line and keeps the guess only if
+_run_text, graph_to_text's own rendering of that run, gives back the text at
+the run's offset.  The word reader takes the whole text at the first run
+that does not (a path, a cycle, a relabelled graph), and from the start below
+that average degree, where it is the faster one; it takes the integers a
+bounded chunk of lines at a time.  Either bulk reader's graph is kept only if
+graph_to_text, the writer itself, gives back the input exactly.  That guard is
+sound: the line reader reads what graph_to_text writes back into the same
 graph, so it would read the input into that graph too.  Any other text
 (comments, blank lines, other spacing, errors) goes to the line reader, the
-one reader of hand-written files and the one source of error messages.  The
-chunks keep the bulk peak below the line reader's, which holds every line at
-once.  The line readers of graph and certificate text share one grammar:
-_lines skips blank and comment lines, and a word that is not an integer is
-an error of its line.
+one reader of hand-written files and the one source of error messages.
+Neither bulk reader makes anything per vertex that the header claims before
+the text has shown room for it, and the chunks keep the word reader's peak
+below the line reader's, which holds every line at once.  The line readers of
+graph and certificate text share one grammar: _lines skips blank and comment
+lines, and a word that is not an integer is an error of its line.
 """
 
 from __future__ import annotations
@@ -59,7 +74,9 @@ class FormatError(ValueError):
 
 _TAIL, _HEAD = itemgetter(0), itemgetter(1)
 _CHUNK = 1 << 16  # characters of text read at once in bulk, then on to a line end
-_LONG_RUN = 16  # edges per tail from which joining a run writes faster than a line per edge
+# edges per tail from which joining a run writes faster than a line per edge,
+# and the average degree from which reading runs is faster than reading words
+_LONG_RUN = 16
 
 
 @dataclass(frozen=True)
@@ -165,14 +182,36 @@ class Orientation:
         return cls(graph, tuple(b for b in bits if b is not None))
 
 
+def _from_runs(n: int, runs: Iterable[Tuple[int, Sequence[int]]]) -> UndirectedGraph:
+    """The graph on n vertices with each (tail, heads) run's edges, in order.
+    Canonical order is checked a run at a time, O(1) for a range of heads and
+    one pass for a list: each non-empty run must have tail < first head < ...
+    < last head < n and start above the last edge of the run before.  It
+    raises exactly when UndirectedGraph(n, edges) does, with the same message."""
+    if n < 0:
+        raise ValueError(f"vertex_count must be non-negative, got {n}")
+    # a list, then one tuple: a tuple grown from an iterator rejoins the garbage
+    # collector's youngest generation at each resize, which doubled the build time
+    edges: List[Tuple[int, int]] = []
+    last = (0, 0)  # below every canonical edge, above every edge with a negative tail
+    for u, heads in runs:
+        if heads:
+            ascending = type(heads) is range and heads.step > 0 or all(map(lt, heads, heads[1:]))
+            if not (last < (u, heads[0]) and u < heads[0] and heads[-1] < n and ascending):
+                raise ValueError("edge list is not canonical; use UndirectedGraph.from_edges")
+            edges += zip(repeat(u), heads)
+            last = (u, heads[-1])
+    graph = object.__new__(UndirectedGraph)  # checked above, so not again edge by edge
+    object.__setattr__(graph, "vertex_count", n)
+    object.__setattr__(graph, "edges", tuple(edges))
+    return graph
+
+
 def complete(n: int) -> UndirectedGraph:
     """The complete graph on n >= 1 vertices."""
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
-    edges: List[Tuple[int, int]] = []
-    for u in range(n):
-        edges.extend(zip(repeat(u), range(u + 1, n)))
-    return UndirectedGraph(n, tuple(edges))
+    return _from_runs(n, [(u, range(u + 1, n)) for u in range(n)])
 
 
 def empty_graph(n: int) -> UndirectedGraph:
@@ -203,11 +242,9 @@ def complete_multipartite(sizes: Sequence[int]) -> UndirectedGraph:
         raise ValueError(f"part sizes must be positive, got {list(sizes)}")
     starts = [0, *accumulate(sizes)]
     n = starts[-1]
-    edges: List[Tuple[int, int]] = []
-    for a, b in zip(starts, starts[1:]):  # u's higher neighbours are the later parts
-        for u in range(a, b):
-            edges.extend(zip(repeat(u), range(b, n)))
-    return UndirectedGraph(n, tuple(edges))
+    # u's higher neighbours are the later parts
+    return _from_runs(n, [(u, range(b, n))
+                          for a, b in zip(starts, starts[1:]) for u in range(a, b)])
 
 
 def _upper_neighbors(g: UndirectedGraph) -> List[List[int]]:
@@ -224,21 +261,23 @@ def lexicographic(g: UndirectedGraph, h: UndirectedGraph) -> UndirectedGraph:
     Vertex (a, b) of g x h is numbered a * |h| + b, so each block of |h|
     vertices is consecutive.  Vertex u's higher neighbours are then its block
     mates through h, then every vertex of each later block g joins to u's
-    block; the edges come out in canonical order.
+    block, one range of vertices when those blocks are consecutive, as in
+    complete(m); the runs come out in canonical order.
     """
     n = h.vertex_count
     if g.vertex_count < 1 or n < 1:
         raise ValueError("a graph product needs two non-empty factors")
     g_up, h_up = _upper_neighbors(g), _upper_neighbors(h)
-    edges: List[Tuple[int, int]] = []
-    for a in range(g.vertex_count):
+    runs: List[Tuple[int, Sequence[int]]] = []
+    for a, up in enumerate(g_up):
         base = a * n
-        across = [c * n + j for c in g_up[a] for j in range(n)]
-        for b in range(n):
-            u = base + b
-            edges.extend((u, base + x) for x in h_up[b])
-            edges.extend(zip(repeat(u), across))
-    return UndirectedGraph(g.vertex_count * n, tuple(edges))
+        if up and up[-1] - up[0] == len(up) - 1:
+            across: Sequence[int] = range(up[0] * n, (up[-1] + 1) * n)
+        else:
+            across = [c * n + j for c in up for j in range(n)]
+        for b, mates in enumerate(h_up):
+            runs.append((base + b, [*(base + x for x in mates), *across] if mates else across))
+    return _from_runs(g.vertex_count * n, runs)
 
 
 def cartesian(g: UndirectedGraph, h: UndirectedGraph) -> UndirectedGraph:
@@ -272,35 +311,69 @@ def graph_to_text(graph: UndirectedGraph) -> str:
     """Canonical text form: header line then one 'e u v' line per edge."""
     edges = graph.edges
     header = f"graph {graph.vertex_count} {len(edges)}\n"
-    if _short_runs(edges, 0):
+    runs = _edge_runs(edges, 0)
+    if runs is None:
         return header + "e %d %d\n" * len(edges) % tuple(chain.from_iterable(edges))
-    parts = [header]
-    for tail, _, heads in _edge_runs(edges, list(map(str, range(graph.vertex_count)))):
-        line = f"e {tail} "
-        parts += line, ("\n" + line).join(heads), "\n"
-    return "".join(parts)
+    return header + "".join([_run_text(f"e {tail} ", heads) for tail, _, heads in runs])
 
 
-def _short_runs(edges: Sequence[Tuple[int, int]], splits: int) -> bool:
-    """Whether the tails' runs of the edges, cut at splits more places,
-    average fewer than _LONG_RUN edges, so that a line per edge writes them
-    faster.  The tails lie in 0..edges[-1][0], which bounds the runs' count."""
-    return bool(edges) and len(edges) < _LONG_RUN * (edges[-1][0] + 1 + splits)
+def _run_text(line: str, heads: Sequence[str]) -> str:
+    """One run's lines: each head's name under the shared prefix line."""
+    return line + ("\n" + line).join(heads) + "\n"
 
 
 def _edge_runs(edges: Sequence[Tuple[int, int]],
-               names: Sequence[str]) -> Iterator[Tuple[str, int, Sequence[str]]]:
+               splits: int) -> Optional[List[Tuple[str, int, Sequence[str]]]]:
     """Each tail's run of the canonical edges: the tail's name, the index of
     its first edge and the names of its heads, a slice of names when the
-    heads are consecutive vertices."""
-    i = 0
+    heads are consecutive vertices.  None when a line per edge writes them
+    faster: when the runs, cut at splits more places, average fewer than
+    _LONG_RUN edges (the tails lie in 0..edges[-1][0], which bounds the runs'
+    count), or when there would be more vertex names, one for each vertex up
+    to the largest head, than edges."""
+    if not edges or len(edges) < _LONG_RUN * (edges[-1][0] + 1 + splits):
+        return None
+    bounds, i = [], 0
     while i < len(edges):
-        u, first = edges[i]
-        j = bisect_left(edges, (u + 1,), i)
-        last = edges[j - 1][1]  # heads increase, so last - first >= j - i - 1
-        yield names[u], i, (names[first:last + 1] if last - first < j - i
-                            else [names[v] for _, v in edges[i:j]])
+        j = bisect_left(edges, (edges[i][0] + 1,), i)
+        bounds.append((i, j))
         i = j
+    top = max(edges[j - 1][1] for _, j in bounds)  # heads increase along a run
+    if top >= len(edges):
+        return None
+    names = list(map(str, range(top + 1)))
+    runs = []
+    for i, j in bounds:
+        (u, first), last = edges[i], edges[j - 1][1]  # last - first >= j - i - 1
+        runs.append((names[u], i, names[first:last + 1] if last - first < j - i
+                     else [names[v] for _, v in edges[i:j]]))
+    return runs
+
+
+def _upper_closed_runs(text: str, start: int, n: int) -> Optional[List[Tuple[int, range]]]:
+    """Read text from offset start as runs that are each upper-closed: the
+    heads of tail u are v..n-1, v the head on u's first line.  Each guess is
+    kept only if _run_text, as graph_to_text writes that run, gives back the
+    text at the run's offset; None at the first guess that does not.  Names
+    are made only for heads the rest of the text has room for, never by n
+    alone."""
+    runs: List[Tuple[int, range]] = []
+    names: List[str] = []
+    low = n  # names[k] is the name of vertex low + k
+    while start < len(text):
+        _, u, v = text[start:text.find("\n", start)].split()
+        u, v = int(u), int(v)
+        if not 0 < n - v <= (len(text) - start) // 6:  # a line is at least 'e u h\n'
+            return None
+        if v < low:
+            names[:0] = map(str, range(v, low))
+            low = v
+        run = _run_text(f"e {u} ", names[v - low:])
+        if not text.startswith(run, start):
+            return None
+        runs.append((u, range(v, n)))
+        start += len(run)
+    return runs
 
 
 def _bulk_chunks(text: str, start: int) -> Iterator[Tuple[List[str], Callable[[str], int]]]:
@@ -333,11 +406,17 @@ def parse_graph(text: str) -> UndirectedGraph:
     """
     try:
         start = text.find("\n") + 1 or len(text)
-        _, vertices, _ = text[:start].split()
-        pairs: List[Tuple[int, int]] = []
-        for fields, value in _bulk_chunks(text, start):
-            pairs.extend(zip(map(value, fields[1::3]), map(value, fields[2::3])))
-        graph = UndirectedGraph(int(vertices), tuple(pairs))
+        _, vertices, edges = text[:start].split()
+        n = int(vertices)
+        # below an average degree of _LONG_RUN the word reader is the faster one
+        runs = _upper_closed_runs(text, start, n) if 2 * int(edges) >= _LONG_RUN * n else None
+        if runs is not None:
+            graph = _from_runs(n, runs)
+        else:  # a run not upper-closed, or a lower average degree: the word reader
+            pairs: List[Tuple[int, int]] = []
+            for fields, value in _bulk_chunks(text, start):
+                pairs.extend(zip(map(value, fields[1::3]), map(value, fields[2::3])))
+            graph = UndirectedGraph(n, tuple(pairs))
     except ValueError:
         return _parse_graph_lines(text)
     return graph if graph_to_text(graph) == text else _parse_graph_lines(text)

@@ -9,9 +9,10 @@ Certificate text is written and read as graph text is (see the graphs
 module).  The arcs are written one vertex u's run of edges at a time, split
 where the orientation bit changes: the lines of a bit-0 run share the
 prefix 'a u ', those of a bit-1 run the ending ' u'.  Runs that average
-fewer than _LONG_RUN arcs are written a line per arc.  It is read by one
-bulk reader and one line reader.  parse_certificate is the line reader: any
-spacing, comments and blank lines, and every error message.  read_certificate
+fewer than _LONG_RUN arcs, or a graph that would need more vertex names than
+it has edges, are written a line per arc.  It is read by one bulk reader and
+one line reader.  parse_certificate is the line reader: any spacing,
+comments and blank lines, and every error message.  read_certificate
 is the bulk reader; dmagic verify reads every certificate through it.  It
 reads a certificate against the graph it is bound to, as
 bind_certificate(parse_certificate(text), graph) does, but builds no arc: it
@@ -33,7 +34,7 @@ from operator import getitem, ne, xor
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .graphs import (FormatError, Orientation, UndirectedGraph, _TAIL, _bulk_chunks, _edge_runs,
-                     _lines, _short_runs)
+                     _lines, _run_text)
 
 __all__ = [
     "NotALabelingError",
@@ -154,14 +155,14 @@ def _certificate_text(order: int, mu: int, labels: Sequence[int], orientation: O
     flags = bytes(bits)
     parts = [f"certificate {order}\n{_CONVENTION_LINE}\nmu {mu}\n",
              "l %d %d\n" * len(labels) % tuple(chain.from_iterable(enumerate(labels)))]
-    if _short_runs(edges, flags.count(b"\0\1") + flags.count(b"\1\0")):  # the bit changes
+    runs = _edge_runs(edges, flags.count(b"\0\1") + flags.count(b"\1\0"))  # the bit changes
+    if runs is None:
         ends = [0] * (2 * len(bits))  # tail, head, tail, head, ...
         ends[::2] = map(getitem, edges, bits)
         ends[1::2] = map(getitem, edges, map(xor, bits, repeat(1)))
         parts.append("a %d %d\n" * len(bits) % tuple(ends))
         return "".join(parts)
-    names = list(map(str, range(orientation.graph.vertex_count)))
-    for tail, start, heads in _edge_runs(edges, names):
+    for tail, start, heads in runs:
         tail_flags, i = flags[start:start + len(heads)], 0
         while i < len(heads):
             j = tail_flags.find(tail_flags[i] ^ 1, i)
@@ -171,8 +172,7 @@ def _certificate_text(order: int, mu: int, labels: Sequence[int], orientation: O
             if tail_flags[i]:
                 parts += "a ", f" {tail}\na ".join(run), f" {tail}\n"
             else:
-                line = f"a {tail} "
-                parts += line, ("\n" + line).join(run), "\n"
+                parts.append(_run_text(f"a {tail} ", run))
             i = j
     return "".join(parts)
 

@@ -7,6 +7,7 @@ from dmagic.graphs import (
     FormatError,
     Orientation,
     UndirectedGraph,
+    _from_runs,
     cartesian,
     complete,
     complete_multipartite,
@@ -112,6 +113,52 @@ def test_constructor_rejects_non_canonical():
         UndirectedGraph(3, ((0, 3),))
     with pytest.raises(ValueError):
         UndirectedGraph(3, ((1, 2), (0, 1)))
+
+
+def _random_runs(rng, n):
+    """A few (tail, heads) runs around 0..n: tails that mostly rise, heads a
+    range of any step or a list, mostly ascending above the tail and below n,
+    sometimes empty, unsorted, repeated or out of range."""
+    runs, u = [], rng.choice([-1, 0, 0, 0, 1])
+    for _ in range(rng.randint(0, 4)):
+        low, top = u + rng.choice([1, 1, 1, 2, 0, -1]), n + rng.choice([0, 0, 0, 1])
+        if rng.random() < 0.5:
+            step = rng.choice([1, 1, 1, 2, -1])
+            stop = top if step == 1 else rng.randint(low - 3, low + 4)
+            heads = range(low, stop, step)
+        else:
+            pool = range(low, max(low, top))
+            heads = sorted(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+            if heads and rng.random() < 0.2:
+                heads.insert(rng.randrange(len(heads) + 1), rng.choice(heads))
+            if rng.random() < 0.1:
+                heads.reverse()
+        runs.append((u, heads))
+        u += rng.choice([-1, 0, 1, 1, 1, 2])
+    return runs
+
+
+def test_run_builder_raises_exactly_when_the_constructor_does():
+    # the run builder checks a run at a time what the constructor checks edge
+    # by edge: the same error message, or an equal graph
+    rng = random.Random(26)
+    outcomes = {"graph": 0, "error": 0}
+    for _ in range(20000):
+        n = rng.choice([-1, *range(8)])
+        runs = _random_runs(rng, n)
+        edges = tuple((u, v) for u, heads in runs for v in heads)
+        try:
+            expected = UndirectedGraph(n, edges)
+        except ValueError as err:
+            expected = str(err)
+        try:
+            got = _from_runs(n, runs)
+        except ValueError as err:
+            got = str(err)
+        assert got == expected, (n, runs)
+        if isinstance(expected, str) or edges:
+            outcomes["error" if isinstance(expected, str) else "graph"] += 1
+    assert min(outcomes.values()) > 1000, outcomes
 
 
 def test_incidence():

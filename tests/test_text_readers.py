@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 from dmagic import graphs, verifier
 from dmagic.cli import main
 from dmagic.constructors import construct_case1, construct_complete, kmokn_graph
-from dmagic.graphs import FormatError, Orientation, UndirectedGraph, graph_to_text, parse_graph
+from dmagic.graphs import (FormatError, Orientation, UndirectedGraph, complete_multipartite,
+                           graph_to_text, parse_graph)
 from dmagic.verifier import (
     Labeling,
     MagicCertificate,
@@ -40,6 +41,9 @@ def graphs_on(n):
 
 
 small_graphs = st.integers(0, 8).flatmap(graphs_on)
+# complete multipartite graphs: every run of their text is upper-closed,
+# the heads of tail u all of v..N-1 for the first head v
+multipartite_graphs = st.lists(st.integers(1, 6), min_size=2, max_size=7).map(complete_multipartite)
 
 
 @st.composite
@@ -108,6 +112,37 @@ def edited(draw, texts):
     return kind, "".join(line + "\n" for line in lines)
 
 
+@st.composite
+def near_misses(draw, g):
+    """The text of g, whose runs are all upper-closed, with one near miss of
+    the kind named: a run with one head missing, the last run cut short, a
+    run with a gap that still ends at N-1, a tail written with a leading 0,
+    or an extra last line; the header's edge count left as it was or made to
+    fit."""
+    header, *lines = graph_to_text(g).split("\n")[:-1]
+    runs = {}  # each tail's line indexes
+    for i, line in enumerate(lines):
+        runs.setdefault(line.split()[1], []).append(i)
+    kind = draw(st.sampled_from(["hole", "cut", "gap", "leading 0", "extra line"]))
+    run = draw(st.sampled_from(list(runs.values())))
+    if kind == "hole":
+        del lines[draw(st.sampled_from(run))]
+    elif kind == "cut":
+        last = list(runs.values())[-1]
+        del lines[draw(st.sampled_from(last[1:] or last)):]
+    elif kind == "gap" and len(run) > 2:
+        del lines[draw(st.sampled_from(run[1:-1]))]
+    elif kind == "leading 0":
+        i = draw(st.sampled_from(run))
+        lines[i] = lines[i].replace(" ", " 0", 1)
+    else:
+        kind = "extra line"
+        lines.append(draw(st.sampled_from([lines[-1], "", "# the end", f"e 0 {g.vertex_count}"])))
+    if draw(st.booleans()):
+        header = f"graph {g.vertex_count} {sum(line.startswith('e') for line in lines)}"
+    return kind, "".join(line + "\n" for line in [header, *lines])
+
+
 def outcome(read, text):
     try:
         return read(text)
@@ -115,16 +150,22 @@ def outcome(read, text):
         return f"FormatError: {err}"
 
 
-@settings(max_examples=300)
-@given(edited(small_graphs.map(graph_to_text)))
-def test_graph_readers_agree_on_edited_text(edit):
+@settings(max_examples=400)
+@given(st.one_of(edited(small_graphs.map(graph_to_text)),
+                 edited(multipartite_graphs.map(graph_to_text)),
+                 multipartite_graphs.flatmap(near_misses)),
+       st.sampled_from([0, graphs._LONG_RUN]))
+def test_graph_readers_agree_on_edited_text(edit, long_run):
     kind, text = edit
     expected = outcome(graphs._parse_graph_lines, text)
-    if kind is None:  # dmagic's own text: the line reader must not be needed
-        with mock.patch.object(graphs, "_parse_graph_lines", side_effect=AssertionError("line reader")):
-            assert parse_graph(text) == expected
-    else:
-        assert outcome(parse_graph, text) == expected, (kind, text)
+    # with _LONG_RUN 0 the run reader tries every text, whatever its degree
+    with mock.patch.object(graphs, "_LONG_RUN", long_run):
+        if kind is None:  # dmagic's own text: the line reader must not be needed
+            with mock.patch.object(graphs, "_parse_graph_lines",
+                                   side_effect=AssertionError("line reader")):
+                assert parse_graph(text) == expected
+        else:
+            assert outcome(parse_graph, text) == expected, (kind, text)
 
 
 @st.composite
@@ -153,7 +194,8 @@ def test_writers_match_the_per_line_renderers(orientation, data):
     n = g.vertex_count
     labels = tuple(data.draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)))
     mu = data.draw(st.integers(-2 * n, 2 * n))
-    for long_run in (0, len(g.edges) + 1):  # every run joined, then every run short
+    # runs joined (unless the names would outnumber the edges), then every run short
+    for long_run in (0, len(g.edges) + 1):
         with mock.patch.object(graphs, "_LONG_RUN", long_run):
             assert graph_to_text(g) == graph_text(n, g.edges)
             if n > 0:  # a certificate labels at least one vertex
@@ -224,7 +266,9 @@ def test_construct_output_is_read_in_bulk(tmp_path, capsys, monkeypatch):
     tampered_file = tmp_path / "k54.tampered"
     tampered_file.write_text("".join(lines))
     monkeypatch.setattr(graphs, "_parse_graph_lines", mock.Mock(side_effect=AssertionError("line reader")))
-    assert parse_graph(graph_file.read_text()) == kmokn_graph(5, 4)
+    with mock.patch.object(graphs, "_bulk_chunks", side_effect=AssertionError("word reader")):
+        # K5[4] has average degree 16, so its upper-closed runs are read a run at a time
+        assert parse_graph(graph_file.read_text()) == kmokn_graph(5, 4)
     for name in ROUND_THE_BULK_READ:  # dmagic verify reads a certificate in one bulk pass
         monkeypatch.setattr(verifier, name, mock.Mock(side_effect=AssertionError(name)))
     capsys.readouterr()
@@ -252,6 +296,11 @@ def test_bulk_read_peaks_no_higher_than_the_line_reader(to_text, read, line_read
     # hold three strings per line at once and peak above the line reader
     text = to_text(construct_case1(3, 88))
     assert traced_peak(read, text) <= traced_peak(line_reader, text)
+
+
+def test_graph_header_alone_sizes_nothing():
+    # a header that claims a million vertices and no edge: no vertex name is made
+    assert traced_peak(parse_graph, "graph 1000000 0\n") < 1 << 20
 
 
 def test_read_certificate_peaks_no_higher_than_parse_then_bind():
