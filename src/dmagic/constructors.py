@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .graphs import Orientation, UndirectedGraph, complete, empty_graph, lexicographic
+from .graphs import Orientation, UndirectedGraph, complete, complete_multipartite, empty_graph
 from .verifier import Labeling, MagicCertificate, verified
 from .zero_sum import case1_sets
 
@@ -83,7 +83,9 @@ def construct_empty(n: int) -> MagicCertificate:
 
 def kmokn_graph(m: int, n: int) -> UndirectedGraph:
     """The blown-up clique: m mutually joined independent blocks of n vertices."""
-    return lexicographic(complete(m), empty_graph(n))
+    if m < 1 or n < 1:
+        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    return complete_multipartite([n] * m)
 
 
 def construct_case1(m: int, n: int) -> MagicCertificate:

@@ -8,8 +8,8 @@ package, in any order and orientation and with repeats; the constructor
 checks canonical order edge by edge.  Edges built a run at a time, each
 tail's ascending heads, are checked a run at a time by _from_runs, the one
 place that checks the output of the generators complete,
-complete_multipartite and lexicographic and of the run reader below: a run
-given as a range costs O(1), a list one pass.
+complete_multipartite and lexicographic: a run given as a range costs O(1),
+a list one pass.
 
 Graph text is written one vertex u's run of canonical edges at a time, its
 lines joined under the shared prefix 'e u ' from the names of the vertices up
@@ -18,26 +18,25 @@ _LONG_RUN edges, such as a path, cycle or prism, or that would need more
 names than it has edges, is written a line per edge, which is faster there.
 Certificate text is written from the same runs.
 
-Graph text is read three ways.  In a complete multipartite graph, such as
-the blown-up cliques K_m[n], the heads of tail u are all of v..N-1 for its
-first head v; such a run is upper-closed.  A header that promises an average
-degree of at least _LONG_RUN sends the text to the run reader, which guesses
-that each run is upper-closed from its first line and keeps the guess only if
-_run_text, graph_to_text's own rendering of that run, gives back the text at
-the run's offset.  The word reader takes the whole text at the first run
-that does not (a path, a cycle, a relabelled graph), and from the start below
-that average degree, where it is the faster one; it takes the integers a
-bounded chunk of lines at a time.  Either bulk reader's graph is kept only if
-graph_to_text, the writer itself, gives back the input exactly.  That guard is
-sound: the line reader reads what graph_to_text writes back into the same
-graph, so it would read the input into that graph too.  Any other text
-(comments, blank lines, other spacing, errors) goes to the line reader, the
-one reader of hand-written files and the one source of error messages.
-Neither bulk reader makes anything per vertex that the header claims before
-the text has shown room for it, and the chunks keep the word reader's peak
-below the line reader's, which holds every line at once.  The line readers of
-graph and certificate text share one grammar: _lines skips blank and comment
-lines, and a word that is not an integer is an error of its line.
+Graph text is read three ways.  The header 'graph N M' names at most one
+blown-up clique K_k[b], k parts of b vertices: its N(N - b)/2 edges fix
+b = N - 2M/N.  When 0 < M <= len(text)/6 (an edge line is at least 'e u v\n'),
+2M is a multiple of N, b is a proper divisor of N and the first edge line is
+'e 0 b', that candidate is built by complete_multipartite.  It needs
+M >= N^2/4, as b <= N/2, and is never larger than the text.  Any other text
+goes to the word reader, which takes the integers a bounded chunk of lines
+at a time.  Either graph is kept only if graph_to_text, the writer itself,
+gives back the input exactly.  That guard is sound: the line reader reads
+what graph_to_text writes back into the same graph, so it would read the
+input into that graph too.  Any other text (comments, blank lines, other
+spacing, errors, a candidate the text does not match) goes to the line
+reader, the one reader of hand-written files and the one source of error
+messages.  Neither bulk reader makes anything per vertex that the header
+claims before the text has shown room for it, and the chunks keep the word
+reader's peak below the line reader's, which holds every line at once.  The
+line readers of graph and certificate text share one grammar: _lines skips
+blank and comment lines, and a word that is not an integer is an error of
+its line.
 """
 
 from __future__ import annotations
@@ -74,9 +73,7 @@ class FormatError(ValueError):
 
 _TAIL, _HEAD = itemgetter(0), itemgetter(1)
 _CHUNK = 1 << 16  # characters of text read at once in bulk, then on to a line end
-# edges per tail from which joining a run writes faster than a line per edge,
-# and the average degree from which reading runs is faster than reading words
-_LONG_RUN = 16
+_LONG_RUN = 16  # edges per tail from which joining a run writes faster than a line per edge
 
 
 @dataclass(frozen=True)
@@ -261,8 +258,7 @@ def lexicographic(g: UndirectedGraph, h: UndirectedGraph) -> UndirectedGraph:
     Vertex (a, b) of g x h is numbered a * |h| + b, so each block of |h|
     vertices is consecutive.  Vertex u's higher neighbours are then its block
     mates through h, then every vertex of each later block g joins to u's
-    block, one range of vertices when those blocks are consecutive, as in
-    complete(m); the runs come out in canonical order.
+    block; the runs come out in canonical order.
     """
     n = h.vertex_count
     if g.vertex_count < 1 or n < 1:
@@ -271,10 +267,7 @@ def lexicographic(g: UndirectedGraph, h: UndirectedGraph) -> UndirectedGraph:
     runs: List[Tuple[int, Sequence[int]]] = []
     for a, up in enumerate(g_up):
         base = a * n
-        if up and up[-1] - up[0] == len(up) - 1:
-            across: Sequence[int] = range(up[0] * n, (up[-1] + 1) * n)
-        else:
-            across = [c * n + j for c in up for j in range(n)]
+        across = [c * n + j for c in up for j in range(n)]
         for b, mates in enumerate(h_up):
             runs.append((base + b, [*(base + x for x in mates), *across] if mates else across))
     return _from_runs(g.vertex_count * n, runs)
@@ -350,32 +343,6 @@ def _edge_runs(edges: Sequence[Tuple[int, int]],
     return runs
 
 
-def _upper_closed_runs(text: str, start: int, n: int) -> Optional[List[Tuple[int, range]]]:
-    """Read text from offset start as runs that are each upper-closed: the
-    heads of tail u are v..n-1, v the head on u's first line.  Each guess is
-    kept only if _run_text, as graph_to_text writes that run, gives back the
-    text at the run's offset; None at the first guess that does not.  Names
-    are made only for heads the rest of the text has room for, never by n
-    alone."""
-    runs: List[Tuple[int, range]] = []
-    names: List[str] = []
-    low = n  # names[k] is the name of vertex low + k
-    while start < len(text):
-        _, u, v = text[start:text.find("\n", start)].split()
-        u, v = int(u), int(v)
-        if not 0 < n - v <= (len(text) - start) // 6:  # a line is at least 'e u h\n'
-            return None
-        if v < low:
-            names[:0] = map(str, range(v, low))
-            low = v
-        run = _run_text(f"e {u} ", names[v - low:])
-        if not text.startswith(run, start):
-            return None
-        runs.append((u, range(v, n)))
-        start += len(run)
-    return runs
-
-
 def _bulk_chunks(text: str, start: int) -> Iterator[Tuple[List[str], Callable[[str], int]]]:
     """The words of text from offset start, split a bounded chunk of whole
     lines at a time, each chunk with the int of its numerals (ValueError for
@@ -407,12 +374,12 @@ def parse_graph(text: str) -> UndirectedGraph:
     try:
         start = text.find("\n") + 1 or len(text)
         _, vertices, edges = text[:start].split()
-        n = int(vertices)
-        # below an average degree of _LONG_RUN the word reader is the faster one
-        runs = _upper_closed_runs(text, start, n) if 2 * int(edges) >= _LONG_RUN * n else None
-        if runs is not None:
-            graph = _from_runs(n, runs)
-        else:  # a run not upper-closed, or a lower average degree: the word reader
+        n, m = int(vertices), int(edges)
+        # the one K_k[b] the header can name, b = N - 2M/N; see the module docstring
+        b = n - 2 * m // n if 0 < n and 0 < m <= len(text) // 6 and 2 * m % n == 0 else 0
+        if 0 < b and n % b == 0 and text.startswith(f"e 0 {b}\n", start):
+            graph = complete_multipartite([b] * (n // b))
+        else:  # the word reader
             pairs: List[Tuple[int, int]] = []
             for fields, value in _bulk_chunks(text, start):
                 pairs.extend(zip(map(value, fields[1::3]), map(value, fields[2::3])))

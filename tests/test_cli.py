@@ -78,6 +78,14 @@ def test_graph_missing_parameter(capsys):
     assert "--sizes" in err
 
 
+@pytest.mark.parametrize("m, n", [("0", "3"), ("3", "0")])
+def test_graph_kmokn_names_both_parameters(capsys, m, n):
+    code, out, err = run(capsys, "graph", "--family", "kmokn", "--m", m, "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: need m >= 1 and n >= 1, got m={m}, n={n}\n"
+
+
 def test_construct_verify_round_trip(tmp_path, capsys):
     cert = tmp_path / "k43.cert"
     graph = tmp_path / "k43.graph"
@@ -201,6 +209,18 @@ def test_verify_malformed_certificate(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--graph", str(graph), "--cert", str(cert))
     assert code == 2
     assert "error:" in err
+
+
+def test_verify_malformed_graph_without_vertices(tmp_path, capsys):
+    # edges on N = 0 vertices: a format error of the edge line, not a division by N
+    graph = tmp_path / "zero.graph"
+    cert = tmp_path / "one.cert"
+    graph.write_text("graph 0 3\ne 0 1\ne 0 2\ne 1 2\n")
+    cert.write_text("certificate 1\nmu 0\nl 0 0\n")
+    code, out, err = run(capsys, "verify", "--graph", str(graph), "--cert", str(cert))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2: edge (0, 1) must satisfy 0 <= u < v < 0\n"
 
 
 def test_verify_names_a_few_unoriented_edges(tmp_path, capsys):

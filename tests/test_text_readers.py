@@ -12,6 +12,7 @@ against per-line renderers written from the format's definition.
 
 import contextlib
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -20,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 from dmagic import graphs, verifier
 from dmagic.cli import main
 from dmagic.constructors import construct_case1, construct_complete, kmokn_graph
-from dmagic.graphs import (FormatError, Orientation, UndirectedGraph, complete_multipartite,
-                           graph_to_text, parse_graph)
+from dmagic.graphs import (FormatError, Orientation, UndirectedGraph, complete,
+                           complete_multipartite, graph_to_text, parse_graph)
 from dmagic.verifier import (
     Labeling,
     MagicCertificate,
@@ -41,9 +42,15 @@ def graphs_on(n):
 
 
 small_graphs = st.integers(0, 8).flatmap(graphs_on)
-# complete multipartite graphs: every run of their text is upper-closed,
-# the heads of tail u all of v..N-1 for the first head v
-multipartite_graphs = st.lists(st.integers(1, 6), min_size=2, max_size=7).map(complete_multipartite)
+# the blown-up cliques K_k[b], k parts of b vertices, K_k and the edgeless
+# K_1[b] among them: each is the one graph its header names, so parse_graph
+# builds it from the header; and complete multipartite graphs with parts of
+# any sizes, which it reads word by word
+blown_up_cliques = st.builds(lambda k, b: complete_multipartite([b] * k),
+                             st.integers(1, 7), st.integers(1, 6))
+multipartite_graphs = st.one_of(
+    blown_up_cliques,
+    st.lists(st.integers(1, 6), min_size=2, max_size=7).map(complete_multipartite))
 
 
 @st.composite
@@ -114,11 +121,11 @@ def edited(draw, texts):
 
 @st.composite
 def near_misses(draw, g):
-    """The text of g, whose runs are all upper-closed, with one near miss of
-    the kind named: a run with one head missing, the last run cut short, a
-    run with a gap that still ends at N-1, a tail written with a leading 0,
-    or an extra last line; the header's edge count left as it was or made to
-    fit."""
+    """The text of g, a complete multipartite graph with edges, with one near
+    miss of the kind named: a run with one head missing, the last run cut
+    short, a run with a gap that still ends at N-1, a tail written with a
+    leading 0, or an extra last line; the header's edge count left as it was
+    or made to fit."""
     header, *lines = graph_to_text(g).split("\n")[:-1]
     runs = {}  # each tail's line indexes
     for i, line in enumerate(lines):
@@ -143,6 +150,23 @@ def near_misses(draw, g):
     return kind, "".join(line + "\n" for line in [header, *lines])
 
 
+@st.composite
+def impostors(draw, g):
+    """Text that a first look at its header and first line takes for a
+    blown-up clique it is not, from g = K_k[b] with edges: g's text under a
+    header whose edge count names K_(N/c)[c] for another divisor c of N, or
+    the text of g relabelled with vertex 0's part kept at 0..b-1, so that its
+    first line is still 'e 0 b' while the other parts are mixed."""
+    n, edges = g.vertex_count, g.edges
+    b = edges[0][1]
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([c for c in range(1, n + 1) if n % c == 0 and c != b]))
+        return "shape", f"graph {n} {n * (n - c) // 2}\n" + graph_to_text(g).partition("\n")[2]
+    relabel = [*range(b), *draw(st.permutations(range(b, n)))]
+    return "relabelled", graph_to_text(
+        UndirectedGraph.from_edges(n, [(relabel[u], relabel[v]) for u, v in edges]))
+
+
 def outcome(read, text):
     try:
         return read(text)
@@ -153,19 +177,17 @@ def outcome(read, text):
 @settings(max_examples=400)
 @given(st.one_of(edited(small_graphs.map(graph_to_text)),
                  edited(multipartite_graphs.map(graph_to_text)),
-                 multipartite_graphs.flatmap(near_misses)),
-       st.sampled_from([0, graphs._LONG_RUN]))
-def test_graph_readers_agree_on_edited_text(edit, long_run):
+                 multipartite_graphs.filter(lambda g: g.edges).flatmap(near_misses),
+                 blown_up_cliques.filter(lambda g: g.edges).flatmap(impostors)))
+def test_graph_readers_agree_on_edited_text(edit):
     kind, text = edit
     expected = outcome(graphs._parse_graph_lines, text)
-    # with _LONG_RUN 0 the run reader tries every text, whatever its degree
-    with mock.patch.object(graphs, "_LONG_RUN", long_run):
-        if kind is None:  # dmagic's own text: the line reader must not be needed
-            with mock.patch.object(graphs, "_parse_graph_lines",
-                                   side_effect=AssertionError("line reader")):
-                assert parse_graph(text) == expected
-        else:
-            assert outcome(parse_graph, text) == expected, (kind, text)
+    if kind is None:  # dmagic's own text: the line reader must not be needed
+        with mock.patch.object(graphs, "_parse_graph_lines",
+                               side_effect=AssertionError("line reader")):
+            assert parse_graph(text) == expected
+    else:
+        assert outcome(parse_graph, text) == expected, (kind, text)
 
 
 @st.composite
@@ -265,10 +287,13 @@ def test_construct_output_is_read_in_bulk(tmp_path, capsys, monkeypatch):
     lines[i] = f"a {head} {tail}\n"
     tampered_file = tmp_path / "k54.tampered"
     tampered_file.write_text("".join(lines))
+    k7_file = tmp_path / "k7.graph"
+    assert main(["graph", "--family", "complete", "--n", "7", "-o", str(k7_file)]) == 0
     monkeypatch.setattr(graphs, "_parse_graph_lines", mock.Mock(side_effect=AssertionError("line reader")))
     with mock.patch.object(graphs, "_bulk_chunks", side_effect=AssertionError("word reader")):
-        # K5[4] has average degree 16, so its upper-closed runs are read a run at a time
+        # K5[4] and K7 = K7[1] are the blown-up cliques their headers name, built from them
         assert parse_graph(graph_file.read_text()) == kmokn_graph(5, 4)
+        assert parse_graph(k7_file.read_text()) == complete(7)
     for name in ROUND_THE_BULK_READ:  # dmagic verify reads a certificate in one bulk pass
         monkeypatch.setattr(verifier, name, mock.Mock(side_effect=AssertionError(name)))
     capsys.readouterr()
@@ -298,9 +323,19 @@ def test_bulk_read_peaks_no_higher_than_the_line_reader(to_text, read, line_read
     assert traced_peak(read, text) <= traced_peak(line_reader, text)
 
 
-def test_graph_header_alone_sizes_nothing():
-    # a header that claims a million vertices and no edge: no vertex name is made
-    assert traced_peak(parse_graph, "graph 1000000 0\n") < 1 << 20
+@pytest.mark.parametrize("text", [
+    "graph 1000000 0\n",
+    "graph 2000000 999999000000\ne 0 1\n",
+    "graph 400 40000\ne 0 200\n",
+    "graph 0 3\ne 0 1\ne 0 2\ne 1 2\n",
+], ids=["no-edge", "more-edges-than-lines", "clique-larger-than-text", "no-vertex"])
+def test_graph_header_alone_sizes_nothing(text):
+    # a header that claims a million vertices and no edge, more edges than the
+    # text has lines (K2[200] the clique it names, first line and all), or
+    # edges on no vertex: no vertex name is made, no candidate clique is
+    # built, and no count is divided by N = 0
+    assert traced_peak(partial(outcome, parse_graph), text) < 1 << 20
+    assert outcome(parse_graph, text) == outcome(graphs._parse_graph_lines, text)
 
 
 def test_read_certificate_peaks_no_higher_than_parse_then_bind():
