@@ -23,20 +23,19 @@ blown-up clique K_k[b], k parts of b vertices: its N(N - b)/2 edges fix
 b = N - 2M/N.  When 0 < M <= len(text)/6 (an edge line is at least 'e u v\n'),
 2M is a multiple of N, b is a proper divisor of N and the first edge line is
 'e 0 b', that candidate is built by complete_multipartite.  It needs
-M >= N^2/4, as b <= N/2, and is never larger than the text.  Any other text
-goes to the word reader, which takes the integers a bounded chunk of lines
-at a time.  Either graph is kept only if graph_to_text, the writer itself,
-gives back the input exactly.  That guard is sound: the line reader reads
-what graph_to_text writes back into the same graph, so it would read the
-input into that graph too.  Any other text (comments, blank lines, other
-spacing, errors, a candidate the text does not match) goes to the line
-reader, the one reader of hand-written files and the one source of error
-messages.  Neither bulk reader makes anything per vertex that the header
-claims before the text has shown room for it, and the chunks keep the word
-reader's peak below the line reader's, which holds every line at once.  The
-line readers of graph and certificate text share one grammar: _lines skips
-blank and comment lines, and a word that is not an integer is an error of
-its line.
+M >= N^2/4, as b <= N/2, and is never larger than the text.  Any other text,
+and text that candidate does not match, goes to the word reader, which takes
+the integers a bounded chunk of lines at a time.  Either graph is kept only
+if graph_to_text, the writer itself, gives back the input exactly.  That
+guard is sound: the line reader reads what graph_to_text writes back into
+the same graph, so it would read the input into that graph too.  Any other
+text (comments, blank lines, other spacing, errors) goes to the line reader,
+the one reader of hand-written files and the one source of error messages.
+Neither bulk reader makes anything per vertex that the header claims before
+the text has shown room for it, and the chunks keep the word reader's peak
+below the line reader's, which holds every line at once.  The line readers
+of graph and certificate text share one grammar: _lines skips blank and
+comment lines, and a word that is not an integer is an error of its line.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ class FormatError(ValueError):
 
 _TAIL, _HEAD = itemgetter(0), itemgetter(1)
 _CHUNK = 1 << 16  # characters of text read at once in bulk, then on to a line end
-_LONG_RUN = 16  # edges per tail from which joining a run writes faster than a line per edge
+_LONG_RUN = 16  # edges a run must average to be written, read or summed a run at a time
 
 
 @dataclass(frozen=True)
@@ -320,17 +319,12 @@ def _edge_runs(edges: Sequence[Tuple[int, int]],
     """Each tail's run of the canonical edges: the tail's name, the index of
     its first edge and the names of its heads, a slice of names when the
     heads are consecutive vertices.  None when a line per edge writes them
-    faster: when the runs, cut at splits more places, average fewer than
-    _LONG_RUN edges (the tails lie in 0..edges[-1][0], which bounds the runs'
-    count), or when there would be more vertex names, one for each vertex up
-    to the largest head, than edges."""
-    if not edges or len(edges) < _LONG_RUN * (edges[-1][0] + 1 + splits):
+    faster: when _tail_runs finds the runs short, or when there would be more
+    vertex names, one for each vertex up to the largest head, than edges."""
+    bounds = _tail_runs(edges, splits)
+    if bounds is None:
         return None
-    bounds, i = [], 0
-    while i < len(edges):
-        j = bisect_left(edges, (edges[i][0] + 1,), i)
-        bounds.append((i, j))
-        i = j
+    bounds = list(bounds)
     top = max(edges[j - 1][1] for _, j in bounds)  # heads increase along a run
     if top >= len(edges):
         return None
@@ -341,6 +335,32 @@ def _edge_runs(edges: Sequence[Tuple[int, int]],
         runs.append((names[u], i, names[first:last + 1] if last - first < j - i
                      else [names[v] for _, v in edges[i:j]]))
     return runs
+
+
+def _long_runs(edges: int, runs: int) -> bool:
+    """Whether edges in runs runs average _LONG_RUN or more a run: the one
+    rule for reading, writing or summing them a run at a time."""
+    return edges >= _LONG_RUN * runs
+
+
+def _tail_runs(edges: Sequence[Tuple[int, int]],
+               splits: int) -> Optional[Iterator[Tuple[int, int]]]:
+    """The bounds (i, j) of each tail's run edges[i:j] of the canonical edges,
+    found as they are taken.  None when a line or a step per edge is faster:
+    when the runs, cut at splits more places, average fewer than _LONG_RUN
+    edges (the tails lie in 0..edges[-1][0], which bounds the runs' count)."""
+    if not edges or not _long_runs(len(edges), edges[-1][0] + 1 + splits):
+        return None
+    return _run_bounds(edges)
+
+
+def _run_bounds(edges: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, int]]:
+    """_tail_runs' bounds, each found by one bisection when it is taken."""
+    i = 0
+    while i < len(edges):
+        j = bisect_left(edges, (edges[i][0] + 1,), i)
+        yield i, j
+        i = j
 
 
 def _bulk_chunks(text: str, start: int) -> Iterator[Tuple[List[str], Callable[[str], int]]]:
@@ -379,11 +399,12 @@ def parse_graph(text: str) -> UndirectedGraph:
         b = n - 2 * m // n if 0 < n and 0 < m <= len(text) // 6 and 2 * m % n == 0 else 0
         if 0 < b and n % b == 0 and text.startswith(f"e 0 {b}\n", start):
             graph = complete_multipartite([b] * (n // b))
-        else:  # the word reader
-            pairs: List[Tuple[int, int]] = []
-            for fields, value in _bulk_chunks(text, start):
-                pairs.extend(zip(map(value, fields[1::3]), map(value, fields[2::3])))
-            graph = UndirectedGraph(n, tuple(pairs))
+            if graph_to_text(graph) == text:
+                return graph
+        pairs: List[Tuple[int, int]] = []  # the word reader
+        for fields, value in _bulk_chunks(text, start):
+            pairs.extend(zip(map(value, fields[1::3]), map(value, fields[2::3])))
+        graph = UndirectedGraph(n, tuple(pairs))
     except ValueError:
         return _parse_graph_lines(text)
     return graph if graph_to_text(graph) == text else _parse_graph_lines(text)

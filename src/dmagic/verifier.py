@@ -5,36 +5,55 @@ the sum of the labels of its out-neighbors: each arc u -> v contributes +l(u)
 to w(v) and -l(v) to w(u).  A labeling is magic when every weight equals the
 same residue mu.
 
+Weights are summed one tail u's run of canonical edges at a time, split
+where the orientation bit changes.  A bit-0 run is the arcs u -> heads, a
+bit-1 run the arcs heads -> u, so the run moves w(u) by -/+ the sum of its
+heads' labels and each head by +/- l(u).  The heads of a run are taken to
+be consecutive vertices, as in every blown-up clique: the sum is one slice
+of the labels and the heads' share one step in a difference array.  When a
+tail's heads are not consecutive, or the graph's runs, or the bit runs found
+so far, average fewer than _LONG_RUN arcs, the weights are summed an arc at
+a time.
+all_weights reads only the graph's edges, the bits and the labels.
+
 Certificate text is written and read as graph text is (see the graphs
 module).  The arcs are written one vertex u's run of edges at a time, split
 where the orientation bit changes: the lines of a bit-0 run share the
 prefix 'a u ', those of a bit-1 run the ending ' u'.  Runs that average
 fewer than _LONG_RUN arcs, or a graph that would need more vertex names than
-it has edges, are written a line per arc.  It is read by one bulk reader and
-one line reader.  parse_certificate is the line reader: any spacing,
-comments and blank lines, and every error message.  read_certificate
-is the bulk reader; dmagic verify reads every certificate through it.  It
-reads a certificate against the graph it is bound to, as
-bind_certificate(parse_certificate(text), graph) does, but builds no arc: it
-reads only the tail of each arc line, takes bit i as whether that tail
-differs from the tail of edge i, and keeps the result only if the writer of
-certificate_to_text, given that graph, those bits, the labels and mu, gives
-back the input exactly.  That guard is sound: the line reader reads that
-text back into the same order, mu and labels, and into the graph's edges,
-in canonical order, oriented by those bits, which bind_certificate binds to
+it has edges, are written a line per arc.  parse_certificate is the line
+reader: any spacing, comments and blank lines, and every error message.
+read_certificate is the bulk reader; dmagic verify reads every certificate
+through it.  It reads a certificate against the graph it is bound to, as
+bind_certificate(parse_certificate(text), graph) does, but builds no arc.
+The arc line of edge (u, v) has 4 + len(u) + len(v) characters whichever
+way it points, so the graph alone fixes where each tail's run of lines
+starts and ends.  Inside a run, str.find of ' u\n' (the end of a bit-1
+line) or '\na u ' (the start of a bit-0 line) finds each bit change, and
+counting the line ends before it gives its edge index; each bit run is one
+slice of the bits.  When the graph's runs, or the bit runs found so far,
+average fewer than _LONG_RUN arcs, it reads word by word instead: only the
+tail of each arc line, a bounded chunk of lines at a time, bit i being
+whether that tail differs from the tail of edge i.  Either way the result
+is kept only if the writer of certificate_to_text, given that graph, those
+bits, the labels and mu, gives back the input exactly.  That guard is
+sound, whatever the bits were read from: the line reader reads that text
+back into the same order, mu and labels, and into the graph's edges, in
+canonical order, oriented by those bits, which bind_certificate binds to
 exactly those bits.  Any other text, or a graph the text does not fit, goes
 through bind_certificate(parse_certificate(text), graph) itself.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import getitem, ne, xor
+from itertools import accumulate, chain, repeat
+from operator import add, getitem, ne, xor
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .graphs import (FormatError, Orientation, UndirectedGraph, _TAIL, _bulk_chunks, _edge_runs,
-                     _lines, _run_text)
+from .graphs import (FormatError, Orientation, UndirectedGraph, _TAIL, _bulk_chunks,
+                     _edge_runs, _lines, _long_runs, _run_text, _tail_runs)
 
 __all__ = [
     "NotALabelingError",
@@ -67,7 +86,7 @@ class Labeling:
     def __post_init__(self) -> None:
         if self.modulus <= 0:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
-        if any(not 0 <= x < self.modulus for x in self.labels):
+        if self.labels and not (0 <= min(self.labels) and max(self.labels) < self.modulus):
             raise ValueError("labels must be residues in 0..modulus-1")
 
     def is_bijection(self) -> bool:
@@ -94,17 +113,51 @@ class Violation:
 
 
 def all_weights(graph: UndirectedGraph, orientation: Orientation, labeling: Labeling) -> List[int]:
-    """Raw weights (residues) of every vertex, computed in one arc sweep."""
-    n = graph.vertex_count
-    mod = labeling.modulus
-    w = [0] * n
-    lab = labeling.labels
-    for (u, v), b in zip(graph.edges, orientation.bits):
-        if b:  # the arc v -> u
-            u, v = v, u
-        w[v] += lab[u]
-        w[u] -= lab[v]
+    """Raw weights (residues) of every vertex, summed a tail's run of one
+    orientation bit at a time, or an arc at a time when the runs are short;
+    see the module docstring."""
+    edges, bits, lab, mod = graph.edges, orientation.bits, labeling.labels, labeling.modulus
+    w = _run_weights(graph.vertex_count, edges, bits, lab)
+    if w is None:
+        w = [0] * graph.vertex_count
+        for (u, v), b in zip(edges, bits):
+            if b:  # the arc v -> u
+                u, v = v, u
+            w[v] += lab[u]
+            w[u] -= lab[v]
     return [x % mod for x in w]
+
+
+def _run_weights(n: int, edges: Sequence[Tuple[int, int]], bits: Sequence[int],
+                 lab: Sequence[int]) -> Optional[List[int]]:
+    """The raw weights summed a tail's run of one bit at a time; None when a
+    tail's heads are not consecutive, or when the graph's runs or the bit
+    runs found average fewer than _LONG_RUN arcs."""
+    runs = _tail_runs(edges, 0)
+    if runs is None:
+        return None
+    w, steps, found = [0] * n, [0] * (n + 1), 0  # steps: what consecutive heads gain, as differences
+    for i, j in runs:
+        (u, first), last = edges[i], edges[j - 1][1]
+        if last - first != j - i - 1:  # the heads are not first..last
+            return None
+        k = i
+        while k < j:  # the arcs k..m-1 point one way: u -> heads on bit 0, heads -> u on 1
+            b = bits[k]
+            try:
+                m = bits.index(b ^ 1, k, j)
+            except ValueError:
+                m = j
+            lo, hi = first + k - i, first + m - i  # the heads lo..hi-1
+            share = -lab[u] if b else lab[u]  # what each head gains
+            steps[lo] += share
+            steps[hi] -= share
+            total = sum(lab[lo:hi])
+            w[u] += total if b else -total
+            k, found = m, found + 1
+            if not _long_runs(j, found):  # even if the tail's run ended here
+                return None
+    return list(map(add, w, accumulate(steps)))
 
 
 def verify(graph: UndirectedGraph, orientation: Orientation,
@@ -270,7 +323,8 @@ def bind_certificate(parsed: ParsedCertificate,
 def read_certificate(text: str, graph: UndirectedGraph) -> Tuple[Orientation, Labeling, int]:
     """bind_certificate(parse_certificate(text), graph): the same result, or
     the same error.  Text exactly as certificate_to_text writes it for this
-    graph is read in one bulk pass that builds no arc; see the module docstring.
+    graph is read in bulk, a run at a time or word by word, and builds no
+    arc; see the module docstring.
     """
     edges = graph.edges
     try:
@@ -281,15 +335,54 @@ def read_certificate(text: str, graph: UndirectedGraph) -> Tuple[Orientation, La
         order, mu = int(order), int(mu)
         arcs = text.find("\na ", start - 1) + 1 or len(text)
         labels = tuple(map(int, text[start:arcs].split()[2::3]))
-        tails: List[int] = []
-        for fields, value in _bulk_chunks(text, arcs):
-            tails.extend(map(value, fields[1::3]))
+        bits = _run_bits(text, arcs, edges)
+        if bits is None:  # the word reader: the tail of each arc line
+            tails: List[int] = []
+            for fields, value in _bulk_chunks(text, arcs):
+                tails.extend(map(value, fields[1::3]))
+            bits = bytes(map(ne, tails, map(_TAIL, edges)))  # the bools as bytes 0 and 1
     except ValueError:
         return bind_certificate(parse_certificate(text), graph)
-    if (0 < order == graph.vertex_count == len(labels) and 0 <= min(labels)
-            and max(labels) < order and len(tails) == len(edges)):
-        bits = tuple(bytes(map(ne, tails, map(_TAIL, edges))))  # the bools as ints 0 and 1
-        orientation = Orientation(graph, bits)
+    # text that is not dmagic's can give either reader more or fewer bits than edges
+    if (len(bits) == len(edges) and 0 < order == graph.vertex_count == len(labels)
+            and 0 <= min(labels) and max(labels) < order):
+        orientation = Orientation(graph, tuple(bits))
         if _certificate_text(order, mu, labels, orientation) == text:
             return orientation, Labeling(order, labels), mu % order
     return bind_certificate(parse_certificate(text), graph)
+
+
+def _run_bits(text: str, start: int, edges: Sequence[Tuple[int, int]]) -> Optional[bytearray]:
+    """The orientation bits of the arc lines from offset start, read a tail's
+    run of one bit at a time, as the module docstring says; None when the
+    graph's runs or the bit runs found average fewer than _LONG_RUN arcs."""
+    runs = _tail_runs(edges, 0)
+    if runs is None:
+        return None
+    bits, found = bytearray(len(edges)), 0
+    for i, j in runs:
+        (u, _), last = edges[i], edges[j - 1][1]
+        zero, one = f"\na {u} ", f" {u}\n"  # the start of a bit-0 line, the end of a bit-1 line
+        # a line is 'a u v' or 'a v u', 4 + len(u) + len(v) characters either way,
+        # and a head v has a digit for each of 1, 10, 100, ... up to v
+        end, p = start + (j - i) * (len(one) + 2), 1
+        while p <= last:
+            end += j - bisect_left(edges, (u, p), i, j)
+            p *= 10
+        s, k = start, i
+        while s < end:  # s starts line k, the first line not yet read, read as bit 1
+            z = text.find(zero, s - 1, end) + 1 or end  # the first bit-0 line from s
+            n = k + text.count("\n", s, z)
+            bits[k:n] = b"\1" * (n - k)
+            found += (k < n) + (z < end)
+            if not _long_runs(j, found):  # even if the tail's run ended here
+                return None
+            o = text.find(one, z, end)  # within the first bit-1 line after z
+            if o < 0:
+                break
+            s = text.rfind("\n", z, o) + 1
+            if s <= z:  # no line ended: not dmagic's text
+                return None
+            k = n + text.count("\n", z, s)
+        start = end
+    return bits

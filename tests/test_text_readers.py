@@ -1,4 +1,5 @@
-"""The bulk readers of graph and certificate text against the line readers.
+"""The bulk readers of graph and certificate text against the line readers,
+and the weights summed a run at a time against the definition.
 
 parse_graph reads graph text exactly as dmagic writes it in bulk, and hands
 any other text to its line reader.  Whatever the text, the two must agree:
@@ -8,6 +9,9 @@ with bind_certificate(parse_certificate(text), graph), where
 parse_certificate is the certificate line reader.  Both bulk readers'
 guards re-render through the writers, which are checked byte for byte
 against per-line renderers written from the format's definition.
+read_certificate and all_weights work a tail's run of one orientation bit
+at a time when the runs are long, and a line or an arc at a time when they
+are short; both sides of that rule are checked by patching _LONG_RUN.
 """
 
 import contextlib
@@ -20,18 +24,20 @@ from hypothesis import given, settings, strategies as st
 
 from dmagic import graphs, verifier
 from dmagic.cli import main
-from dmagic.constructors import construct_case1, construct_complete, kmokn_graph
+from dmagic.constructors import construct_case1, construct_case2, construct_complete, kmokn_graph
 from dmagic.graphs import (FormatError, Orientation, UndirectedGraph, complete,
-                           complete_multipartite, graph_to_text, parse_graph)
+                           complete_multipartite, empty_graph, graph_to_text, lexicographic,
+                           parse_graph)
 from dmagic.verifier import (
     Labeling,
     MagicCertificate,
+    all_weights,
     bind_certificate,
     certificate_to_text,
     parse_certificate,
     read_certificate,
 )
-from oracles import certificate_text, graph_text
+from oracles import brute_weights, certificate_text, graph_text
 
 
 def graphs_on(n):
@@ -53,13 +59,45 @@ multipartite_graphs = st.one_of(
     st.lists(st.integers(1, 6), min_size=2, max_size=7).map(complete_multipartite))
 
 
+def relabelled(g, new):
+    return UndirectedGraph.from_edges(g.vertex_count, [(new[u], new[v]) for u, v in g.edges])
+
+
+# graphs whose tails have long runs of edges: blown-up cliques and uneven
+# multipartite graphs, whose heads are consecutive vertices; and products
+# G[n] = lexicographic(G, empty_graph(n)) and relabelled blown-up cliques,
+# whose heads mostly are not
+long_run_graphs = st.one_of(
+    multipartite_graphs,
+    st.builds(lambda g, n: lexicographic(g, empty_graph(n)),
+              small_graphs.filter(lambda g: g.vertex_count > 0), st.integers(1, 4)),
+    blown_up_cliques.flatmap(
+        lambda g: st.permutations(range(g.vertex_count)).map(partial(relabelled, g))))
+
+
+@st.composite
+def bit_patterns(draw, m):
+    """m orientation bits: all 0, all 1, alternating (a run of one bit per
+    arc), random, or runs of one bit of random lengths."""
+    kind = draw(st.sampled_from(["zeros", "ones", "alternating", "random", "runs"]))
+    if kind == "random":
+        return tuple(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    if kind == "runs":
+        bits, b = [], draw(st.integers(0, 1))
+        while len(bits) < m:
+            bits += [b] * draw(st.integers(1, m))
+            b ^= 1
+        return tuple(bits[:m])
+    return tuple({"zeros": 0, "ones": 1, "alternating": i % 2}[kind] for i in range(m))
+
+
 @st.composite
 def certificates(draw):
-    """A random graph and the certificate text of an orientation and labeling
-    of it; the labeling need not be magic."""
-    g = draw(small_graphs.filter(lambda g: g.vertex_count > 0))
+    """A random graph, or one with long runs, and the certificate text of an
+    orientation and labeling of it; the labeling need not be magic."""
+    g = draw(st.one_of(small_graphs, long_run_graphs).filter(lambda g: g.vertex_count > 0))
     n = g.vertex_count
-    bits = tuple(draw(st.lists(st.integers(0, 1), min_size=len(g.edges), max_size=len(g.edges))))
+    bits = draw(bit_patterns(len(g.edges)))
     labels = tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
     mu = draw(st.integers(-2 * n, 2 * n))
     return g, certificate_to_text(MagicCertificate(g, Orientation(g, bits), Labeling(n, labels), mu))
@@ -200,13 +238,7 @@ def oriented_graphs(draw):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     g = UndirectedGraph.from_edges(n, edges)
-    m = len(g.edges)
-    kind = draw(st.sampled_from(["random", "zeros", "ones", "alternating"]))
-    if kind == "random":
-        bits = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
-    else:
-        bits = [{"zeros": 0, "ones": 1, "alternating": i % 2}[kind] for i in range(m)]
-    return Orientation(g, tuple(bits))
+    return Orientation(g, draw(bit_patterns(len(g.edges))))
 
 
 @settings(max_examples=300)
@@ -241,6 +273,15 @@ def bound(read, text, graph):
 ROUND_THE_BULK_READ = ("parse_certificate", "bind_certificate")
 
 
+def long_run_rules(data, edges):
+    """Values to patch graphs._LONG_RUN with: 0, which takes every run a run
+    at a time; one up to the tails' average run, which takes the tails' runs
+    but may find the bit runs too short partway and start again an arc at a
+    time; and len(edges) + 1, which takes no run."""
+    tails = edges[-1][0] + 1 if edges else 1
+    return 0, data.draw(st.integers(1, max(1, len(edges) // tails))), len(edges) + 1
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_read_certificate_is_bind_of_parse_on_edited_text_and_misfit_graphs(data):
@@ -248,13 +289,53 @@ def test_read_certificate_is_bind_of_parse_on_edited_text_and_misfit_graphs(data
     kind, text = data.draw(edited(st.just(text)))
     graph = data.draw(misfits(g))
     expected = bound(parse_then_bind, text, graph)
-    if kind is None and graph == g:  # a certificate of this graph: the bulk read must take it
-        with contextlib.ExitStack() as stack:
-            for name in ROUND_THE_BULK_READ:
-                stack.enter_context(mock.patch.object(verifier, name, side_effect=AssertionError(name)))
-            assert read_certificate(text, graph) == expected
-    else:
-        assert bound(read_certificate, text, graph) == expected, (kind, graph, text)
+    for long_run in long_run_rules(data, g.edges):
+        with mock.patch.object(graphs, "_LONG_RUN", long_run):
+            if kind is None and graph == g:  # a certificate of this graph: the bulk read must take it
+                with contextlib.ExitStack() as stack:
+                    # with arcs to read, the run reader too
+                    round_it = ROUND_THE_BULK_READ + (("_bulk_chunks",) if long_run == 0 and g.edges
+                                                      else ())
+                    for name in round_it:
+                        stack.enter_context(
+                            mock.patch.object(verifier, name, side_effect=AssertionError(name)))
+                    assert read_certificate(text, graph) == expected
+            else:
+                assert bound(read_certificate, text, graph) == expected, (long_run, kind, graph, text)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_certificates_read_word_by_word_after_a_run_reader_bails_out(data):
+    # with _LONG_RUN up to the tails' average run, the run reader may find
+    # the bit runs too short after some runs; the word reader must then take
+    # the certificate afresh, not the line reader, and read the same
+    g = data.draw(long_run_graphs.filter(lambda g: g.edges))
+    n = g.vertex_count
+    bits = data.draw(bit_patterns(len(g.edges)))
+    labels = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    cert = MagicCertificate(g, Orientation(g, bits), Labeling(n, labels), data.draw(st.integers(0, n - 1)))
+    text = certificate_to_text(cert)
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(graphs, "_LONG_RUN", long_run_rules(data, g.edges)[1]))
+        for name in ROUND_THE_BULK_READ:
+            stack.enter_context(mock.patch.object(verifier, name, side_effect=AssertionError(name)))
+        assert read_certificate(text, g) == (cert.orientation, cert.labeling, cert.mu)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_all_weights_match_the_definition_a_run_or_an_arc_at_a_time(data):
+    # consecutive heads take the difference array; a graph with a tail
+    # whose heads are not consecutive is summed an arc at a time
+    g = data.draw(long_run_graphs.filter(lambda g: g.vertex_count > 0))
+    n = g.vertex_count
+    bits = data.draw(bit_patterns(len(g.edges)))
+    labels = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    expected = brute_weights(n, g.edges, bits, labels)
+    for long_run in long_run_rules(data, g.edges):
+        with mock.patch.object(graphs, "_LONG_RUN", long_run):
+            assert all_weights(g, Orientation(g, bits), Labeling(n, labels)) == expected
 
 
 @pytest.mark.parametrize("cut", [
@@ -270,6 +351,24 @@ def test_read_certificate_is_bind_of_parse_on_arcs_cut_or_added_at_the_end(cut):
     lines = certificate_to_text(cert).splitlines(keepends=True)
     text = "".join(cut(lines))
     assert bound(read_certificate, text, cert.graph) == bound(parse_then_bind, text, cert.graph)
+
+
+@pytest.mark.parametrize("build", [partial(construct_case1, 8, 8), partial(construct_case2, 5, 10),
+                                   partial(construct_complete, 49)],
+                         ids=["K8[8]", "K5[10]", "K49"])
+def test_built_certificates_are_read_and_summed_a_run_at_a_time(build):
+    # each tail's bit runs average 16 arcs or more, as in every benchmark
+    # certificate: a silent fall back to the word reader, or to the arc at a
+    # time sum, fails here
+    cert = build()
+    g, bits, labels = cert.graph, cert.orientation.bits, cert.labeling.labels
+    with contextlib.ExitStack() as stack:
+        for name in ROUND_THE_BULK_READ + ("_bulk_chunks",):
+            stack.enter_context(mock.patch.object(verifier, name, side_effect=AssertionError(name)))
+        read = read_certificate(certificate_to_text(cert), g)
+    assert read == (cert.orientation, cert.labeling, cert.mu)
+    raw = verifier._run_weights(g.vertex_count, g.edges, bits, labels)
+    assert [x % g.vertex_count for x in raw] == [cert.mu] * g.vertex_count
 
 
 def test_construct_output_is_read_in_bulk(tmp_path, capsys, monkeypatch):
