@@ -54,12 +54,11 @@ def _rotational(graph: UndirectedGraph, blocks: int, size: int) -> MagicCertific
     1..(blocks-1)/2 (a rotational tournament on the blocks).
     """
     window = (blocks - 1) // 2
-    edges, order = graph.edges, graph.vertex_count
-    bits = bytearray(len(edges))
-    for u in range(order):
+    order = graph.vertex_count
+    bits = bytearray(graph._size)
+    for u, i, heads in graph._runs:
         # u's edges run to later blocks in order; those past the window point into u
-        lo = bisect_left(edges, (u, (u // size + window + 1) * size))
-        hi = bisect_left(edges, (u + 1,), lo)
+        lo, hi = i + bisect_left(heads, (u // size + window + 1) * size), i + len(heads)
         bits[lo:hi] = b"\1" * (hi - lo)
     return verified(graph, Orientation(graph, tuple(bits)), Labeling(order, tuple(range(order))))
 
@@ -114,10 +113,9 @@ def construct_case1(m: int, n: int) -> MagicCertificate:
         for j, x in enumerate(assigned):
             labels[start + j] = x
     special_vertex = (q - 1) * n
-    edges = graph.edges
-    bits = bytearray(len(edges))
-    for u in range(n):  # block q after its special vertex points into block 1
-        lo, hi = bisect_left(edges, (u, special_vertex)) + 1, bisect_left(edges, (u, q * n))
+    bits = bytearray(graph._size)
+    for _, i, heads in graph._runs[:n]:  # block q after its special vertex points into block 1
+        lo, hi = i + bisect_left(heads, special_vertex) + 1, i + bisect_left(heads, q * n)
         bits[lo:hi] = b"\1" * (hi - lo)
     return verified(graph, Orientation(graph, tuple(bits)), Labeling(order, tuple(labels)))
 

@@ -5,11 +5,24 @@ stored as (u, v) with u < v, deduplicated and sorted lexicographically, so
 equal graphs compare equal and file output is byte-stable.
 UndirectedGraph.from_edges canonicalizes edges that come from outside the
 package, in any order and orientation and with repeats; the constructor
-checks canonical order edge by edge.  Edges built a run at a time, each
-tail's ascending heads, are checked a run at a time by _from_runs, the one
-place that checks the output of the generators complete,
-complete_multipartite and lexicographic: a run given as a range costs O(1),
-a list one pass.
+checks canonical order edge by edge.
+
+A graph holds its edges in one of two forms.  The constructor, and so
+from_edges, empty_graph, path, cycle, cartesian, prism and the word and line
+readers, keeps the edge tuple it is given.  The generators complete,
+complete_multipartite and lexicographic, and so the blown-up cliques that
+parse_graph builds from a header, go through _from_runs, which keeps only
+the run table: one (tail, index of its first edge, heads) entry for each
+tail with an edge, in order, the heads a range when they are consecutive
+vertices, else a tuple.  _from_runs is the one place that checks the
+generators' output, a run at a time: a run given as a range costs O(1), a
+list one pass.  The other form is made on first use and kept: edges is
+flattened from the table (search, obstructions, from_arcs), _runs is
+derived from the tuple by one bisection per tail.  The writers, the
+certificate readers, the weight sum and the constructions read the table,
+so a blown-up clique is built, written, read and verified without its edge
+tuple; where they go a line or an arc at a time, _edge_pairs makes the
+pairs from the table as they are taken.
 
 Graph text is written one vertex u's run of canonical edges at a time, its
 lines joined under the shared prefix 'e u ' from the names of the vertices up
@@ -42,7 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import itemgetter, lt
@@ -75,20 +88,72 @@ _CHUNK = 1 << 16  # characters of text read at once in bulk, then on to a line e
 _LONG_RUN = 16  # edges a run must average to be written, read or summed a run at a time
 
 
-@dataclass(frozen=True)
 class UndirectedGraph:
-    """A finite simple graph with a canonical sorted edge list."""
+    """A finite simple graph with a canonical sorted edge list, held as an
+    edge tuple or a run table (see the module docstring).  It is immutable,
+    and compares and hashes by vertex count and run table, so a graph built
+    a run at a time equals the one built from its edges."""
 
     vertex_count: int
-    edges: Tuple[Tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.vertex_count < 0:
-            raise ValueError(f"vertex_count must be non-negative, got {self.vertex_count}")
-        e = self.edges  # every parse pays this check again, so it runs in bulk
+    def __init__(self, vertex_count: int, edges: Tuple[Tuple[int, int], ...]) -> None:
+        if vertex_count < 0:
+            raise ValueError(f"vertex_count must be non-negative, got {vertex_count}")
+        e = edges  # every parse pays this check again, so it runs in bulk
         if e and not (0 <= e[0][0] and all(map(lt, map(_TAIL, e), map(_HEAD, e)))
-                      and max(map(_HEAD, e)) < self.vertex_count and all(map(lt, e, e[1:]))):
+                      and max(map(_HEAD, e)) < vertex_count and all(map(lt, e, e[1:]))):
             raise ValueError("edge list is not canonical; use UndirectedGraph.from_edges")
+        self.__dict__.update(vertex_count=vertex_count, edges=edges)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not UndirectedGraph:
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self._runs == other._runs
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self._runs))
+
+    def __repr__(self) -> str:
+        return f"UndirectedGraph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
+
+    @cached_property
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        """The canonical edge tuple of a graph built a run at a time."""
+        # a list, then one tuple: a tuple grown from an iterator rejoins the garbage
+        # collector's youngest generation at each resize, which doubled the build time
+        edges: List[Tuple[int, int]] = []
+        for u, _, heads in self._runs:
+            edges += zip(repeat(u), heads)
+        return tuple(edges)
+
+    @cached_property
+    def _runs(self) -> Tuple[Tuple[int, int, Sequence[int]], ...]:
+        """The run table of a graph built from an edge tuple."""
+        edges, table, i = self.edges, [], 0
+        while i < len(edges):
+            u, first = edges[i]
+            j = bisect_left(edges, (u + 1,), i)
+            last = edges[j - 1][1]
+            table.append((u, i, range(first, last + 1) if last - first == j - i - 1
+                          else tuple(map(_HEAD, edges[i:j]))))
+            i = j
+        return tuple(table)
+
+    @property
+    def _size(self) -> int:
+        """len(self.edges), read off the run table when the edges are not built."""
+        runs = self.__dict__.get("_runs")
+        if runs is None:
+            return len(self.edges)
+        return runs[-1][1] + len(runs[-1][2]) if runs else 0
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[Sequence[int]]) -> "UndirectedGraph":
@@ -149,9 +214,9 @@ class Orientation:
     bits: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.bits) != len(self.graph.edges):
+        if len(self.bits) != self.graph._size:
             raise ValueError(
-                f"expected {len(self.graph.edges)} orientation bits, got {len(self.bits)}"
+                f"expected {self.graph._size} orientation bits, got {len(self.bits)}"
             )
         if self.bits.count(0) + self.bits.count(1) != len(self.bits):  # b == 0 or b == 1, in bulk
             raise ValueError("orientation bits must be 0 or 1")
@@ -179,27 +244,30 @@ class Orientation:
 
 
 def _from_runs(n: int, runs: Iterable[Tuple[int, Sequence[int]]]) -> UndirectedGraph:
-    """The graph on n vertices with each (tail, heads) run's edges, in order.
-    Canonical order is checked a run at a time, O(1) for a range of heads and
-    one pass for a list: each non-empty run must have tail < first head < ...
-    < last head < n and start above the last edge of the run before.  It
-    raises exactly when UndirectedGraph(n, edges) does, with the same message."""
+    """The graph on n vertices with each (tail, heads) run's edges, in order,
+    held as its run table alone.  Canonical order is checked a run at a time,
+    O(1) for a range of heads and one pass for a list: each non-empty run
+    must have tail < first head < ... < last head < n and start above the
+    last edge of the run before.  It raises exactly when UndirectedGraph(n,
+    edges) does, with the same message."""
     if n < 0:
         raise ValueError(f"vertex_count must be non-negative, got {n}")
-    # a list, then one tuple: a tuple grown from an iterator rejoins the garbage
-    # collector's youngest generation at each resize, which doubled the build time
-    edges: List[Tuple[int, int]] = []
-    last = (0, 0)  # below every canonical edge, above every edge with a negative tail
+    table: List[Tuple[int, int, Sequence[int]]] = []
+    size, last = 0, (0, 0)  # last: below every canonical edge, above any with a negative tail
     for u, heads in runs:
         if heads:
             ascending = type(heads) is range and heads.step > 0 or all(map(lt, heads, heads[1:]))
             if not (last < (u, heads[0]) and u < heads[0] and heads[-1] < n and ascending):
                 raise ValueError("edge list is not canonical; use UndirectedGraph.from_edges")
-            edges += zip(repeat(u), heads)
             last = (u, heads[-1])
+            if table and table[-1][0] == u:  # a tail's run given in parts is one run
+                _, size, before = table.pop()
+                heads = (*before, *heads)
+            consecutive = heads[-1] - heads[0] == len(heads) - 1
+            table.append((u, size, range(heads[0], heads[-1] + 1) if consecutive else tuple(heads)))
+            size += len(heads)
     graph = object.__new__(UndirectedGraph)  # checked above, so not again edge by edge
-    object.__setattr__(graph, "vertex_count", n)
-    object.__setattr__(graph, "edges", tuple(edges))
+    graph.__dict__.update(vertex_count=n, _runs=tuple(table))
     return graph
 
 
@@ -301,11 +369,11 @@ def prism(n: int) -> UndirectedGraph:
 
 def graph_to_text(graph: UndirectedGraph) -> str:
     """Canonical text form: header line then one 'e u v' line per edge."""
-    edges = graph.edges
-    header = f"graph {graph.vertex_count} {len(edges)}\n"
-    runs = _edge_runs(edges, 0)
+    size = graph._size
+    header = f"graph {graph.vertex_count} {size}\n"
+    runs = _edge_runs(graph, 0)
     if runs is None:
-        return header + "e %d %d\n" * len(edges) % tuple(chain.from_iterable(edges))
+        return header + "e %d %d\n" * size % tuple(chain.from_iterable(_edge_pairs(graph)))
     return header + "".join([_run_text(f"e {tail} ", heads) for tail, _, heads in runs])
 
 
@@ -314,27 +382,31 @@ def _run_text(line: str, heads: Sequence[str]) -> str:
     return line + ("\n" + line).join(heads) + "\n"
 
 
-def _edge_runs(edges: Sequence[Tuple[int, int]],
+def _edge_runs(graph: UndirectedGraph,
                splits: int) -> Optional[List[Tuple[str, int, Sequence[str]]]]:
     """Each tail's run of the canonical edges: the tail's name, the index of
     its first edge and the names of its heads, a slice of names when the
     heads are consecutive vertices.  None when a line per edge writes them
     faster: when _tail_runs finds the runs short, or when there would be more
     vertex names, one for each vertex up to the largest head, than edges."""
-    bounds = _tail_runs(edges, splits)
-    if bounds is None:
+    runs = _tail_runs(graph, splits)
+    if runs is None:
         return None
-    bounds = list(bounds)
-    top = max(edges[j - 1][1] for _, j in bounds)  # heads increase along a run
-    if top >= len(edges):
+    top = max(heads[-1] for _, _, heads in runs)
+    if top >= graph._size:
         return None
     names = list(map(str, range(top + 1)))
-    runs = []
-    for i, j in bounds:
-        (u, first), last = edges[i], edges[j - 1][1]  # last - first >= j - i - 1
-        runs.append((names[u], i, names[first:last + 1] if last - first < j - i
-                     else [names[v] for _, v in edges[i:j]]))
-    return runs
+    return [(names[u], i, names[heads.start:heads.stop] if type(heads) is range
+             else [names[v] for v in heads]) for u, i, heads in runs]
+
+
+def _edge_pairs(graph: UndirectedGraph) -> Iterable[Tuple[int, int]]:
+    """The canonical edges in order: the edge tuple when the graph holds it,
+    else made from the run table as they are taken, the tuple not built."""
+    edges = graph.__dict__.get("edges")
+    if edges is not None:
+        return edges
+    return chain.from_iterable(zip(repeat(u), heads) for u, _, heads in graph._runs)
 
 
 def _long_runs(edges: int, runs: int) -> bool:
@@ -343,24 +415,18 @@ def _long_runs(edges: int, runs: int) -> bool:
     return edges >= _LONG_RUN * runs
 
 
-def _tail_runs(edges: Sequence[Tuple[int, int]],
-               splits: int) -> Optional[Iterator[Tuple[int, int]]]:
-    """The bounds (i, j) of each tail's run edges[i:j] of the canonical edges,
-    found as they are taken.  None when a line or a step per edge is faster:
+def _tail_runs(graph: UndirectedGraph,
+               splits: int) -> Optional[Tuple[Tuple[int, int, Sequence[int]], ...]]:
+    """The graph's run table; None when a line or a step per edge is faster:
     when the runs, cut at splits more places, average fewer than _LONG_RUN
-    edges (the tails lie in 0..edges[-1][0], which bounds the runs' count)."""
-    if not edges or not _long_runs(len(edges), edges[-1][0] + 1 + splits):
+    edges.  The tails lie in 0 up to the last edge's tail, which bounds the
+    runs' count, so a graph built from edges derives its table only when its
+    runs may be long."""
+    runs, size = graph.__dict__.get("_runs"), graph._size
+    if not size:
         return None
-    return _run_bounds(edges)
-
-
-def _run_bounds(edges: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, int]]:
-    """_tail_runs' bounds, each found by one bisection when it is taken."""
-    i = 0
-    while i < len(edges):
-        j = bisect_left(edges, (edges[i][0] + 1,), i)
-        yield i, j
-        i = j
+    last = graph.edges[-1][0] if runs is None else runs[-1][0]  # the edges are built when runs is None
+    return graph._runs if _long_runs(size, last + 1 + splits) else None
 
 
 def _bulk_chunks(text: str, start: int) -> Iterator[Tuple[List[str], Callable[[str], int]]]:

@@ -14,7 +14,8 @@ of the labels and the heads' share one step in a difference array.  When a
 tail's heads are not consecutive, or the graph's runs, or the bit runs found
 so far, average fewer than _LONG_RUN arcs, the weights are summed an arc at
 a time.
-all_weights reads only the graph's edges, the bits and the labels.
+all_weights reads only the graph's run table (an arc at a time, its
+edges), the bits and the labels.
 
 Certificate text is written and read as graph text is (see the graphs
 module).  The arcs are written one vertex u's run of edges at a time, split
@@ -53,7 +54,7 @@ from operator import add, getitem, ne, xor
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .graphs import (FormatError, Orientation, UndirectedGraph, _TAIL, _bulk_chunks,
-                     _edge_runs, _lines, _long_runs, _run_text, _tail_runs)
+                     _edge_pairs, _edge_runs, _lines, _long_runs, _run_text, _tail_runs)
 
 __all__ = [
     "NotALabelingError",
@@ -116,11 +117,11 @@ def all_weights(graph: UndirectedGraph, orientation: Orientation, labeling: Labe
     """Raw weights (residues) of every vertex, summed a tail's run of one
     orientation bit at a time, or an arc at a time when the runs are short;
     see the module docstring."""
-    edges, bits, lab, mod = graph.edges, orientation.bits, labeling.labels, labeling.modulus
-    w = _run_weights(graph.vertex_count, edges, bits, lab)
+    bits, lab, mod = orientation.bits, labeling.labels, labeling.modulus
+    w = _run_weights(graph, bits, lab)
     if w is None:
         w = [0] * graph.vertex_count
-        for (u, v), b in zip(edges, bits):
+        for (u, v), b in zip(_edge_pairs(graph), bits):
             if b:  # the arc v -> u
                 u, v = v, u
             w[v] += lab[u]
@@ -128,19 +129,20 @@ def all_weights(graph: UndirectedGraph, orientation: Orientation, labeling: Labe
     return [x % mod for x in w]
 
 
-def _run_weights(n: int, edges: Sequence[Tuple[int, int]], bits: Sequence[int],
+def _run_weights(graph: UndirectedGraph, bits: Sequence[int],
                  lab: Sequence[int]) -> Optional[List[int]]:
     """The raw weights summed a tail's run of one bit at a time; None when a
     tail's heads are not consecutive, or when the graph's runs or the bit
     runs found average fewer than _LONG_RUN arcs."""
-    runs = _tail_runs(edges, 0)
+    runs = _tail_runs(graph, 0)
     if runs is None:
         return None
+    n = graph.vertex_count
     w, steps, found = [0] * n, [0] * (n + 1), 0  # steps: what consecutive heads gain, as differences
-    for i, j in runs:
-        (u, first), last = edges[i], edges[j - 1][1]
-        if last - first != j - i - 1:  # the heads are not first..last
+    for u, i, heads in runs:
+        if type(heads) is not range:  # the heads are not consecutive
             return None
+        j, first = i + len(heads), heads.start
         k = i
         while k < j:  # the arcs k..m-1 point one way: u -> heads on bit 0, heads -> u on 1
             b = bits[k]
@@ -204,15 +206,15 @@ def certificate_to_text(cert: MagicCertificate) -> str:
 def _certificate_text(order: int, mu: int, labels: Sequence[int], orientation: Orientation) -> str:
     """The text of a certificate; the arcs are written a run of one tail and
     one bit at a time, as the module docstring says."""
-    edges, bits = orientation.graph.edges, orientation.bits
+    graph, bits = orientation.graph, orientation.bits
     flags = bytes(bits)
     parts = [f"certificate {order}\n{_CONVENTION_LINE}\nmu {mu}\n",
              "l %d %d\n" * len(labels) % tuple(chain.from_iterable(enumerate(labels)))]
-    runs = _edge_runs(edges, flags.count(b"\0\1") + flags.count(b"\1\0"))  # the bit changes
+    runs = _edge_runs(graph, flags.count(b"\0\1") + flags.count(b"\1\0"))  # the bit changes
     if runs is None:
         ends = [0] * (2 * len(bits))  # tail, head, tail, head, ...
-        ends[::2] = map(getitem, edges, bits)
-        ends[1::2] = map(getitem, edges, map(xor, bits, repeat(1)))
+        ends[::2] = map(getitem, _edge_pairs(graph), bits)
+        ends[1::2] = map(getitem, _edge_pairs(graph), map(xor, bits, repeat(1)))
         parts.append("a %d %d\n" * len(bits) % tuple(ends))
         return "".join(parts)
     for tail, start, heads in runs:
@@ -326,7 +328,6 @@ def read_certificate(text: str, graph: UndirectedGraph) -> Tuple[Orientation, La
     graph is read in bulk, a run at a time or word by word, and builds no
     arc; see the module docstring.
     """
-    edges = graph.edges
     try:
         start = 0
         for _ in range(3):  # the header, the weight convention and mu
@@ -335,16 +336,17 @@ def read_certificate(text: str, graph: UndirectedGraph) -> Tuple[Orientation, La
         order, mu = int(order), int(mu)
         arcs = text.find("\na ", start - 1) + 1 or len(text)
         labels = tuple(map(int, text[start:arcs].split()[2::3]))
-        bits = _run_bits(text, arcs, edges)
+        bits = _run_bits(text, arcs, graph)
         if bits is None:  # the word reader: the tail of each arc line
             tails: List[int] = []
             for fields, value in _bulk_chunks(text, arcs):
                 tails.extend(map(value, fields[1::3]))
-            bits = bytes(map(ne, tails, map(_TAIL, edges)))  # the bools as bytes 0 and 1
+            # the bools as bytes 0 and 1
+            bits = bytes(map(ne, tails, map(_TAIL, _edge_pairs(graph))))
     except ValueError:
         return bind_certificate(parse_certificate(text), graph)
     # text that is not dmagic's can give either reader more or fewer bits than edges
-    if (len(bits) == len(edges) and 0 < order == graph.vertex_count == len(labels)
+    if (len(bits) == graph._size and 0 < order == graph.vertex_count == len(labels)
             and 0 <= min(labels) and max(labels) < order):
         orientation = Orientation(graph, tuple(bits))
         if _certificate_text(order, mu, labels, orientation) == text:
@@ -352,22 +354,22 @@ def read_certificate(text: str, graph: UndirectedGraph) -> Tuple[Orientation, La
     return bind_certificate(parse_certificate(text), graph)
 
 
-def _run_bits(text: str, start: int, edges: Sequence[Tuple[int, int]]) -> Optional[bytearray]:
+def _run_bits(text: str, start: int, graph: UndirectedGraph) -> Optional[bytearray]:
     """The orientation bits of the arc lines from offset start, read a tail's
     run of one bit at a time, as the module docstring says; None when the
     graph's runs or the bit runs found average fewer than _LONG_RUN arcs."""
-    runs = _tail_runs(edges, 0)
+    runs = _tail_runs(graph, 0)
     if runs is None:
         return None
-    bits, found = bytearray(len(edges)), 0
-    for i, j in runs:
-        (u, _), last = edges[i], edges[j - 1][1]
+    bits, found = bytearray(graph._size), 0
+    for u, i, heads in runs:
+        j, last = i + len(heads), heads[-1]
         zero, one = f"\na {u} ", f" {u}\n"  # the start of a bit-0 line, the end of a bit-1 line
         # a line is 'a u v' or 'a v u', 4 + len(u) + len(v) characters either way,
         # and a head v has a digit for each of 1, 10, 100, ... up to v
         end, p = start + (j - i) * (len(one) + 2), 1
         while p <= last:
-            end += j - bisect_left(edges, (u, p), i, j)
+            end += len(heads) - bisect_left(heads, p)
             p *= 10
         s, k = start, i
         while s < end:  # s starts line k, the first line not yet read, read as bit 1

@@ -1,4 +1,6 @@
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -140,7 +142,8 @@ def _random_runs(rng, n):
 
 def test_run_builder_raises_exactly_when_the_constructor_does():
     # the run builder checks a run at a time what the constructor checks edge
-    # by edge: the same error message, or an equal graph
+    # by edge: the same error message, or an equal graph, which holds only its
+    # run table and hashes, flattens and pickles as the edge-built one does
     rng = random.Random(26)
     outcomes = {"graph": 0, "error": 0}
     for _ in range(20000):
@@ -156,9 +159,27 @@ def test_run_builder_raises_exactly_when_the_constructor_does():
         except ValueError as err:
             got = str(err)
         assert got == expected, (n, runs)
+        if not isinstance(expected, str):
+            assert "edges" not in got.__dict__
+            assert got._runs == expected._runs and hash(got) == hash(expected)
+            for graph in (got, pickle.loads(pickle.dumps(got)), expected):
+                copy = pickle.loads(pickle.dumps(graph))
+                assert copy == expected and copy.__dict__.keys() == graph.__dict__.keys()
+            assert got.edges == expected.edges == edges
         if isinstance(expected, str) or edges:
             outcomes["error" if isinstance(expected, str) else "graph"] += 1
     assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_graphs_are_immutable_in_either_form():
+    for g in (complete(4), cycle(4)):  # run-built, edge-built
+        for name in ("vertex_count", "edges", "_runs", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(g, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(g, name)
+    assert complete(3) == UndirectedGraph(3, ((0, 1), (0, 2), (1, 2)))
+    assert repr(complete(3)) == "UndirectedGraph(vertex_count=3, edges=((0, 1), (0, 2), (1, 2)))"
 
 
 def test_incidence():

@@ -15,6 +15,7 @@ are short; both sides of that rule are checked by patching _LONG_RUN.
 """
 
 import contextlib
+import pickle
 import tracemalloc
 from functools import partial
 from unittest import mock
@@ -36,6 +37,7 @@ from dmagic.verifier import (
     certificate_to_text,
     parse_certificate,
     read_certificate,
+    verify,
 )
 from oracles import brute_weights, certificate_text, graph_text
 
@@ -338,6 +340,33 @@ def test_all_weights_match_the_definition_a_run_or_an_arc_at_a_time(data):
             assert all_weights(g, Orientation(g, bits), Labeling(n, labels)) == expected
 
 
+@settings(max_examples=200)
+@given(st.data())
+def test_run_built_and_edge_built_graphs_write_read_and_sum_alike(data):
+    # a graph built a run at a time holds only its run table, the same graph
+    # built from its edge tuple holds the tuple: at every rule both must
+    # write the same bytes, read the same certificate and sum the same weights
+    g = data.draw(st.one_of(long_run_graphs, blown_up_cliques).filter(lambda g: g.vertex_count > 0))
+    fresh = partial(pickle.loads, pickle.dumps(g))  # a copy of g as built, its edges not flattened
+    n, flat = g.vertex_count, UndirectedGraph(g.vertex_count, fresh().edges)
+    bits = data.draw(bit_patterns(len(flat.edges)))
+    labels = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    mu = data.draw(st.integers(-2 * n, 2 * n))
+    cert = MagicCertificate(flat, Orientation(flat, bits), Labeling(n, labels), mu)
+    _, text = data.draw(edited(st.just(certificate_to_text(cert))))
+    for long_run in long_run_rules(data, flat.edges):
+        with mock.patch.object(graphs, "_LONG_RUN", long_run):
+            results = []
+            for graph in (fresh(), flat):
+                orientation = Orientation(graph, bits)
+                results.append((
+                    graph_to_text(graph),
+                    certificate_to_text(MagicCertificate(graph, orientation, cert.labeling, mu)),
+                    bound(read_certificate, text, graph),
+                    all_weights(graph, orientation, cert.labeling)))
+            assert results[0] == results[1], (long_run, text)
+
+
 @pytest.mark.parametrize("cut", [
     lambda lines: lines[:-1],                    # the last arc missing
     lambda lines: lines + lines[-1:],            # the last arc twice
@@ -367,8 +396,37 @@ def test_built_certificates_are_read_and_summed_a_run_at_a_time(build):
             stack.enter_context(mock.patch.object(verifier, name, side_effect=AssertionError(name)))
         read = read_certificate(certificate_to_text(cert), g)
     assert read == (cert.orientation, cert.labeling, cert.mu)
-    raw = verifier._run_weights(g.vertex_count, g.edges, bits, labels)
+    raw = verifier._run_weights(g, bits, labels)
     assert [x % g.vertex_count for x in raw] == [cert.mu] * g.vertex_count
+
+
+@pytest.mark.parametrize("build", [partial(construct_case1, 8, 8), partial(construct_case2, 5, 10),
+                                   partial(construct_complete, 49), partial(construct_case1, 24, 27)],
+                         ids=["K8[8]", "K5[10]", "K49", "K24[27]"])
+def test_built_graphs_are_written_read_and_verified_from_their_runs(build):
+    # the built graph and the one parse_graph builds from the header each
+    # hold only their run table, which every step below reads
+    cert = build()
+    graph = parse_graph(graph_to_text(cert.graph))
+    orientation, labeling, mu = read_certificate(certificate_to_text(cert), graph)
+    assert verify(graph, orientation, labeling).mu == mu == cert.mu
+    assert "edges" not in cert.graph.__dict__ and "edges" not in graph.__dict__
+
+
+def test_construct_then_verify_of_k24_27_peak_under_12_mb(tmp_path, capsys):
+    # 201,204 edges: an edge tuple alone takes about 18 MB
+    graph_file, cert_file = str(tmp_path / "k.graph"), str(tmp_path / "k.cert")
+    for args in (["construct", "--family", "kmokn", "--m", "24", "--n", "27",
+                  "--graph-out", graph_file, "--cert-out", cert_file],
+                 ["verify", "--graph", graph_file, "--cert", cert_file]):
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == "magic mu=324\n"
+        assert peak < 12 * 10**6, (args[0], peak)
 
 
 def test_construct_output_is_read_in_bulk(tmp_path, capsys, monkeypatch):
