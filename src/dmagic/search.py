@@ -76,23 +76,36 @@ commute: a witness is moved by a reversal to one whose first arc takes its
 first direction, and then by a unit, which keeps that arc, to one whose first
 two labels are kept.  That witness is in the reduced tree, so no orbit is lost.
 
-A third symmetry, the graph's automorphisms, ends the reduced search early:
+A third symmetry, the graph's automorphisms, bars labels in the reduced
+serial walk (orbit nogoods: Gent and Smith, "Symmetry breaking during
+search", ECAI 2000).  Once a label step for v has exhausted the subtree of
+label x, x is barred from every vertex of v's orbit under the automorphisms
+that fix every vertex labeled above v, until the walk leaves that step; the
+first label step bars the whole unit orbit U*x, and the second, below first
+label g, the stabilizer orbit S_g*x.  A later label step's candidates lose
+the labels barred for its vertex, so, as forward-checked labels, they are
+never nodes.  If the orbit holds every vertex not yet labeled, x has nowhere
+left to go and the step ends at once: at the first step on a
+vertex-transitive graph, one exhausted first label ends the search.
 
-  transitive    if the graph is vertex-transitive, the exhausted subtree of
-                any one first label g proves that no witness exists
+Take a witness W below the step's prefix P, the labels and arcs fixed above
+it, with l(w) = u*x for some w in the orbit and u in the group barred with x
+(u = 1 past the second step), and an automorphism s that fixes every labeled
+vertex and takes w to v.  Moving W along s keeps P, as s fixes each labeled
+vertex and so each edge between two of them, and gives l(v) = u*x.  Scaling
+by 1/u, which keeps g at the second step, keeps P and gives l(v) = x.  P
+holds the first arc if it holds any arc; if not, a reversal, if needed,
+gives the first arc its first direction and keeps every label.  At the first
+step a unit of S_x then takes l(v1) to its kept second label.  The result
+lies in the exhausted subtree of x, which holds no witness, as every rule
+and every earlier nogood discards only branches with none.  So each barred
+branch holds no witness: verdicts and first witnesses stay the same.
 
-Take a witness W and the vertex x with label g, and an automorphism s with
-s(x) = v0, the first visited vertex.  Moving W along s gives a witness with
-l(v0) = g.  A reversal, if needed, gives the first arc its first direction
-and keeps every label, and then a unit of the stabilizer S_g keeps g and that
-arc while taking l(v1) to its kept second label.  The result is in the
-reduced subtree of g, which, exhausted under sound rules, holds no witness.
-The check (_vertex_transitive) runs at most once, and only a proof counts.
-The serial search asks once its first label's subtree is exhausted, which a
-witness search on a vertex-transitive graph never reaches: every first
-label's subtree holds a witness.  A parallel run asks before its first pair,
-as helpers could be searching later labels' pairs by then, and on a graph
-proven vertex-transitive its pairs are the first label's kept pairs only.
+The orbits come from symmetry.orbit at the first two label steps and from
+twin classes below (_nogoods).  Nothing is built before the run's first poll,
+after _POLL nodes, so a search that ends sooner pays nothing.  A parallel run
+bars nothing: it asks _vertex_transitive once, before its first pair, and on
+a graph proven vertex-transitive searches the first label's pairs only.
 """
 
 from __future__ import annotations
@@ -100,14 +113,13 @@ from __future__ import annotations
 import random
 import sys
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
 from math import gcd
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .graphs import Orientation, UndirectedGraph, regularity
+from .graphs import Orientation, UndirectedGraph
 from .obstructions import parity_solutions
 from .verifier import Labeling, MagicCertificate, verified
 
@@ -126,12 +138,8 @@ _PRUNE_KEYS = ("weight", "interval", "parity")
 # use the rule, so changing it changes their trees.
 PARITY_LIST_CAP = 4096
 
-# _vertex_transitive gives up, proving nothing, before a round of its colour
-# refinement would read more than this many colours in all: each round over
-# both sides reads 2(N + 2E).
-_AUTOMORPHISM_CAP = 1 << 20
-
-_POLL = 1024  # nodes between polls; a parallel run starts its helpers after the first
+_POLL = 1024  # nodes between polls; after the first a parallel run starts its helpers,
+              # and a serial one builds its orbit nogoods
 
 
 @dataclass(frozen=True)
@@ -139,10 +147,10 @@ class SearchConfig:
     """Budgets, reductions, and determinism knobs for the search.
 
     reduce, on by default, fixes the first arc, keeps one pair of first two
-    labels per orbit of the unit group of Z_N, and on a graph proven
-    vertex-transitive stops once one first label's subtree is exhausted (see
-    the module docstring); off, the search walks the whole unreduced tree, the
-    reference for tests.  seed shuffles the order in which labels are tried.
+    labels per orbit of the unit group of Z_N, and, serially, bars labels by
+    orbit nogoods (see the module docstring); off, the search walks the whole
+    unreduced tree, the reference for tests.  seed shuffles the order in which
+    labels are tried.
 
     With workers > 1 the calling process searches the kept pairs of first two
     labels, one subtree each, and workers - 1 helper processes join it once
@@ -217,6 +225,18 @@ def _members(mask: int, order: List[int]) -> Iterator[int]:
         mask ^= low
 
 
+def _barring(mask: int, order: List[int], barred: List[int], c: int) -> Iterator[int]:
+    """_members(mask, order), each label barred from twin class c once its
+    subtree is exhausted, and unbarred once the step ends."""
+    before = barred[c]
+    while mask:
+        low = mask & -mask
+        yield order[low.bit_length() - 1]
+        barred[c] |= low
+        mask ^= low
+    barred[c] = before
+
+
 def _visit_order(graph: UndirectedGraph) -> List[int]:
     """Maximum-adjacency order: next vertex has most labeled neighbors."""
     n = graph.vertex_count
@@ -271,105 +291,48 @@ def _label_orders(n: int, config: SearchConfig) -> _Orders:
 
 
 def _vertex_transitive(graph: UndirectedGraph, deadline: Optional[float] = None) -> bool:
-    """True once automorphisms found within a fixed work cap, and before
-    perf_counter() passes deadline, map vertex 0 onto every vertex; false
-    means not proven.
+    """True once symmetry.orbit proves vertex 0's orbit is V; false means not
+    proven."""
+    from . import symmetry  # compiled only by the runs that use it
+    return len(symmetry.orbit(*symmetry.twins(graph), 0, (), deadline)) == graph.vertex_count
 
-    Individualization-refinement (McKay and Piperno): to map 0 onto t, give 0
-    its own colour on one side and t on the other, and refine both colourings
-    in lockstep, each vertex's new colour its colour and its neighbours'
-    sorted colours; once the two sides' multisets of new colours differ, no
-    such map is left.  Then the first vertex of the first cell of two or more
-    is given its own colour against each vertex of the same cell on the other
-    side in turn, depth first.  Where every colour is one vertex, the two
-    colourings pair the vertices off.  As the last round matched each
-    vertex's neighbour colours with its partner's, the pairing maps edges
-    onto edges; it is checked edge by edge all the same before it is kept.
 
-    The orbit of 0 is closed under the automorphisms kept, so a target already
-    in it needs none.  Targets are taken from the top: on K_n the map found
-    for n - 1 is an n-cycle, which completes the orbit at once.  A 2-regular
-    graph needs no search: it is a union of cycles, and it is transitive
-    exactly when they all have one length, as rotations and swaps of equal
-    cycles then map 0 onto every vertex, and an automorphism keeps the
-    length of the cycle through a vertex.  The walk reads each vertex once,
-    so it runs however far one refinement round would pass the work cap.
+def _nogoods(graph: UndirectedGraph, steps: List[Tuple], deadline: Optional[float]
+             ) -> Tuple[List[Tuple[int, ...]], List[bool], List[bool], List[int]]:
+    """For each step: the first two label steps whose barred labels it skips,
+    whether it ends after its first label, whether it bars labels, and the
+    twin class of the vertex it labels, named by the class's least vertex.
+
+    A label step's orbit is its vertex's under the automorphisms that fix
+    every vertex labeled above it: symmetry.orbit's at the first two, and its
+    unlabeled twins below, which refinement would pay for at every depth.  A
+    step whose orbit holds every vertex not yet labeled ends after its first
+    label; a step whose orbit holds any other vertex bars its labels from that
+    vertex's step.
     """
-    n = graph.vertex_count
-    work, cost = _AUTOMORPHISM_CAP, 2 * (n + 2 * len(graph.edges))  # cost: one round
-    # a regular graph with as many edges as vertices is 2-regular: it takes the walk
-    if (cost > work and len(graph.edges) != n) or (degree := regularity(graph)) is None:
-        return False
-    nbrs = [graph.neighbors(v) for v in range(n)]
-    if degree == 2:  # walk each cycle; the other neighbour of v is the sum less prev
-        lengths, seen = set(), [False] * n
-        for s in range(n):
-            if not seen[s]:
-                prev, v, k = s, nbrs[s][0], 1
-                while v != s:
-                    seen[v] = True
-                    prev, v, k = v, sum(nbrs[v]) - prev, k + 1
-                lengths.add(k)
-        return len(lengths) == 1
-    adj = [set(x) for x in nbrs]
+    from . import symmetry  # compiled only by the runs that use it
 
-    def refine(left: List[int], right: List[int]) -> Optional[Tuple[List[int], List[int]]]:
-        nonlocal work
-        k = 0
-        while True:
-            if work < cost or (deadline is not None and perf_counter() > deadline):
-                work = 0  # give up before the round that would pass the cap
-                return None
-            work -= cost
-            sig = [[(c[v], tuple(sorted([c[u] for u in nbrs[v]]))) for v in range(n)]
-                   for c in (left, right)]
-            if Counter(sig[0]) != Counter(sig[1]):
-                return None
-            colour = {s: i for i, s in enumerate(sorted(set(sig[0])))}
-            if len(colour) == k:
-                return left, right
-            k = len(colour)
-            left, right = ([colour[s] for s in side] for side in sig)
-
-    def individualize(c: List[int], v: int) -> List[int]:
-        return c[:v] + [n] + c[v + 1:]  # above every colour in use; refine renumbers
-
-    def automorphism(t: int) -> Optional[List[int]]:
-        stack = [([0] * n, [0] * n, 0, iter([t]))]  # (left, right, v, the w to try for v)
-        while stack and work > 0:
-            left, right, v, ws = stack[-1]
-            w = next(ws, None)
-            if w is None:
-                stack.pop()
-                continue
-            pair = refine(individualize(left, v), individualize(right, w))
-            if pair is None:
-                continue
-            left, right = pair
-            cell = min((c for c, size in Counter(left).items() if size > 1), default=None)
-            if cell is None:
-                at = {c: u for u, c in enumerate(right)}
-                sigma = [at[c] for c in left]
-                if all(sigma[b] in adj[sigma[a]] for a, b in graph.edges):
-                    return sigma
-            else:
-                stack.append((left, right, left.index(cell),
-                              iter([u for u in range(n) if right[u] == cell])))
-        return None
-
-    orbit, gens = {0}, []
-    for t in range(n - 1, 0, -1):
-        if t in orbit:
-            continue
-        sigma = automorphism(t)
-        if sigma is None:
-            return False
-        gens.append(sigma)
-        new = orbit
-        while new:
-            new = {s[v] for s in gens for v in new} - orbit
-            orbit |= new
-    return True
+    nbrs, twin = symmetry.twins(graph)
+    # a sixteenth of the cap each: on path(4000) two refinements to the full cap
+    # prove nothing in 0.7 s, the time of some 600k nodes there
+    cap = symmetry._AUTOMORPHISM_CAP >> 4
+    at = [d for d, step in enumerate(steps) if step[0]]
+    order = [steps[d][1] for d in at]
+    rank = [0] * len(order)  # rank[v]: v's place in label order
+    for k, v in enumerate(order):
+        rank[v] = k
+    kin: List[Tuple[int, ...]] = [()] * len(steps)
+    ends, bars, cls = [False] * len(steps), [False] * len(steps), [0] * len(steps)
+    for k, (d, v) in enumerate(zip(at, order)):
+        orbit = (symmetry.orbit(nbrs, twin, v, order[:k], deadline, cap) if k < 2
+                 else [w for w in twin[v] if rank[w] >= k])
+        ends[d] = len(orbit) == len(order) - k
+        bars[d] = len(orbit) > 1 and not ends[d]
+        cls[d] = twin[v][0]
+        if bars[d] and k < 2:
+            for w in orbit - {v}:
+                kin[at[rank[w]]] += (d,)
+    return kin, ends, bars, cls
 
 
 def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
@@ -519,7 +482,12 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
     par = [root] * len(steps)  # the parity candidates left on entering each depth
     mus = [everything] * len(steps)  # the magic constants still possible there, as bits
     todo[0] = iter(first)  # no label is used yet
-    transitive_check = config.reduce and pair is None
+    # orbit nogoods (see the module docstring), serial and reduced only, built at
+    # the first poll: kin, ends, bars and cls are _nogoods'; bar[d] holds the labels
+    # the first or second label step has barred, and barred[c] those the later
+    # steps on the path have barred from twin class c
+    kin: Optional[List[Tuple[int, ...]]] = None
+    bars, bar, barred = [False] * len(steps), [0, 0], [0] * mod
     used = mu = nodes = d = 0
     while True:
         # undo the choice this depth applied last, then take its next one
@@ -528,6 +496,10 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
         if x >= 0:
             if label:
                 used ^= bit[x]
+                if d < 2 and bars[d]:  # x's subtree is exhausted: bar its orbit
+                    g = labels[steps[0][1]]  # under the units, at d = 1 those keeping g
+                    bar[d] |= sum(bit[y] for y in {u * x % mod for u in units
+                                                   if d == 0 or u * g % mod == g})
             elif x:
                 pw[a] -= labels[b]
                 pw[b] += labels[a]
@@ -539,16 +511,18 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
             if d == 0:
                 return finish(VERDICT_EXHAUSTED, nodes)
             d -= 1
-            if d == 0 and transitive_check:  # the first root subtree is exhausted
-                if _vertex_transitive(graph, deadline):
-                    return finish(VERDICT_EXHAUSTED, nodes)
-                transitive_check = False
             continue
         nodes += 1
         if nodes == tick:
             if nodes > node_limit or (poll is not None and poll()):
                 return finish(VERDICT_INCONCLUSIVE, nodes)
             tick = min(node_limit + 1, nodes + _POLL)
+            if kin is None and config.reduce and pair is None:
+                kin, ends, bars, cls = _nogoods(graph, steps, deadline)
+                units = [u for u in range(mod) if gcd(u, mod) == 1]
+                for e in range(d + 1):  # each step on the path tries its current label only
+                    if ends[e]:
+                        todo[e] = iter(())
         p, consts = par[d], mus[d]
         if label:
             labels[a] = x
@@ -586,20 +560,31 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
                     bits[bisect_left(graph.edges, (a, b))] = x
             return finish(VERDICT_WITNESS, nodes, verified(
                 graph, Orientation(graph, tuple(bits)), Labeling(mod, tuple(labels))))
-        # descend; a label step skips the labels used above it and, below the
-        # pin, those that leave a forward-checked vertex off mu
+        # descend; a label step skips the labels used above it, below the pin
+        # those that leave a forward-checked vertex off mu, and those barred for a
         d += 1
         par[d], mus[d] = p, consts
         applied[d] = -1
         if steps[d][0]:
             if d > 1:
                 free = everything
-            elif (free := second_masks.get(x)) is None:  # x is still the first label
-                free = second_masks[x] = sum(bit[lam] for lam in second[x])
+            else:  # x is still the first label
+                bar[1] = 0
+                if (free := second_masks.get(x)) is None:
+                    free = second_masks[x] = sum(bit[lam] for lam in second[x])
             free &= ~used
             for y in steps[d][4]:
                 free &= bit[(mu - pw[y]) % mod] | bit[(pw[y] - mu) % mod]
-            todo[d] = _members(free, later)
+            if kin is None:
+                todo[d] = _members(free, later)
+                continue
+            free &= ~barred[cls[d]]
+            for e in kin[d]:
+                free &= ~bar[e]
+            if ends[d]:
+                free &= -free  # the first label only
+            todo[d] = (_barring(free, later, barred, cls[d]) if bars[d] and d > 1
+                       else _members(free, later))
 
 
 def _add_nodes(run: Tuple, k: int) -> bool:

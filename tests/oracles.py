@@ -230,3 +230,15 @@ def brute_vertex_transitive(vertex_count: int, edges: Sequence[Tuple[int, int]])
     images = {p[0] for p in permutations(range(n))
               if all(frozenset((p[u], p[v])) in edge_set for u, v in edges)}
     return len(images) == n
+
+
+def brute_orbit(vertex_count: int, edges: Sequence[Tuple[int, int]], v: int,
+                fixed: Sequence[int] = ()) -> Set[int]:
+    """The images of v under every automorphism that fixes each vertex of
+    fixed.  Every permutation is tried against the edge set.  Only sensible up
+    to about 8 vertices."""
+    n = vertex_count
+    edge_set = {frozenset(e) for e in edges}
+    return {p[v] for p in permutations(range(n))
+            if all(p[f] == f for f in fixed)
+            and all(frozenset((p[a], p[b])) in edge_set for a, b in edges)}

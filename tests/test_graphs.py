@@ -66,6 +66,19 @@ def test_regularity_is_the_common_degree_of_every_vertex():
     assert regularity(UndirectedGraph(4, ((0, 1), (2, 3)))) == 1
 
 
+def test_regularity_of_a_run_table_matches_its_edges():
+    # products built a run at a time, heads as ranges and as tuples, against
+    # the same graphs built from their edges; the edge tuple is never built
+    for g in (complete_multipartite([3, 3, 3]), complete_multipartite([1, 2, 2]),
+              lexicographic(cycle(5), empty_graph(3)), lexicographic(cycle(5), complete(2)),
+              lexicographic(path(4), complete(2)), lexicographic(prism(3), empty_graph(2)),
+              complete(1), complete(7)):
+        from_edges = UndirectedGraph(g.vertex_count, _from_runs(g.vertex_count, [
+            (u, heads) for u, _, heads in g._runs]).edges)
+        assert regularity(g) == regularity(from_edges), g
+        assert "edges" not in g.__dict__
+
+
 def test_complete_multipartite_counts():
     g = complete_multipartite([1, 2, 2])
     assert g.vertex_count == 5

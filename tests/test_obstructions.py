@@ -10,6 +10,8 @@ from dmagic.graphs import (
     complete_multipartite,
     cycle,
     empty_graph,
+    graph_to_text,
+    parse_graph,
     path,
     prism,
 )
@@ -37,6 +39,14 @@ def test_theorem1_counts_degrees_without_incidence_lists():
     g = kmokn_graph(14, 15)
     assert theorem1_check(g).details == {"r": 195, "order": 210}
     assert "_incidence" not in g.__dict__
+
+
+def test_theorem1_reads_a_parsed_blown_up_clique_without_its_edges():
+    # parse_graph builds K14[15] from its header as a run table, and the
+    # degrees are counted from that table
+    g = parse_graph(graph_to_text(kmokn_graph(14, 15)))
+    assert theorem1_check(g).details == {"r": 195, "order": 210}
+    assert "edges" not in g.__dict__
 
 
 def test_theorem1_does_not_apply_elsewhere():

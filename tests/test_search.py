@@ -7,14 +7,16 @@ from time import perf_counter
 
 import pytest
 
-from dmagic import search
+from dmagic import search, symmetry
 from dmagic.constructors import kmokn_graph
 from dmagic.graphs import (
     UndirectedGraph,
+    _from_runs,
     complete,
     complete_multipartite,
     cycle,
     empty_graph,
+    lexicographic,
     path,
     prism,
 )
@@ -26,7 +28,13 @@ from dmagic.search import (
     decide_existence,
 )
 from dmagic.verifier import Labeling, MagicCertificate, certificate_to_text, verify
-from oracles import brute_magic_label_pairs, brute_magic_search, brute_vertex_transitive, units
+from oracles import (
+    brute_magic_label_pairs,
+    brute_magic_search,
+    brute_orbit,
+    brute_vertex_transitive,
+    units,
+)
 
 
 def test_k4_has_no_solution():
@@ -238,8 +246,8 @@ def test_node_budget_is_inconclusive_not_wrong():
 def test_time_budget_is_inconclusive():
     out = decide_existence(complete(8), SearchConfig(parity_prune=False, time_budget=0.01))
     assert out.verdict in (VERDICT_INCONCLUSIVE, VERDICT_EXHAUSTED)
-    # K8 without parity is still inconclusive after a minute and millions of
-    # nodes, so 10ms cannot cover it on any realistic machine
+    # K8 without parity takes 66,930 nodes, tens of milliseconds, so 10ms
+    # cannot cover it on any realistic machine
     assert out.verdict == VERDICT_INCONCLUSIVE
 
 
@@ -344,7 +352,9 @@ def test_stopped_worker_returns_within_one_poll():
 
 
 def test_worker_past_the_shared_budget_sets_the_stop():
-    run = _run_state(complete(6), SearchConfig(parity_prune=False), node_budget=1500)
+    # the serial walk of prism(4) without parity passes 1,500 nodes; K6's ends
+    # at 1,041
+    run = _run_state(prism(4), SearchConfig(parity_prune=False), node_budget=1500)
     stop, shared_nodes, _ = run[:3]
     out = _worker_search(run)
     assert out.verdict == VERDICT_INCONCLUSIVE
@@ -379,14 +389,17 @@ def test_parallel_node_budget_is_shared_by_the_workers(workers):
 # here.  A row with a pair runs one parallel job's subtree serially:
 # its first two labels are fixed, as _take_pairs fixes them.  K2[6]-unit-scaling
 # tries first label 2 before 0, so its witness (mu = 6) starts from a nonzero
-# orbit representative and second labels from the stabilizer of 2.  K6 and
-# prism(4) are vertex-transitive: their proofs end with the first label's
-# subtree.
+# orbit representative and second labels from the stabilizer of 2.  The
+# exhaustive rows past 1024 nodes bar labels by orbit nogoods: K6, K8 and
+# prism(4) are vertex-transitive, so their proofs end within the first label's
+# subtree, and on K6 and K8, all of whose vertices are twins, every label
+# step ends after its first label.  K8-no-parity-budgeted ends within its budget,
+# and K8-no-parity-seeded, in another label order, walks a tree of the same size.
 _BUDGETED = SearchConfig(seed=1, node_budget=100000)
 # a star with a tail, plus an isolated vertex that closes at its label step
 _LEAFY = UndirectedGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6)])
 _TREES = [
-    (path(12), SearchConfig(), VERDICT_EXHAUSTED, 3194, (882, 16, 46), None, None),
+    (path(12), SearchConfig(), VERDICT_EXHAUSTED, 3156, (872, 8, 46), None, None),
     (complete(9), SearchConfig(), VERDICT_WITNESS, 146, (4, 34, 0), "df17a29c", None),
     (complete(7), _BUDGETED, VERDICT_WITNESS, 35, (4, 3, 0), "1c990400", None),
     (kmokn_graph(3, 3), _BUDGETED, VERDICT_WITNESS, 39, (0, 3, 0), "66ca6218", None),
@@ -400,22 +413,25 @@ _TREES = [
      (383, 0, 16), "db9d9579", None),
     (cycle(12), SearchConfig(seed=2, parity_prune=False), VERDICT_WITNESS, 632,
      (164, 0, 0), "f3c5ba05", None),
-    (_LEAFY, SearchConfig(), VERDICT_EXHAUSTED, 1367, (312, 190, 92), None, None),
+    (_LEAFY, SearchConfig(), VERDICT_EXHAUSTED, 1179, (280, 146, 86), None, None),
     (kmokn_graph(5, 2), SearchConfig(seed=1), VERDICT_WITNESS, 414, (6, 82, 67),
      "66287c12", (2, 9)),
-    (complete(6), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 6859, (0, 2304, 0),
+    (complete(6), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 1041, (0, 347, 0),
      None, None),
-    (prism(4), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 27773, (3192, 0, 0),
+    (prism(4), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 9681, (1080, 0, 0),
      None, None),
     (path(13), SearchConfig(), VERDICT_EXHAUSTED, 11064, (3384, 60, 0), None, None),
-    (complete(8), SearchConfig(parity_prune=False, node_budget=100000), VERDICT_INCONCLUSIVE,
-     100001, (0, 33389, 0), None, None),
+    (complete(8), SearchConfig(parity_prune=False, node_budget=100000), VERDICT_EXHAUSTED,
+     66930, (0, 16680, 0), None, None),
     (path(8), SearchConfig(parity_prune=False, reduce=False, seed=3), VERDICT_EXHAUSTED, 15472,
      (3584, 688, 0), None, None),
+    (complete(8), SearchConfig(parity_prune=False, seed=1), VERDICT_EXHAUSTED, 66930,
+     (0, 16680, 0), None, None),
 ]
 _TREE_IDS = ["P12", "K9", "K7", "K3[3]", "K3[4]", "K2[6]", "K2[6]-unit-scaling", "K5[2]", "P11",
              "C12-free-first-arc", "C12-no-parity", "leafy", "K5[2]-pinned", "K6-no-parity",
-             "prism4-no-parity", "P13", "K8-no-parity-budgeted", "P8-unreduced-no-parity"]
+             "prism4-no-parity", "P13", "K8-no-parity-budgeted", "P8-unreduced-no-parity",
+             "K8-no-parity-seeded"]
 
 
 def _tree(graph, config, pinned):
@@ -468,12 +484,14 @@ def test_members_of_a_mask_over_places_keep_the_seeded_order():
 
 
 def test_witness_trees_never_check_transitivity(monkeypatch):
-    # a vertex-transitive graph with a witness meets one under its first
-    # label, so the check costs a witness search nothing
-    def refuse(graph):
+    # every witness row ends within its first 1024 nodes, before the orbit
+    # nogoods are built, so symmetry costs a witness search nothing
+    def refuse(*args):
         raise AssertionError("a witness search asked for automorphisms")
 
-    monkeypatch.setattr(search, "_vertex_transitive", refuse)
+    for module, name in ((search, "_vertex_transitive"), (search, "_nogoods"),
+                         (symmetry, "twins"), (symmetry, "orbit")):
+        monkeypatch.setattr(module, name, refuse)
     for (graph, config, verdict, nodes, _, _, pinned), name in zip(_TREES, _TREE_IDS):
         if verdict == VERDICT_WITNESS:
             out = _tree(graph, config, pinned)
@@ -527,6 +545,83 @@ def test_vertex_transitive_matches_brute_force():
     assert not search._vertex_transitive(_FRUCHT)
 
 
+def _twin_rich(rng, order):
+    """A random graph of at most order vertices whose blocks of 1 to 3
+    vertices are twins: each block an independent set or a clique, and each
+    two blocks joined by every edge or none; renumbered at random."""
+    blocks, n = [], 0
+    while n < order and (not blocks or rng.random() < 0.7):
+        size = min(rng.randint(1, 3), order - n)
+        blocks.append(range(n, n + size))
+        n += size
+    edges = [(u, v) for i, a in enumerate(blocks) for b in blocks[i + 1:] if rng.random() < 0.5
+             for u in a for v in b]
+    edges += [(u, v) for a in blocks if rng.random() < 0.5 for u in a for v in a if u < v]
+    new = list(range(n))
+    rng.shuffle(new)
+    return UndirectedGraph.from_edges(n, [(new[u], new[v]) for u, v in edges])
+
+
+def _random_graph(rng, order):
+    n = rng.randint(1, order)
+    p = rng.choice((0.2, 0.5, 0.8))
+    return UndirectedGraph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_orbit_matches_brute_force():
+    # the orbit of a vertex under the automorphisms that fix a random set, on
+    # random graphs of order at most 7, half of them rich in twins
+    rng = random.Random(11)
+    for i in range(150):
+        g = _twin_rich(rng, 7) if i % 2 else _random_graph(rng, 7)
+        n = g.vertex_count
+        v = rng.randrange(n)
+        fixed = rng.sample([u for u in range(n) if u != v], rng.randint(0, min(2, n - 1)))
+        assert symmetry.orbit(*symmetry.twins(g), v, fixed) == brute_orbit(n, g.edges, v, fixed), \
+            (g, v, fixed)
+
+
+def test_twin_quotient_decides_transitivity():
+    # twin-rich graphs of order at most 8 against brute force; a blown-up
+    # clique is proven through its quotient K_m, K30[30] within 0.5 s though
+    # one round on the graph itself would pass the work cap
+    rng = random.Random(12)
+    graphs = [_twin_rich(rng, 8) for _ in range(40)] + [
+        lexicographic(cycle(4), empty_graph(2)), lexicographic(cycle(4), complete(2)),
+        complete_multipartite([2, 3]), complete_multipartite([1, 1, 2]), kmokn_graph(4, 2)]
+    for g in graphs:
+        assert search._vertex_transitive(g) == brute_vertex_transitive(g.vertex_count, g.edges), g
+    assert search._vertex_transitive(lexicographic(cycle(7), complete(3)))
+    assert not search._vertex_transitive(lexicographic(path(4), empty_graph(3)))
+    started = perf_counter()
+    assert search._vertex_transitive(kmokn_graph(30, 30))
+    assert perf_counter() - started < 0.5
+
+
+def test_orbit_nogoods_keep_every_verdict_and_first_witness(monkeypatch):
+    # nogoods built from the first node on against none at all: the same
+    # verdict and first witness, on a subset of the nodes, and the verdict of
+    # the unreduced tree, on random graphs of order at most 7; each label order
+    # meets other exhausted labels on the way to the first witness
+    rng = random.Random(13)
+    for i in range(200):
+        g = _twin_rich(rng, 7) if i % 3 == 0 else _random_graph(rng, 7)
+        parity = rng.random() < 0.5
+        reference = decide_existence(g, SearchConfig(parity_prune=parity, reduce=False))
+        for seed in (0, 1, 2):
+            config = SearchConfig(parity_prune=parity, seed=seed)
+            monkeypatch.setattr(search, "_POLL", 1)
+            barred = decide_existence(g, config)
+            monkeypatch.setattr(search, "_POLL", 1 << 62)
+            plain = decide_existence(g, config)
+            assert barred.verdict == plain.verdict == reference.verdict, (g, config)
+            assert barred.stats.nodes <= plain.stats.nodes, (g, config)
+            if plain.certificate is not None:
+                assert certificate_to_text(barred.certificate) == \
+                    certificate_to_text(plain.certificate), (g, config)
+
+
 def test_transitive_rule_keeps_every_verdict():
     # reduced serial and parallel runs stop on a vertex-transitive graph after
     # one first label; the unreduced tree is the reference.  prism(4) is left
@@ -544,8 +639,9 @@ def test_transitive_rule_keeps_every_verdict():
 
 
 def test_parallel_transitive_proof_walks_the_first_label_only():
-    # the serial tree counts the first label's node once, each of its k jobs
-    # once more: K6 has k = 3 (6,859 serial nodes), prism(4) k = 3 (27,773)
+    # the jobs bar no labels: their k = 3 subtrees hold the first label's
+    # subtree without nogoods (K6 6,859 nodes, prism(4) 27,773), whose first
+    # label's node each job counts once more
     config = SearchConfig(workers=2, parity_prune=False)
     for graph, nodes in ((complete(6), 6861), (prism(4), 27775)):
         out = decide_existence(graph, config)
@@ -630,16 +726,18 @@ def test_no_more_helpers_start_than_pairs_are_left(monkeypatch):
 
 def test_more_workers_than_cores_take_every_pair_once():
     # a lost update on the shared pair index would search a pair twice or
-    # skip one; each pair's subtree counts its first label's node once more
-    # than the serial tree does
+    # skip one: the run's nodes are those of every kept pair's own subtree
     started = perf_counter()
     for graph in (path(11), path(12)):
-        serial = decide_existence(graph, SearchConfig())
-        first, second, _ = search._label_orders(graph.vertex_count, SearchConfig())
-        extra = sum(len(second[g]) - 1 for g in first)
+        config = SearchConfig()
+        parity, plan = search._root_parity_candidates(graph, config), search._steps(graph, config)
+        first, second, _ = plan[1]
+        pairs = [(g, b) for g in first for b in second[g]]
+        expected = sum(search._search(graph, config, parity, plan, perf_counter(), pair).stats.nodes
+                       for pair in pairs)
         for _ in range(3):
             out = decide_existence(graph, SearchConfig(workers=4))
-            assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, serial.stats.nodes + extra)
+            assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, expected)
     assert perf_counter() - started < 20
 
 
@@ -694,32 +792,39 @@ def test_a_connected_2_regular_graph_is_transitive_at_once():
 
 
 def test_unproven_transitivity_leaves_the_tree_alone(monkeypatch):
-    # past the work cap nothing is proven, and K6 walks every first label's subtree
-    monkeypatch.setattr(search, "_AUTOMORPHISM_CAP", 1)
+    # past the work cap nothing is proven, and K6 walks every first label's
+    # subtree; below the second label step its twins, which need no
+    # refinement, still bar labels
+    monkeypatch.setattr(symmetry, "_AUTOMORPHISM_CAP", 1)
     assert not search._vertex_transitive(complete(6))
     out = decide_existence(complete(6), SearchConfig(parity_prune=False))
-    assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, 36580)
+    assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, 3039)
 
 
 def test_transitivity_check_stops_before_a_round_past_the_cap(monkeypatch):
-    # one refinement round on K6 reads 2(6 + 2 * 15) = 72 colours: with less
-    # work left the check gives up before it runs the round at all
+    # one refinement round on the Petersen graph, which has no twins, reads
+    # 2(10 + 2 * 15) = 80 colours: with less work left the check gives up
+    # before it runs the round at all
     def refuse(*args):
         raise AssertionError("a refinement round ran past the work cap")
 
-    monkeypatch.setattr(search, "_AUTOMORPHISM_CAP", 71)
-    monkeypatch.setattr(search, "Counter", refuse)
-    assert not search._vertex_transitive(complete(6))
+    monkeypatch.setattr(symmetry, "_AUTOMORPHISM_CAP", 79)
+    monkeypatch.setattr(symmetry, "Counter", refuse)
+    assert not search._vertex_transitive(_PETERSEN)
 
 
 def test_transitivity_check_skips_a_graph_whose_round_passes_the_cap(monkeypatch):
-    # one round on K30[30] reads 2(900 + 2 * 391500) colours, past 2^20: the
-    # check gives up before it reads a single edge
-    def refuse(graph):
-        raise AssertionError("the check read the edges")
+    # the crown graph on 2 * 520 vertices, K(520, 520) less a perfect matching,
+    # has no twins, so one round on its quotient, itself, reads 2(1040 + 2 *
+    # 269,880) colours, past 2^20: the check gives up before any round.  A
+    # round on K30[30] would read more, but its quotient is K30.
+    def refuse(*args):
+        raise AssertionError("a refinement round ran past the work cap")
 
-    monkeypatch.setattr(search, "regularity", refuse)
-    assert not search._vertex_transitive(kmokn_graph(30, 30))
+    crown = _from_runs(1040, [(i, tuple(520 + j for j in range(520) if j != i))
+                              for i in range(520)])
+    monkeypatch.setattr(symmetry, "Counter", refuse)
+    assert not search._vertex_transitive(crown)
 
 
 def _rescanned_checks(graph):
