@@ -58,7 +58,7 @@ from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import add, itemgetter, lt
+from operator import itemgetter, lt
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -190,32 +190,16 @@ class UndirectedGraph:
 
 
 def regularity(graph: UndirectedGraph) -> Optional[int]:
-    """The common degree r if the graph is r-regular, else None.
-
-    No incidence lists are built, and no edge tuple: degrees are counted from
-    the edges when the graph holds them, else from the run table, where a run
-    adds its length to its tail and one to each head, a range of heads by its
-    two ends in a table of differences.
-    """
-    n = graph.vertex_count
-    if n == 0:
+    """The common degree r if the graph is r-regular, else None."""
+    if graph.vertex_count == 0:
         return 0
-    edges = graph.__dict__.get("edges")
-    if edges is not None:
-        counts = Counter(chain.from_iterable(edges))
-        degrees = set(counts.values()) | ({0} if len(counts) < n else set())
-    else:
-        degree, span = [0] * n, [0] * (n + 1)
-        for u, _, heads in graph._runs:
-            degree[u] += len(heads)
-            if type(heads) is range:
-                span[heads.start] += 1
-                span[heads.stop] -= 1
-            else:
-                for v in heads:
-                    degree[v] += 1
-        degrees = set(map(add, degree, accumulate(span)))
-    return degrees.pop() if len(degrees) == 1 else None
+    counts = Counter(chain.from_iterable(_edge_pairs(graph)))  # no incidence lists
+    degrees = set(counts.values())
+    if len(counts) < graph.vertex_count:
+        degrees.add(0)  # isolated vertices
+    if len(degrees) == 1:
+        return degrees.pop()
+    return None
 
 
 @dataclass(frozen=True)

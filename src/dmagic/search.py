@@ -225,16 +225,19 @@ def _members(mask: int, order: List[int]) -> Iterator[int]:
         mask ^= low
 
 
-def _barring(mask: int, order: List[int], barred: List[int], c: int) -> Iterator[int]:
-    """_members(mask, order), each label barred from twin class c once its
-    subtree is exhausted, and unbarred once the step ends."""
-    before = barred[c]
+def _barring(mask: int, order: List[int], barred: List[int], slot: int,
+             spread: Optional[Callable[[int], int]]) -> Iterator[int]:
+    """_members(mask, order), each label barred in barred[slot] once its
+    subtree is exhausted, with its orbit spread(label) if spread is given;
+    the slot is restored once the step ends."""
+    before = barred[slot]
     while mask:
         low = mask & -mask
-        yield order[low.bit_length() - 1]
-        barred[c] |= low
+        lam = order[low.bit_length() - 1]
+        yield lam
+        barred[slot] |= low if spread is None else spread(lam)
         mask ^= low
-    barred[c] = before
+    barred[slot] = before
 
 
 def _visit_order(graph: UndirectedGraph) -> List[int]:
@@ -298,17 +301,19 @@ def _vertex_transitive(graph: UndirectedGraph, deadline: Optional[float] = None)
 
 
 def _nogoods(graph: UndirectedGraph, steps: List[Tuple], deadline: Optional[float]
-             ) -> Tuple[List[Tuple[int, ...]], List[bool], List[bool], List[int]]:
-    """For each step: the first two label steps whose barred labels it skips,
-    whether it ends after its first label, whether it bars labels, and the
-    twin class of the vertex it labels, named by the class's least vertex.
+             ) -> Optional[List[Tuple[Tuple[int, ...], int, bool]]]:
+    """For each label step: the slots whose barred labels it skips, the slot
+    it bars its exhausted labels in (-1 if none), and whether it ends after
+    its first label; None if no step bars a label or ends early.
 
     A label step's orbit is its vertex's under the automorphisms that fix
     every vertex labeled above it: symmetry.orbit's at the first two, and its
     unlabeled twins below, which refinement would pay for at every depth.  A
     step whose orbit holds every vertex not yet labeled ends after its first
     label; a step whose orbit holds any other vertex bars its labels from that
-    vertex's step.
+    vertex's step.  The first two label steps bar in slots N and N + 1; a
+    later one in its twin class's, named by the class's least vertex, which
+    the class's later steps share.
     """
     from . import symmetry  # compiled only by the runs that use it
 
@@ -318,21 +323,32 @@ def _nogoods(graph: UndirectedGraph, steps: List[Tuple], deadline: Optional[floa
     cap = symmetry._AUTOMORPHISM_CAP >> 4
     at = [d for d, step in enumerate(steps) if step[0]]
     order = [steps[d][1] for d in at]
-    rank = [0] * len(order)  # rank[v]: v's place in label order
+    n = len(order)
+    rank = [0] * n  # rank[v]: v's place in label order
     for k, v in enumerate(order):
         rank[v] = k
-    kin: List[Tuple[int, ...]] = [()] * len(steps)
-    ends, bars, cls = [False] * len(steps), [False] * len(steps), [0] * len(steps)
-    for k, (d, v) in enumerate(zip(at, order)):
+    reads: List[List[int]] = [[] for _ in order]
+    slot, ends, shared = [-1] * n, [False] * n, set()  # shared: classes barred in
+    for k, v in enumerate(order):
+        if twin[v][0] in shared:
+            reads[k].append(twin[v][0])
         orbit = (symmetry.orbit(nbrs, twin, v, order[:k], deadline, cap) if k < 2
                  else [w for w in twin[v] if rank[w] >= k])
-        ends[d] = len(orbit) == len(order) - k
-        bars[d] = len(orbit) > 1 and not ends[d]
-        cls[d] = twin[v][0]
-        if bars[d] and k < 2:
+        ends[k] = len(orbit) == n - k
+        if len(orbit) > 1 and not ends[k]:
+            if k >= 2:
+                slot[k] = twin[v][0]
+                shared.add(slot[k])
+                continue
+            slot[k] = n + k
             for w in orbit - {v}:
-                kin[at[rank[w]]] += (d,)
-    return kin, ends, bars, cls
+                reads[rank[w]].append(n + k)
+    if max(slot) < 0 and not any(ends):
+        return None
+    nog: List = [None] * len(steps)
+    for k, d in enumerate(at):
+        nog[d] = (tuple(reads[k]), slot[k], ends[k])
+    return nog
 
 
 def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
@@ -483,11 +499,19 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
     mus = [everything] * len(steps)  # the magic constants still possible there, as bits
     todo[0] = iter(first)  # no label is used yet
     # orbit nogoods (see the module docstring), serial and reduced only, built at
-    # the first poll: kin, ends, bars and cls are _nogoods'; bar[d] holds the labels
-    # the first or second label step has barred, and barred[c] those the later
-    # steps on the path have barred from twin class c
-    kin: Optional[List[Tuple[int, ...]]] = None
-    bars, bar, barred = [False] * len(steps), [0, 0], [0] * mod
+    # the first poll: nog is _nogoods', and barred[slot] holds the labels barred
+    # in slot by the label steps on the path
+    unbuilt, nog, barred = config.reduce and pair is None, None, [0] * (mod + 2)
+
+    def spread(e: int) -> Optional[Callable[[int], int]]:
+        # label step e bars a label alone (None) or, at the first two, its orbit
+        # under the units that keep the first label (all of them at step 0)
+        if e > 1:
+            return None
+        g = labels[steps[0][1]] if e else 0
+        keep = [u for u in range(mod) if gcd(u, mod) == 1 and u * g % mod == g]
+        return lambda lam: sum(bit[y] for y in {u * lam % mod for u in keep})
+
     used = mu = nodes = d = 0
     while True:
         # undo the choice this depth applied last, then take its next one
@@ -496,10 +520,6 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
         if x >= 0:
             if label:
                 used ^= bit[x]
-                if d < 2 and bars[d]:  # x's subtree is exhausted: bar its orbit
-                    g = labels[steps[0][1]]  # under the units, at d = 1 those keeping g
-                    bar[d] |= sum(bit[y] for y in {u * x % mod for u in units
-                                                   if d == 0 or u * g % mod == g})
             elif x:
                 pw[a] -= labels[b]
                 pw[b] += labels[a]
@@ -517,12 +537,16 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
             if nodes > node_limit or (poll is not None and poll()):
                 return finish(VERDICT_INCONCLUSIVE, nodes)
             tick = min(node_limit + 1, nodes + _POLL)
-            if kin is None and config.reduce and pair is None:
-                kin, ends, bars, cls = _nogoods(graph, steps, deadline)
-                units = [u for u in range(mod) if gcd(u, mod) == 1]
-                for e in range(d + 1):  # each step on the path tries its current label only
-                    if ends[e]:
+            if unbuilt:
+                unbuilt, nog = False, _nogoods(graph, steps, deadline)
+                for e in range(d + 1 if nog else 0):  # restart the label steps on the path
+                    if steps[e][0] and nog[e][2]:  # it tries its current label only
                         todo[e] = iter(())
+                    elif steps[e][0] and nog[e][1] >= 0:  # it bars from its current label on
+                        rest = sum(map(bit.__getitem__, todo[e]))
+                        todo[e] = _barring(rest | bit[applied[e]], later, barred,
+                                           nog[e][1], spread(e))
+                        next(todo[e])
         p, consts = par[d], mus[d]
         if label:
             labels[a] = x
@@ -561,30 +585,28 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
             return finish(VERDICT_WITNESS, nodes, verified(
                 graph, Orientation(graph, tuple(bits)), Labeling(mod, tuple(labels))))
         # descend; a label step skips the labels used above it, below the pin
-        # those that leave a forward-checked vertex off mu, and those barred for a
+        # those that leave a forward-checked vertex off mu, and those barred for it
         d += 1
         par[d], mus[d] = p, consts
         applied[d] = -1
         if steps[d][0]:
             if d > 1:
                 free = everything
-            else:  # x is still the first label
-                bar[1] = 0
-                if (free := second_masks.get(x)) is None:
-                    free = second_masks[x] = sum(bit[lam] for lam in second[x])
+            elif (free := second_masks.get(x)) is None:  # x is still the first label
+                free = second_masks[x] = sum(bit[lam] for lam in second[x])
             free &= ~used
             for y in steps[d][4]:
                 free &= bit[(mu - pw[y]) % mod] | bit[(pw[y] - mu) % mod]
-            if kin is None:
+            if nog is None:
                 todo[d] = _members(free, later)
                 continue
-            free &= ~barred[cls[d]]
-            for e in kin[d]:
-                free &= ~bar[e]
-            if ends[d]:
+            reads, slot, ends = nog[d]
+            for e in reads:
+                free &= ~barred[e]
+            if ends:
                 free &= -free  # the first label only
-            todo[d] = (_barring(free, later, barred, cls[d]) if bars[d] and d > 1
-                       else _members(free, later))
+            todo[d] = (_members(free, later) if slot < 0
+                       else _barring(free, later, barred, slot, spread(d)))
 
 
 def _add_nodes(run: Tuple, k: int) -> bool:

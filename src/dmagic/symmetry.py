@@ -40,14 +40,14 @@ def twins(graph: UndirectedGraph) -> Tuple[List[Tuple[int, ...]], List[Tuple[int
         for h in heads:
             below[h].append(u)
     nbrs = [(*b, *a) for b, a in zip(below, above)]
-    twin: List[Tuple[int, ...]] = [()] * n
+    twin = [(v,) for v in range(n)]
     for closed in (True, False):
         classes: Dict[Tuple[int, ...], List[int]] = {}
         for v, (nb, b) in enumerate(zip(nbrs, below)):
             classes.setdefault((*b, v, *above[v]) if closed else nb, []).append(v)
-        for members in map(tuple, classes.values()):
-            if closed or len(members) > 1:
-                for v in members:
+        for members in classes.values():
+            if len(members) > 1:
+                for v in (members := tuple(members)):
                     twin[v] = members
     return nbrs, twin
 
