@@ -77,7 +77,7 @@ first direction, and then by a unit, which keeps that arc, to one whose first
 two labels are kept.  That witness is in the reduced tree, so no orbit is lost.
 
 A third symmetry, the graph's automorphisms, bars labels in the reduced
-serial walk (orbit nogoods: Gent and Smith, "Symmetry breaking during
+walk (orbit nogoods: Gent and Smith, "Symmetry breaking during
 search", ECAI 2000).  Once a label step for v has exhausted the subtree of
 label x, x is barred from every vertex of v's orbit under the automorphisms
 that fix every vertex labeled above v, until the walk leaves that step; the
@@ -102,10 +102,19 @@ and every earlier nogood discards only branches with none.  So each barred
 branch holds no witness: verdicts and first witnesses stay the same.
 
 The orbits come from symmetry.orbit at the first two label steps and from
-twin classes below (_nogoods).  Nothing is built before the run's first poll,
-after _POLL nodes, so a search that ends sooner pays nothing.  A parallel run
-bars nothing: it asks _vertex_transitive once, before its first pair, and on
-a graph proven vertex-transitive searches the first label's pairs only.
+twin classes below (_nogoods).  A serial walk builds nothing before its
+first poll, after _POLL nodes, so a search that ends sooner pays nothing.
+
+A parallel run builds them once, before its first pair, and walks the same
+barred tree split at the kept pairs of first two labels (_pairs): the first
+label's pairs only if the first label step ends, and the first pair of each
+first label if the second does, as the serial walk tries no other.  The job
+for pair (g, b) starts with what the serial walk has barred on reaching it:
+U*h in the first step's slot for each first label h before g, and S_g*c in
+the second's for each pair (g, c) before (g, b).  The proof above needs of
+a barred x only that the subtree of x holds no witness, so these pre-bars
+are sound once every earlier pair is exhausted; the run answers "exhausted"
+only when every pair is, and verifies any witness again.
 """
 
 from __future__ import annotations
@@ -117,7 +126,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from math import gcd
 from time import perf_counter
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import Orientation, UndirectedGraph
 from .obstructions import parity_solutions
@@ -147,8 +156,8 @@ class SearchConfig:
     """Budgets, reductions, and determinism knobs for the search.
 
     reduce, on by default, fixes the first arc, keeps one pair of first two
-    labels per orbit of the unit group of Z_N, and, serially, bars labels by
-    orbit nogoods (see the module docstring); off, the search walks the whole
+    labels per orbit of the unit group of Z_N, and bars labels by orbit
+    nogoods (see the module docstring); off, the search walks the whole
     unreduced tree, the reference for tests.  seed shuffles the order in which
     labels are tried.
 
@@ -209,6 +218,7 @@ class SearchOutcome:
 _Parity = Optional[Tuple[int, Tuple[Tuple[int, int], ...], Tuple[int, int]]]
 _Orders = Tuple[List[int], List[List[int]], List[int]]  # see _label_orders
 _Plan = Tuple[List[Tuple], _Orders, int]  # see _steps
+_Nogoods = Tuple[List[int], List[Optional[int]]]  # see _nogoods
 
 
 def _turn(reach: int, lam: int, mod: int, everything: int) -> int:
@@ -225,19 +235,11 @@ def _members(mask: int, order: List[int]) -> Iterator[int]:
         mask ^= low
 
 
-def _barring(mask: int, order: List[int], barred: List[int], slot: int,
-             spread: Optional[Callable[[int], int]]) -> Iterator[int]:
-    """_members(mask, order), each label barred in barred[slot] once its
-    subtree is exhausted, with its orbit spread(label) if spread is given;
-    the slot is restored once the step ends."""
-    before = barred[slot]
-    while mask:
-        low = mask & -mask
-        lam = order[low.bit_length() - 1]
-        yield lam
-        barred[slot] |= low if spread is None else spread(lam)
-        mask ^= low
-    barred[slot] = before
+def _orbit_mask(g: int, mod: int, bit: List[int], lam: int) -> int:
+    """The mask, bit[y] for each y, of S_g*lam: lam's orbit under the units u
+    of Z_mod with u*g = g, every unit for g = 0."""
+    return sum(bit[y] for y in {u * lam % mod for u in range(mod)
+                                if gcd(u, mod) == 1 and u * g % mod == g})
 
 
 def _visit_order(graph: UndirectedGraph) -> List[int]:
@@ -293,18 +295,11 @@ def _label_orders(n: int, config: SearchConfig) -> _Orders:
     return first, second, labels
 
 
-def _vertex_transitive(graph: UndirectedGraph, deadline: Optional[float] = None) -> bool:
-    """True once symmetry.orbit proves vertex 0's orbit is V; false means not
-    proven."""
-    from . import symmetry  # compiled only by the runs that use it
-    return len(symmetry.orbit(*symmetry.twins(graph), 0, (), deadline)) == graph.vertex_count
-
-
-def _nogoods(graph: UndirectedGraph, steps: List[Tuple], deadline: Optional[float]
-             ) -> Optional[List[Tuple[Tuple[int, ...], int, bool]]]:
-    """For each label step: the slots whose barred labels it skips, the slot
-    it bars its exhausted labels in (-1 if none), and whether it ends after
-    its first label; None if no step bars a label or ends early.
+def _nogoods(graph: UndirectedGraph, steps: List[Tuple], deadline: Optional[float]) -> _Nogoods:
+    """(reads, bars), for each step: reads, the slots whose barred labels it
+    skips, as a mask over slot numbers; bars, for a label step, the slot it
+    bars its exhausted labels in, or -1 if it ends after its first label,
+    else None.
 
     A label step's orbit is its vertex's under the automorphisms that fix
     every vertex labeled above it: symmetry.orbit's at the first two, and its
@@ -327,28 +322,37 @@ def _nogoods(graph: UndirectedGraph, steps: List[Tuple], deadline: Optional[floa
     rank = [0] * n  # rank[v]: v's place in label order
     for k, v in enumerate(order):
         rank[v] = k
-    reads: List[List[int]] = [[] for _ in order]
-    slot, ends, shared = [-1] * n, [False] * n, set()  # shared: classes barred in
-    for k, v in enumerate(order):
+    reads = [0] * len(steps)
+    bars: List[Optional[int]] = [None] * len(steps)
+    shared = set()  # classes barred in
+    for k, (d, v) in enumerate(zip(at, order)):
         if twin[v][0] in shared:
-            reads[k].append(twin[v][0])
+            reads[d] |= 1 << twin[v][0]
         orbit = (symmetry.orbit(nbrs, twin, v, order[:k], deadline, cap) if k < 2
                  else [w for w in twin[v] if rank[w] >= k])
-        ends[k] = len(orbit) == n - k
-        if len(orbit) > 1 and not ends[k]:
-            if k >= 2:
-                slot[k] = twin[v][0]
-                shared.add(slot[k])
-                continue
-            slot[k] = n + k
+        if len(orbit) == n - k:
+            bars[d] = -1
+        elif len(orbit) > 1 and k >= 2:
+            bars[d] = twin[v][0]
+            shared.add(bars[d])
+        elif len(orbit) > 1:
+            bars[d] = n + k
             for w in orbit - {v}:
-                reads[rank[w]].append(n + k)
-    if max(slot) < 0 and not any(ends):
-        return None
-    nog: List = [None] * len(steps)
-    for k, d in enumerate(at):
-        nog[d] = (tuple(reads[k]), slot[k], ends[k])
-    return nog
+                reads[at[rank[w]]] |= 1 << n + k
+    return reads, bars
+
+
+def _pairs(plan: _Plan, nogoods: Optional[_Nogoods]) -> List[Tuple[int, int]]:
+    """The kept pairs of first two labels that a parallel run searches: of
+    the first label only if label step 0 ends after it, and only the first
+    pair of each first label if label step 1 does (see _nogoods)."""
+    first, second, _ = plan[1]
+    ends = [nogoods is not None and nogoods[1][e] == -1 for e in (0, 1)]
+    pairs = []
+    for g in first[:1] if ends[0] else first:
+        kept = [(g, b) for b in second[g] if b != g]
+        pairs += kept[:1] if ends[1] else kept
+    return pairs
 
 
 def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
@@ -456,14 +460,18 @@ def _root_parity_candidates(graph: UndirectedGraph, config: SearchConfig,
 
 def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _Plan,
             t0: float, pair: Optional[Tuple[int, int]] = None,
-            poll: Optional[Callable[[], bool]] = None) -> SearchOutcome:
+            poll: Optional[Callable[[], bool]] = None, nogoods: Optional[_Nogoods] = None,
+            earlier: Sequence[Tuple[int, int]] = ()) -> SearchOutcome:
     """Run the step loop of plan, _steps(graph, config), from the root;
     budgets count from t0.
 
     pair, if given, is the only pair of first two labels tried: the subtree
-    of one parallel job.  poll, if given, is called every _POLL nodes, and the
-    search stops as inconclusive once it returns true; without one, a time
-    budget is polled there.
+    of one parallel job, which bars labels by nogoods, _nogoods(graph, steps),
+    from its first node, if given, and starts with the labels the serial walk
+    bars once the pairs earlier, of _pairs(plan, nogoods), are exhausted.
+    poll, if given, is called every _POLL nodes, and the search stops as
+    inconclusive once it returns true; without one, a time budget is polled
+    there.
     """
     steps, (first, second, later), pin = plan
     if pair is not None:
@@ -498,19 +506,45 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
     par = [root] * len(steps)  # the parity candidates left on entering each depth
     mus = [everything] * len(steps)  # the magic constants still possible there, as bits
     todo[0] = iter(first)  # no label is used yet
-    # orbit nogoods (see the module docstring), serial and reduced only, built at
-    # the first poll: nog is _nogoods', and barred[slot] holds the labels barred
-    # in slot by the label steps on the path
-    unbuilt, nog, barred = config.reduce and pair is None, None, [0] * (mod + 2)
+    # orbit nogoods (see the module docstring), reduced only: a serial walk builds
+    # them at its first poll.  barred[slot] holds the labels barred in slot by
+    # the label steps on the path, and bit e of live is set while barred[e] is
+    # not empty, so that until a label is barred no step reads a slot
+    unbuilt = config.reduce and pair is None and nogoods is None
+    reads, bars = nogoods or ([0] * len(steps), [None] * len(steps))
+    barred, live = [0] * (mod + 2), 0
 
     def spread(e: int) -> Optional[Callable[[int], int]]:
         # label step e bars a label alone (None) or, at the first two, its orbit
         # under the units that keep the first label (all of them at step 0)
-        if e > 1:
-            return None
-        g = labels[steps[0][1]] if e else 0
-        keep = [u for u in range(mod) if gcd(u, mod) == 1 and u * g % mod == g]
-        return lambda lam: sum(bit[y] for y in {u * lam % mod for u in keep})
+        return None if e > 1 else partial(_orbit_mask, labels[steps[0][1]] if e else 0, mod, bit)
+
+    def barring(mask: int, slot: int, orbit: Optional[Callable[[int], int]]) -> Iterator[int]:
+        # _members(mask, later), each label barred in slot once its subtree is
+        # exhausted, with its orbit(label) if orbit is given; the slot is
+        # restored once the step ends
+        nonlocal live
+        before = barred[slot]
+        while mask:
+            low = mask & -mask
+            lam = later[low.bit_length() - 1]
+            yield lam
+            barred[slot] |= low if orbit is None else orbit(lam)
+            live |= 1 << slot
+            mask ^= low
+        barred[slot] = before
+        if not before:
+            live &= ~(1 << slot)
+
+    if pair is not None and nogoods is not None:
+        # the serial walk, on reaching pair (g, b), has barred U*h in slot N for
+        # each first label h before g, and S_g*c in slot N + 1 for each (g, c)
+        # before the pair
+        for h, c in earlier:
+            e = int(h == pair[0])
+            if bars[e] is not None and bars[e] >= 0:
+                barred[bars[e]] |= _orbit_mask(h if e else 0, mod, bit, c if e else h)
+                live |= 1 << bars[e]
 
     used = mu = nodes = d = 0
     while True:
@@ -538,14 +572,14 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
                 return finish(VERDICT_INCONCLUSIVE, nodes)
             tick = min(node_limit + 1, nodes + _POLL)
             if unbuilt:
-                unbuilt, nog = False, _nogoods(graph, steps, deadline)
-                for e in range(d + 1 if nog else 0):  # restart the label steps on the path
-                    if steps[e][0] and nog[e][2]:  # it tries its current label only
+                unbuilt = False
+                reads, bars = _nogoods(graph, steps, deadline)
+                for e in range(d + 1):  # restart the label steps on the path
+                    if bars[e] == -1:  # it tries its current label only
                         todo[e] = iter(())
-                    elif steps[e][0] and nog[e][1] >= 0:  # it bars from its current label on
+                    elif bars[e] is not None:  # it bars from its current label on
                         rest = sum(map(bit.__getitem__, todo[e]))
-                        todo[e] = _barring(rest | bit[applied[e]], later, barred,
-                                           nog[e][1], spread(e))
+                        todo[e] = barring(rest | bit[applied[e]], bars[e], spread(e))
                         next(todo[e])
         p, consts = par[d], mus[d]
         if label:
@@ -597,16 +631,17 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
             free &= ~used
             for y in steps[d][4]:
                 free &= bit[(mu - pw[y]) % mod] | bit[(pw[y] - mu) % mod]
-            if nog is None:
+            slots = live & reads[d]  # the slots read that bar a label
+            while slots:
+                top = slots.bit_length() - 1
+                free &= ~barred[top]
+                slots ^= 1 << top
+            if bars[d] is None:
                 todo[d] = _members(free, later)
-                continue
-            reads, slot, ends = nog[d]
-            for e in reads:
-                free &= ~barred[e]
-            if ends:
-                free &= -free  # the first label only
-            todo[d] = (_members(free, later) if slot < 0
-                       else _barring(free, later, barred, slot, spread(d)))
+            elif bars[d] < 0:
+                todo[d] = _members(free & -free, later)  # the first label only
+            else:
+                todo[d] = barring(free, bars[d], spread(d))
 
 
 def _add_nodes(run: Tuple, k: int) -> bool:
@@ -625,7 +660,7 @@ def _take_pairs(run: Tuple, add: Optional[Callable] = None) -> List[Tuple]:
     """(index, outcome) of each pair taken from the shared index until none is
     left, the run stops or a witness turns up.  add(k), by default _add_nodes,
     counts k nodes and says whether to stop.  An error stops the run."""
-    stop, _, next_pair, _, _, graph, config, parity, plan, pairs = run
+    stop, _, next_pair, _, _, graph, config, parity, plan, nogoods, pairs = run
     add = add or partial(_add_nodes, run)
     done = []
     try:
@@ -635,7 +670,7 @@ def _take_pairs(run: Tuple, add: Optional[Callable] = None) -> List[Tuple]:
             if i >= len(pairs):
                 break
             out = _search(graph, config, parity, plan, perf_counter(), pairs[i],
-                          partial(add, _POLL))
+                          partial(add, _POLL), nogoods, pairs[:i])
             done.append((i, out))
             if out.certificate is not None:
                 stop.set()
@@ -661,9 +696,10 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
     too, no more than there are pairs left, each taking kept pairs of first
     two labels from one shared index.
 
-    Under reduce, on a graph proven vertex-transitive before the first pair,
-    the pairs are the first label's only (see the module docstring).  The
-    signal is set by the first witness, by an error, or by the worker that
+    Under reduce, the orbit nogoods are built before the first pair, which
+    they may cut (_pairs), and each job bars by them from its first node,
+    starting with what the pairs before it bar (see the module docstring).
+    The signal is set by the first witness, by an error, or by the worker that
     polls past the deadline or takes the shared count past the node budget.
     Workers see it on their next poll and take no pair after it; once every
     helper is done, one pass tallies every pair's nodes, prunes and verdict.
@@ -674,15 +710,14 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
     import multiprocessing
 
     deadline = None if config.time_budget is None else t0 + config.time_budget
-    first, second, _ = plan[1]
-    if config.reduce and _vertex_transitive(graph, deadline):
-        first = first[:1]
-    pairs = [(lam0, lam1) for lam0 in first for lam1 in second[lam0] if lam1 != lam0]
+    nogoods = _nogoods(graph, plan[0], deadline) if config.reduce else None
+    pairs = _pairs(plan, nogoods)
     job_config = replace(config, workers=1, node_budget=None, time_budget=None)
     # the workers share the stop signal, the node count, the next pair's index,
-    # the budgets, and what they search: graph, config, parity masks, plan, pairs
+    # the budgets, and what they search: graph, config, parity masks, plan,
+    # nogoods, pairs
     run = (multiprocessing.Event(), multiprocessing.Value("q", 0), multiprocessing.Value("q", 0),
-           config.node_budget, deadline, graph, job_config, parity, plan, pairs)
+           config.node_budget, deadline, graph, job_config, parity, plan, nogoods, pairs)
     stop, shared_nodes, next_pair = run[:3]
     helpers = []
 

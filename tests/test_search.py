@@ -9,6 +9,7 @@ import pytest
 
 from dmagic import search, symmetry
 from dmagic.constructors import kmokn_graph
+from dmagic.obstructions import parity_feasibility, theorem1_check
 from dmagic.graphs import (
     UndirectedGraph,
     _from_runs,
@@ -90,9 +91,12 @@ def test_every_pinned_pair_matches_brute_force():
         expected = brute_magic_label_pairs(n, g.edges, order[0], order[1])
         assert expected, g
         for config in configs:
+            # a reduced job bars labels by the orbit nogoods from its first node
             parity, plan = search._root_parity_candidates(g, config), search._steps(g, config)
+            nogoods = search._nogoods(g, plan[0], None) if config.reduce else None
             got = {(a, b) for a in range(n) for b in range(n) if a != b and search._search(
-                g, config, parity, plan, perf_counter(), pair=(a, b)).verdict == VERDICT_WITNESS}
+                g, config, parity, plan, perf_counter(), pair=(a, b),
+                nogoods=nogoods).verdict == VERDICT_WITNESS}
             assert got == expected, (g, config)
 
 
@@ -206,28 +210,30 @@ def test_label_representatives_cover_every_pair(monkeypatch):
     # up to a witness; these runs end within one poll, so no helper starts
     searched, real_search = [], search._search
 
-    def spy(graph, config, parity, plan, t0, pair=None, poll=None):
+    def spy(graph, config, parity, plan, t0, pair=None, poll=None, nogoods=None, earlier=()):
         searched.append(pair)
-        return real_search(graph, config, parity, plan, t0, pair, poll)
+        return real_search(graph, config, parity, plan, t0, pair, poll, nogoods, earlier)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a run within one poll started helper processes")
 
     monkeypatch.setattr(search, "_search", spy)
     monkeypatch.setattr(multiprocessing, "Process", refuse)
-    # only the first label's pairs on a vertex-transitive graph
-    for graph, config, transitive in (
-            (complete(4), SearchConfig(workers=2, parity_prune=False), True),
-            (cycle(12), SearchConfig(workers=2, seed=2), True),
-            (path(6), SearchConfig(workers=2, parity_prune=False), False),
-            (path(7), SearchConfig(workers=2, parity_prune=False), False)):
+    # only the first label's pairs on a vertex-transitive graph, and only the
+    # first pair of each first label where the automorphisms that fix the first
+    # vertex are transitive on the rest
+    for graph, config, transitive, rest_transitive in (
+            (complete(4), SearchConfig(workers=2, parity_prune=False), True, True),
+            (cycle(12), SearchConfig(workers=2, seed=2), True, False),
+            (path(6), SearchConfig(workers=2, parity_prune=False), False, False),
+            (path(7), SearchConfig(workers=2, parity_prune=False), False, False)):
         serial = decide_existence(graph, replace(config, workers=1))
         searched.clear()
         out = decide_existence(graph, config)
         assert out.verdict == serial.verdict
         first, second, _ = search._label_orders(graph.vertex_count, config)
         first = first[:1] if transitive else first
-        kept = [(g, b) for g in first for b in second[g]]
+        kept = [(g, b) for g in first for b in second[g][:1 if rest_transitive else None]]
         if out.verdict == VERDICT_WITNESS:
             assert searched == kept[:len(searched)], graph
             assert out.certificate.labeling.labels[search._visit_order(graph)[0]] \
@@ -327,12 +333,14 @@ def test_parallel_root_parity_closure():
 def _run_state(graph, config, node_budget=None, deadline=None):
     """A parallel run's shared state, as _run_parallel builds it, with the one
     pair (0, 1) left to take."""
+    plan = search._steps(graph, config)
     return (multiprocessing.Event(), multiprocessing.Value("q", 0), multiprocessing.Value("q", 0),
-            node_budget, deadline, graph, config, None, search._steps(graph, config), [(0, 1)])
+            node_budget, deadline, graph, config, None, plan,
+            search._nogoods(graph, plan[0], deadline), [(0, 1)])
 
 
 def _worker_search(run):
-    graph, config, _, plan, _ = run[5:]
+    graph, config, _, plan, _, _ = run[5:]
     return search._search(graph, config, None, plan, perf_counter(), None,
                           lambda: search._add_nodes(run, 1024))
 
@@ -359,8 +367,9 @@ def test_worker_past_the_shared_budget_sets_the_stop():
     assert out.verdict == VERDICT_INCONCLUSIVE
     assert out.stats.nodes == shared_nodes.value == 2048
     assert stop.is_set()
-    # a worker polling past the deadline sets the stop itself, also in a helper
-    run = _run_state(complete(6), SearchConfig(parity_prune=False), deadline=perf_counter())
+    # a worker polling past the deadline sets the stop itself, also in a helper;
+    # the job of prism(4)'s pair (0, 1) passes 1024 nodes, K6's ends at 134
+    run = _run_state(prism(4), SearchConfig(parity_prune=False), deadline=perf_counter())
     [(i, out)] = search._take_pairs(run)
     assert (i, out.verdict, out.stats.nodes) == (0, VERDICT_INCONCLUSIVE, 1024)
     assert run[0].is_set()
@@ -489,8 +498,7 @@ def test_witness_trees_never_check_transitivity(monkeypatch):
     def refuse(*args):
         raise AssertionError("a witness search asked for automorphisms")
 
-    for module, name in ((search, "_vertex_transitive"), (search, "_nogoods"),
-                         (symmetry, "twins"), (symmetry, "orbit")):
+    for module, name in ((search, "_nogoods"), (symmetry, "twins"), (symmetry, "orbit")):
         monkeypatch.setattr(module, name, refuse)
     for (graph, config, verdict, nodes, _, _, pinned), name in zip(_TREES, _TREE_IDS):
         if verdict == VERDICT_WITNESS:
@@ -531,18 +539,24 @@ def _random_regular(rng, n, r):
     return UndirectedGraph.from_edges(n, pairs)
 
 
+def _transitive(graph, deadline=None):
+    """True once symmetry.orbit proves vertex 0's orbit is V, as the orbit
+    nogoods prove that the first label step ends; false means not proven."""
+    return len(symmetry.orbit(*symmetry.twins(graph), 0, (), deadline)) == graph.vertex_count
+
+
 def test_vertex_transitive_matches_brute_force():
     rng = random.Random(7)
     shapes = [(7, 2), (8, 2), (8, 3)]
     graphs = _TRANSITIVE + _NOT_TRANSITIVE + [_random_regular(rng, *rng.choice(shapes))
                                               for _ in range(20)]
     for g in graphs:
-        assert search._vertex_transitive(g) == brute_vertex_transitive(g.vertex_count, g.edges), g
-    assert all(search._vertex_transitive(g) for g in _TRANSITIVE)
-    assert not any(search._vertex_transitive(g) for g in _NOT_TRANSITIVE)
-    assert search._vertex_transitive(_PETERSEN)
-    assert search._vertex_transitive(kmokn_graph(3, 4))
-    assert not search._vertex_transitive(_FRUCHT)
+        assert _transitive(g) == brute_vertex_transitive(g.vertex_count, g.edges), g
+    assert all(_transitive(g) for g in _TRANSITIVE)
+    assert not any(_transitive(g) for g in _NOT_TRANSITIVE)
+    assert _transitive(_PETERSEN)
+    assert _transitive(kmokn_graph(3, 4))
+    assert not _transitive(_FRUCHT)
 
 
 def _twin_rich(rng, order):
@@ -591,11 +605,11 @@ def test_twin_quotient_decides_transitivity():
         lexicographic(cycle(4), empty_graph(2)), lexicographic(cycle(4), complete(2)),
         complete_multipartite([2, 3]), complete_multipartite([1, 1, 2]), kmokn_graph(4, 2)]
     for g in graphs:
-        assert search._vertex_transitive(g) == brute_vertex_transitive(g.vertex_count, g.edges), g
-    assert search._vertex_transitive(lexicographic(cycle(7), complete(3)))
-    assert not search._vertex_transitive(lexicographic(path(4), empty_graph(3)))
+        assert _transitive(g) == brute_vertex_transitive(g.vertex_count, g.edges), g
+    assert _transitive(lexicographic(cycle(7), complete(3)))
+    assert not _transitive(lexicographic(path(4), empty_graph(3)))
     started = perf_counter()
-    assert search._vertex_transitive(kmokn_graph(30, 30))
+    assert _transitive(kmokn_graph(30, 30))
     assert perf_counter() - started < 0.5
 
 
@@ -623,6 +637,38 @@ def test_orbit_nogoods_keep_every_verdict_and_first_witness(monkeypatch):
                     certificate_to_text(plain.certificate), (g, config)
 
 
+def test_parallel_jobs_walk_the_serial_barred_tree(monkeypatch):
+    # 2 workers answer as the unreduced tree, and an exhausted run visits the
+    # nodes of the serial walk with its nogoods built at its first node, plus
+    # the node of its first label once more in each job after that label's
+    # first.  The random graphs are those of the test above; K6, prism(4) and
+    # K8 have no solution (theorem1, then parity), and their unreduced trees
+    # without parity are too large to walk here.
+    rng = random.Random(13)
+    cases = []
+    for i in range(200):
+        g = _twin_rich(rng, 7) if i % 3 == 0 else _random_graph(rng, 7)
+        parity = rng.random() < 0.5
+        reference = decide_existence(g, SearchConfig(parity_prune=parity, reduce=False)).verdict
+        cases.append((g, SearchConfig(parity_prune=parity, seed=i % 3), reference))
+    for g in (complete(6), prism(4), complete(8)):
+        assert theorem1_check(g) or parity_feasibility(g), g
+        cases.append((g, SearchConfig(parity_prune=False, seed=1), VERDICT_EXHAUSTED))
+    poll = search._POLL
+    for g, config, reference in cases:
+        out = decide_existence(g, replace(config, workers=2))
+        assert out.verdict == reference, (g, config)
+        if out.verdict != VERDICT_EXHAUSTED or g.vertex_count < 2:
+            continue
+        monkeypatch.setattr(search, "_POLL", 1)
+        serial = decide_existence(g, config)
+        monkeypatch.setattr(search, "_POLL", poll)
+        plan = search._steps(g, config)
+        pairs = search._pairs(plan, search._nogoods(g, plan[0], None))
+        again = len(pairs) - len({first for first, _ in pairs}) if serial.stats.nodes else 0
+        assert out.stats.nodes == serial.stats.nodes + again, (g, config)
+
+
 def test_transitive_rule_keeps_every_verdict():
     # reduced serial and parallel runs stop on a vertex-transitive graph after
     # one first label; the unreduced tree is the reference.  prism(4) is left
@@ -640,31 +686,41 @@ def test_transitive_rule_keeps_every_verdict():
 
 
 def test_parallel_transitive_proof_walks_the_first_label_only():
-    # the jobs bar no labels: their k = 3 subtrees hold the first label's
-    # subtree without nogoods (K6 6,859 nodes, prism(4) 27,773), whose first
-    # label's node each job counts once more
+    # the jobs walk the serial barred tree, with the nogoods built at its first
+    # node, split at the first label's kept pairs, whose first label's node each
+    # job counts once: K6 keeps one pair (134 nodes serially), prism(4) three
+    # (9,681 nodes serially)
     config = SearchConfig(workers=2, parity_prune=False)
-    for graph, nodes in ((complete(6), 6861), (prism(4), 27775)):
+    for graph, nodes in ((complete(6), 134), (prism(4), 9683)):
         out = decide_existence(graph, config)
         assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, nodes), graph
 
 
 def test_plan_is_built_once_per_run(monkeypatch):
-    # the workers search the plan the run built, and build none of their own
-    steps, here = search._steps, os.getpid()
+    # the workers search the plan and the nogoods the run built, and build none
+    # of their own; prism(4)'s first job passes 1024 nodes, so a helper starts
+    here, built = os.getpid(), []
 
-    def steps_here_only(graph, config):
-        assert os.getpid() == here, "a worker built the plan"
-        return steps(graph, config)
+    def here_only(build):
+        def built_here(*args):
+            assert os.getpid() == here, f"a worker ran {build.__name__}"
+            built.append(build.__name__)
+            return build(*args)
+        return built_here
 
-    monkeypatch.setattr(search, "_steps", steps_here_only)
-    out = decide_existence(complete(6), SearchConfig(workers=2, parity_prune=False))
-    assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, 6861)
+    for name in ("_steps", "_nogoods"):
+        monkeypatch.setattr(search, name, here_only(getattr(search, name)))
+    for graph, nodes in ((complete(6), 134), (prism(4), 9683)):
+        built.clear()
+        out = decide_existence(graph, SearchConfig(workers=2, parity_prune=False))
+        assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, nodes), graph
+        assert built == ["_steps", "_nogoods"], graph
 
 
 def test_parallel_job_error_is_raised_once_the_pool_drains(monkeypatch):
-    # the defect strikes in a helper process only: K6 without parity passes
-    # 1024 nodes, so the helper starts while this process searches on
+    # the defect strikes in a helper process only: the first of prism(4)'s 3
+    # jobs without parity passes 1024 nodes, so the helper starts while this
+    # process searches on
     here, real_search = os.getpid(), search._search
 
     def broken_in_a_helper(*args):
@@ -675,13 +731,13 @@ def test_parallel_job_error_is_raised_once_the_pool_drains(monkeypatch):
     monkeypatch.setattr(search, "_search", broken_in_a_helper)
     started = perf_counter()
     with pytest.raises(RuntimeError, match="injected defect"):
-        decide_existence(complete(6), SearchConfig(workers=2, parity_prune=False))
+        decide_existence(prism(4), SearchConfig(workers=2, parity_prune=False))
     assert perf_counter() - started < 5
 
 
 def test_a_helper_that_dies_is_an_error_not_a_verdict(monkeypatch):
     # the pair a dead helper took is never searched, so the run may not
-    # answer "no"
+    # answer "no"; prism(4)'s first job passes 1024 nodes, so a helper starts
     here, real_search = os.getpid(), search._search
 
     def dies_in_a_helper(*args):
@@ -691,7 +747,7 @@ def test_a_helper_that_dies_is_an_error_not_a_verdict(monkeypatch):
 
     monkeypatch.setattr(search, "_search", dies_in_a_helper)
     with pytest.raises(RuntimeError, match="helper process died"):
-        decide_existence(complete(6), SearchConfig(workers=2, parity_prune=False))
+        decide_existence(prism(4), SearchConfig(workers=2, parity_prune=False))
 
 
 def test_short_parallel_witness_searches_start_no_process(monkeypatch):
@@ -709,7 +765,7 @@ def test_short_parallel_witness_searches_start_no_process(monkeypatch):
 
 
 def test_no_more_helpers_start_than_pairs_are_left(monkeypatch):
-    # K6 keeps 3 pairs, and this process holds one when the helpers start
+    # prism(4) keeps 3 pairs, and this process holds one when the helpers start
     started = []
 
     class Counted(multiprocessing.Process):
@@ -718,24 +774,26 @@ def test_no_more_helpers_start_than_pairs_are_left(monkeypatch):
             super().start()
 
     config = SearchConfig(workers=2, parity_prune=False)
-    two = decide_existence(complete(6), config)
+    two = decide_existence(prism(4), config)
     monkeypatch.setattr(multiprocessing, "Process", Counted)
-    out = decide_existence(complete(6), replace(config, workers=8))
+    out = decide_existence(prism(4), replace(config, workers=8))
     assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, two.stats.nodes)
     assert 1 <= len(started) <= 2
 
 
 def test_more_workers_than_cores_take_every_pair_once():
     # a lost update on the shared pair index would search a pair twice or
-    # skip one: the run's nodes are those of every kept pair's own subtree
+    # skip one: the run's nodes are those of every kept pair's own subtree,
+    # barred by the nogoods and by what the pairs before it bar
     started = perf_counter()
     for graph in (path(11), path(12)):
         config = SearchConfig()
         parity, plan = search._root_parity_candidates(graph, config), search._steps(graph, config)
-        first, second, _ = plan[1]
-        pairs = [(g, b) for g in first for b in second[g]]
-        expected = sum(search._search(graph, config, parity, plan, perf_counter(), pair).stats.nodes
-                       for pair in pairs)
+        nogoods = search._nogoods(graph, plan[0], None)
+        pairs = search._pairs(plan, nogoods)
+        expected = sum(search._search(graph, config, parity, plan, perf_counter(), pair, None,
+                                      nogoods, pairs[:i]).stats.nodes
+                       for i, pair in enumerate(pairs))
         for _ in range(3):
             out = decide_existence(graph, SearchConfig(workers=4))
             assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, expected)
@@ -744,30 +802,34 @@ def test_more_workers_than_cores_take_every_pair_once():
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
 def test_parallel_proof_under_spawn(method):
-    # spawned helpers inherit nothing: they search only what their process arguments carry
+    # spawned helpers inherit nothing: they search only what their process
+    # arguments carry; K6's one job ends within a poll, prism(4)'s first starts
+    # a helper
     before = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method(method, force=True)
     try:
-        out = decide_existence(complete(6), SearchConfig(workers=2, parity_prune=False))
+        outs = [decide_existence(graph, SearchConfig(workers=2, parity_prune=False))
+                for graph in (complete(6), prism(4))]
     finally:
         multiprocessing.set_start_method(before, force=True)
-    assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, 6861)
+    assert [(out.verdict, out.stats.nodes) for out in outs] == [(VERDICT_EXHAUSTED, 134),
+                                                                 (VERDICT_EXHAUSTED, 9683)]
 
 
 def test_transitivity_check_stops_at_the_deadline():
     # without a deadline, prism(1000) refines colours for hundreds of milliseconds
     started = perf_counter()
-    assert not search._vertex_transitive(prism(1000), deadline=perf_counter())
+    assert not _transitive(prism(1000), deadline=perf_counter())
     assert perf_counter() - started < 0.1
 
 
 def test_a_connected_2_regular_graph_is_transitive_at_once():
     started = perf_counter()
-    assert search._vertex_transitive(cycle(2000))
+    assert _transitive(cycle(2000))
     assert perf_counter() - started < 0.1
     # one refinement round on cycle(200000) reads 6 * 200000 colours, past the
     # work cap, but the walk needs no round
-    assert search._vertex_transitive(cycle(200000))
+    assert _transitive(cycle(200000))
     # unions of cycles are answered from their lengths, without refinement
     for lengths, transitive in (([1000, 1000], True), ([1000, 1001], False)):
         edges, start = [], 0
@@ -776,7 +838,7 @@ def test_a_connected_2_regular_graph_is_transitive_at_once():
             start += k
         g = UndirectedGraph.from_edges(start, edges)
         started = perf_counter()
-        assert search._vertex_transitive(g) is transitive, lengths
+        assert _transitive(g) is transitive, lengths
         assert perf_counter() - started < 0.1
     # every 2-regular graph of order at most 8, as unions of cycles, renumbered
     rng = random.Random(3)
@@ -789,7 +851,7 @@ def test_a_connected_2_regular_graph_is_transitive_at_once():
             perm = list(range(start))
             rng.shuffle(perm)
             g = UndirectedGraph.from_edges(start, [(perm[u], perm[v]) for u, v in edges])
-            assert search._vertex_transitive(g) == brute_vertex_transitive(start, g.edges), g
+            assert _transitive(g) == brute_vertex_transitive(start, g.edges), g
 
 
 def test_unproven_transitivity_leaves_the_tree_alone(monkeypatch):
@@ -797,7 +859,7 @@ def test_unproven_transitivity_leaves_the_tree_alone(monkeypatch):
     # subtree; below the second label step its twins, which need no
     # refinement, still bar labels
     monkeypatch.setattr(symmetry, "_AUTOMORPHISM_CAP", 1)
-    assert not search._vertex_transitive(complete(6))
+    assert not _transitive(complete(6))
     out = decide_existence(complete(6), SearchConfig(parity_prune=False))
     assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, 3039)
 
@@ -811,7 +873,7 @@ def test_transitivity_check_stops_before_a_round_past_the_cap(monkeypatch):
 
     monkeypatch.setattr(symmetry, "_AUTOMORPHISM_CAP", 79)
     monkeypatch.setattr(symmetry, "Counter", refuse)
-    assert not search._vertex_transitive(_PETERSEN)
+    assert not _transitive(_PETERSEN)
 
 
 def test_transitivity_check_skips_a_graph_whose_round_passes_the_cap(monkeypatch):
@@ -825,7 +887,7 @@ def test_transitivity_check_skips_a_graph_whose_round_passes_the_cap(monkeypatch
     crown = _from_runs(1040, [(i, tuple(520 + j for j in range(520) if j != i))
                               for i in range(520)])
     monkeypatch.setattr(symmetry, "Counter", refuse)
-    assert not search._vertex_transitive(crown)
+    assert not _transitive(crown)
 
 
 def _rescanned_checks(graph):
