@@ -280,19 +280,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--threads", type=int, default=1, metavar="T",
                           help="parallel workers over the kept pairs of first two "
                                "labels: this process searches first, and the other T-1 "
-                               "start once the run has searched 1024 nodes; on a graph "
-                               "proven vertex-transitive before the first pair, the "
-                               "first label's pairs only; the workers bar no labels by "
-                               "orbit, as a serial search does; the first witness stops "
-                               "them all")
+                               "start once the run has searched 1024 nodes; the workers "
+                               "bar labels by orbit as a serial search does, so they "
+                               "walk its tree split at the pairs; the first witness "
+                               "stops them all")
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--no-reduce", dest="reduce", action="store_false",
                           help="disable the symmetry reductions: arc reversal, "
                                "the unit group of Z_N, and the graph's automorphisms "
-                               "(a serial search's orbit nogoods, which bar each "
-                               "exhausted label from its vertex's orbit, and the first "
-                               "label's pairs only on a vertex-transitive graph with "
-                               "--threads)")
+                               "(orbit nogoods, which bar each exhausted label from "
+                               "its vertex's orbit)")
     p_search.add_argument("--no-parity-prune", dest="parity_prune", action="store_false",
                           help="disable the parity rule: both the root parity test and "
                                "the per-label parity masks")

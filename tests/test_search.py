@@ -9,7 +9,6 @@ import pytest
 
 from dmagic import search, symmetry
 from dmagic.constructors import kmokn_graph
-from dmagic.obstructions import parity_feasibility, theorem1_check
 from dmagic.graphs import (
     UndirectedGraph,
     _from_runs,
@@ -21,6 +20,7 @@ from dmagic.graphs import (
     path,
     prism,
 )
+from dmagic.obstructions import parity_feasibility, theorem1_check
 from dmagic.search import (
     SearchConfig,
     VERDICT_EXHAUSTED,
