@@ -279,17 +279,17 @@ def _build_parser() -> argparse.ArgumentParser:
                                "with --threads each worker may run up to 1024 nodes past S")
     p_search.add_argument("--threads", type=int, default=1, metavar="T",
                           help="parallel workers over the kept pairs of first two "
-                               "labels: this process searches first, and the other T-1 "
-                               "start once the run has searched 1024 nodes; the workers "
-                               "bar labels by orbit as a serial search does, so they "
-                               "walk its tree split at the pairs; the first witness "
-                               "stops them all")
+                               "labels, which every search walks in order: this process "
+                               "searches first, and the other T-1 start once the run has "
+                               "searched 1024 nodes; an exhausted search visits the same "
+                               "nodes as serially, and the first witness stops them all")
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--no-reduce", dest="reduce", action="store_false",
                           help="disable the symmetry reductions: arc reversal, "
                                "the unit group of Z_N, and the graph's automorphisms "
                                "(orbit nogoods, which bar each exhausted label from "
-                               "its vertex's orbit)")
+                               "its vertex's orbit); the search still walks the pairs "
+                               "of first two labels one at a time, all of them kept")
     p_search.add_argument("--no-parity-prune", dest="parity_prune", action="store_false",
                           help="disable the parity rule: both the root parity test and "
                                "the per-label parity masks")

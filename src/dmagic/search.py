@@ -101,20 +101,21 @@ lies in the exhausted subtree of x, which holds no witness, as every rule
 and every earlier nogood discards only branches with none.  So each barred
 branch holds no witness: verdicts and first witnesses stay the same.
 
-The orbits come from symmetry.orbit at the first two label steps and from
-twin classes below (_nogoods).  A serial walk builds nothing before its
-first poll, after _POLL nodes, so a search that ends sooner pays nothing.
-
-A parallel run builds them once, before its first pair, and walks the same
-barred tree split at the kept pairs of first two labels (_pairs): the first
-label's pairs only if the first label step ends, and the first pair of each
-first label if the second does, as the serial walk tries no other.  The job
-for pair (g, b) starts with what the serial walk has barred on reaching it:
+Every run walks the reduced tree split at the kept pairs of first two labels
+(_pairs), one job each, in order, so a serial run and a parallel one visit
+the same nodes.  Inside a job the first two labels are fixed, so only twin
+classes bar there (_nogoods), and they are built before its first node.  The
+orbits of the first two label steps come from symmetry.orbit, found once, at
+the run's first poll or when its first job ends, whichever comes first: a
+run that ends within its first pair refines nothing.  They cut the pairs to
+the first label's only if the first label step ends, and to the first pair
+of each first label if the second does, as the walk tries no other.  And
+they give the job for pair (g, b) what the walk has barred on reaching it:
 U*h in the first step's slot for each first label h before g, and S_g*c in
-the second's for each pair (g, c) before (g, b).  The proof above needs of
-a barred x only that the subtree of x holds no witness, so these pre-bars
-are sound once every earlier pair is exhausted; the run answers "exhausted"
-only when every pair is, and verifies any witness again.
+the second's for each pair (g, c) before (g, b).  The proof above needs of a
+barred x only that the subtree of x holds no witness, so these pre-bars are
+sound once every earlier pair is exhausted; the run answers "exhausted" only
+when every pair is, and verifies any witness again.
 """
 
 from __future__ import annotations
@@ -122,11 +123,13 @@ from __future__ import annotations
 import random
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from functools import partial
 from math import gcd
 from time import perf_counter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .graphs import Orientation, UndirectedGraph
 from .obstructions import parity_solutions
@@ -147,8 +150,8 @@ _PRUNE_KEYS = ("weight", "interval", "parity")
 # use the rule, so changing it changes their trees.
 PARITY_LIST_CAP = 4096
 
-_POLL = 1024  # nodes between polls; after the first a parallel run starts its helpers,
-              # and a serial one builds its orbit nogoods
+_POLL = 1024  # nodes between polls; the run finds its first two orbits at the first
+              # (or when its first job ends, if sooner), and a parallel one starts its helpers
 
 
 @dataclass(frozen=True)
@@ -161,14 +164,15 @@ class SearchConfig:
     unreduced tree, the reference for tests.  seed shuffles the order in which
     labels are tried.
 
-    With workers > 1 the calling process searches the kept pairs of first two
-    labels, one subtree each, and workers - 1 helper processes join it once
-    the run passes 1024 nodes: a run that ends sooner returns the serial
-    witness, and in a longer one timing decides which witness comes first.
-    The node budget counts the nodes of all workers, the time budget is one
-    deadline, and the first witness stops the run.  Each worker notices a
-    stop on its next poll, every 1024 nodes, so a run may overshoot its
-    budgets by up to 1024 nodes per worker.
+    A run searches the kept pairs of first two labels in order, one subtree
+    each.  With workers > 1, workers - 1 helper processes join the calling
+    process once the run passes 1024 nodes: a run that ends sooner returns
+    the serial witness, and in a longer one timing decides which witness
+    comes first.  The node budget counts the nodes of all workers, the time
+    budget is one deadline, and the first witness stops the run.  Each worker
+    notices a stop on its next poll, every 1024 nodes, or when its pair is
+    done, so a parallel run may overshoot its budgets by up to 1024 nodes per
+    worker; a serial one stops at budget + 1 nodes.
     """
 
     node_budget: Optional[int] = None
@@ -219,6 +223,7 @@ _Parity = Optional[Tuple[int, Tuple[Tuple[int, int], ...], Tuple[int, int]]]
 _Orders = Tuple[List[int], List[List[int]], List[int]]  # see _label_orders
 _Plan = Tuple[List[Tuple], _Orders, int]  # see _steps
 _Nogoods = Tuple[List[int], List[Optional[int]]]  # see _nogoods
+_Pair = Tuple[int, int, int, int]  # see _pairs
 
 
 def _turn(reach: int, lam: int, mod: int, everything: int) -> int:
@@ -233,13 +238,6 @@ def _members(mask: int, order: List[int]) -> Iterator[int]:
         low = mask & -mask
         yield order[low.bit_length() - 1]
         mask ^= low
-
-
-def _orbit_mask(g: int, mod: int, bit: List[int], lam: int) -> int:
-    """The mask, bit[y] for each y, of S_g*lam: lam's orbit under the units u
-    of Z_mod with u*g = g, every unit for g = 0."""
-    return sum(bit[y] for y in {u * lam % mod for u in range(mod)
-                                if gcd(u, mod) == 1 and u * g % mod == g})
 
 
 def _visit_order(graph: UndirectedGraph) -> List[int]:
@@ -295,27 +293,22 @@ def _label_orders(n: int, config: SearchConfig) -> _Orders:
     return first, second, labels
 
 
-def _nogoods(graph: UndirectedGraph, steps: List[Tuple], deadline: Optional[float]) -> _Nogoods:
+def _nogoods(steps: List[Tuple], twin: List[Tuple[int, ...]],
+             orbits: Sequence[Set[int]] = ()) -> _Nogoods:
     """(reads, bars), for each step: reads, the slots whose barred labels it
-    skips, as a mask over slot numbers; bars, for a label step, the slot it
-    bars its exhausted labels in, or -1 if it ends after its first label,
-    else None.
+    skips, as a mask over slot numbers; bars, for a label step below the
+    second, the slot it bars its exhausted labels in, or -1 if it ends after
+    its first label, else None.  twin is symmetry.twins' classes.
 
-    A label step's orbit is its vertex's under the automorphisms that fix
-    every vertex labeled above it: symmetry.orbit's at the first two, and its
-    unlabeled twins below, which refinement would pay for at every depth.  A
-    step whose orbit holds every vertex not yet labeled ends after its first
-    label; a step whose orbit holds any other vertex bars its labels from that
-    vertex's step.  The first two label steps bar in slots N and N + 1; a
-    later one in its twin class's, named by the class's least vertex, which
-    the class's later steps share.
+    Below the second label step a label step's orbit is its unlabeled twins,
+    which refinement would pay for at every depth.  A step whose orbit holds
+    every vertex not yet labeled ends after its first label; a step whose
+    orbit holds any other vertex bars its labels from that vertex's step, in
+    its twin class's slot, named by the class's least vertex, which the
+    class's later steps share.  The first two label steps try one label in a
+    job; given their orbits, the other vertices of each that does not end
+    read its slot, N or N + 1, which holds the job's pre-bars (_pairs).
     """
-    from . import symmetry  # compiled only by the runs that use it
-
-    nbrs, twin = symmetry.twins(graph)
-    # a sixteenth of the cap each: on path(4000) two refinements to the full cap
-    # prove nothing in 0.7 s, the time of some 600k nodes there
-    cap = symmetry._AUTOMORPHISM_CAP >> 4
     at = [d for d, step in enumerate(steps) if step[0]]
     order = [steps[d][1] for d in at]
     n = len(order)
@@ -324,35 +317,53 @@ def _nogoods(graph: UndirectedGraph, steps: List[Tuple], deadline: Optional[floa
         rank[v] = k
     reads = [0] * len(steps)
     bars: List[Optional[int]] = [None] * len(steps)
-    shared = set()  # classes barred in
-    for k, (d, v) in enumerate(zip(at, order)):
-        if twin[v][0] in shared:
-            reads[d] |= 1 << twin[v][0]
-        orbit = (symmetry.orbit(nbrs, twin, v, order[:k], deadline, cap) if k < 2
-                 else [w for w in twin[v] if rank[w] >= k])
-        if len(orbit) == n - k:
-            bars[d] = -1
-        elif len(orbit) > 1 and k >= 2:
-            bars[d] = twin[v][0]
-            shared.add(bars[d])
-        elif len(orbit) > 1:
-            bars[d] = n + k
+    for k, (v, orbit) in enumerate(zip(order, orbits)):
+        if len(orbit) < n - k:  # else that step ends: _pairs keeps its first label only
             for w in orbit - {v}:
                 reads[at[rank[w]]] |= 1 << n + k
+    shared = set()  # classes barred in
+    for k in range(2, n):
+        d, v = at[k], order[k]
+        if twin[v][0] in shared:
+            reads[d] |= 1 << twin[v][0]
+        orbit = [w for w in twin[v] if rank[w] >= k]
+        if len(orbit) == n - k:
+            bars[d] = -1
+        elif len(orbit) > 1:
+            bars[d] = twin[v][0]
+            shared.add(bars[d])
     return reads, bars
 
 
-def _pairs(plan: _Plan, nogoods: Optional[_Nogoods]) -> List[Tuple[int, int]]:
-    """The kept pairs of first two labels that a parallel run searches: of
-    the first label only if label step 0 ends after it, and only the first
-    pair of each first label if label step 1 does (see _nogoods)."""
-    first, second, _ = plan[1]
-    ends = [nogoods is not None and nogoods[1][e] == -1 for e in (0, 1)]
-    pairs = []
-    for g in first[:1] if ends[0] else first:
-        kept = [(g, b) for b in second[g] if b != g]
-        pairs += kept[:1] if ends[1] else kept
-    return pairs
+def _pairs(plan: _Plan, orbits: Sequence[Set[int]] = ()) -> Iterator[_Pair]:
+    """The kept pairs (g, b) of first two labels in walk order, each with the
+    masks of the labels the walk has barred on reaching it: in slot N, U*h for
+    each first label h before g, and in slot N + 1, S_g*c for each pair (g, c)
+    before it, S_g the units u with u*g = g.
+
+    Given the orbits of the first two label steps (see _nogoods), only the
+    first label's pairs are kept if step 0's holds every vertex, only the
+    first pair of each first label if step 1's holds every vertex but the
+    first, and a step whose orbit is its vertex alone bars nothing.  Without
+    them every kept pair is listed, with nothing barred.
+    """
+    first, second, later = plan[1]
+    n = len(later)
+    size = [len(orbit) for orbit in orbits] or [1, 1]
+    bit = [0] * n
+    for i, lam in enumerate(later):
+        bit[lam] = 1 << i
+    units, slot_n = [u for u in range(n) if gcd(u, n) == 1], 0
+    for g in first[:1] if size[0] == n else first:
+        # a single vertex has no second label: its one job never reads b
+        kept, slot_n1 = [b for b in second[g] if b != g] or [g], 0
+        stab = [u for u in units if u * g % n == g]
+        for b in kept[:1] if size[1] == n - 1 else kept:
+            yield g, b, slot_n, slot_n1
+            if size[1] > 1:
+                slot_n1 |= sum(bit[y] for y in {u * b % n for u in stab})
+        if size[0] > 1:
+            slot_n |= sum(bit[y] for y in {u * g % n for u in units})
 
 
 def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
@@ -458,93 +469,66 @@ def _root_parity_candidates(graph: UndirectedGraph, config: SearchConfig,
     return everything, tuple((everything ^ o, o) for o in odd), (even, everything ^ even)
 
 
-def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _Plan,
-            t0: float, pair: Optional[Tuple[int, int]] = None,
-            poll: Optional[Callable[[], bool]] = None, nogoods: Optional[_Nogoods] = None,
-            earlier: Sequence[Tuple[int, int]] = ()) -> SearchOutcome:
-    """Run the step loop of plan, _steps(graph, config), from the root;
-    budgets count from t0.
+def _search(graph: UndirectedGraph, parity: _Parity, plan: _Plan, job: _Pair,
+            nogoods: Optional[_Nogoods] = None, poll: Optional[Callable[[], bool]] = None,
+            limit: int = sys.maxsize) -> SearchOutcome:
+    """Run the step loop of plan, _steps(graph, config), from the root, over
+    the subtree of one kept pair of first two labels: job, (g, b, pre-bars in
+    slot N, pre-bars in slot N + 1), of _pairs.
 
-    pair, if given, is the only pair of first two labels tried: the subtree
-    of one parallel job, which bars labels by nogoods, _nogoods(graph, steps),
-    from its first node, if given, and starts with the labels the serial walk
-    bars once the pairs earlier, of _pairs(plan, nogoods), are exhausted.
-    poll, if given, is called every _POLL nodes, and the search stops as
-    inconclusive once it returns true; without one, a time budget is polled
-    there.
+    nogoods, _nogoods(...), if given, bar labels from the first node.  poll,
+    if given, is called every _POLL nodes, and the search stops as
+    inconclusive once it returns true, or once it passes limit nodes.
     """
-    steps, (first, second, later), pin = plan
-    if pair is not None:
-        first, second = (pair[0],), {pair[0]: (pair[1],)}
+    steps, (_, _, later), pin = plan
     mod = graph.vertex_count
-    deadline = None if config.time_budget is None else t0 + config.time_budget
     everything = (1 << mod) - 1
-    # label sets are masks over places in the seeded order later, of which
-    # first and every second[g] are subsequences: bit[lam] is lam's place's bit
+    # label sets are masks over places in the seeded order later: bit[lam] is
+    # lam's place's bit
     bit = [0] * mod
     for i, lam in enumerate(later):
         bit[lam] = 1 << i
-    second_masks: Dict[int, int] = {}  # second[g] as a mask, built once g is tried
+    second = bit[job[1]]  # the only label step 1 tries
     root, by_vertex, by_c = parity or (-1, ((-1, -1),) * mod, (-1, -1))
     labels = [-1] * mod  # a label step's undo leaves its label stale
     pw = [0] * mod
     stats = SearchStats()
     prunes = stats.prunes
+    t0 = perf_counter()
 
     def finish(verdict: str, nodes: int, cert: Optional[MagicCertificate] = None) -> SearchOutcome:
         stats.nodes, stats.elapsed = nodes, perf_counter() - t0
         return SearchOutcome(verdict, cert, stats)
 
-    node_limit = config.node_budget if config.node_budget is not None else sys.maxsize
-    if poll is None and deadline is not None:
-        def poll() -> bool:
-            return perf_counter() > deadline
-    tick = min(node_limit + 1, _POLL)  # the next node count to check the budgets at
+    tick = min(limit + 1, _POLL)  # the next node count to poll or check the limit at
     last = len(steps) - 1
     todo = [iter(())] * len(steps)  # the untried labels of each label step
     applied = [-1] * len(steps)
     par = [root] * len(steps)  # the parity candidates left on entering each depth
     mus = [everything] * len(steps)  # the magic constants still possible there, as bits
-    todo[0] = iter(first)  # no label is used yet
-    # orbit nogoods (see the module docstring), reduced only: a serial walk builds
-    # them at its first poll.  barred[slot] holds the labels barred in slot by
-    # the label steps on the path, and bit e of live is set while barred[e] is
-    # not empty, so that until a label is barred no step reads a slot
-    unbuilt = config.reduce and pair is None and nogoods is None
+    todo[0] = iter(job[:1])  # no label is used yet
+    # orbit nogoods (see the module docstring), reduced only: barred[slot] holds
+    # the labels barred in slot, by the label steps on the path and, in slots N
+    # and N + 1, by the job's pre-bars; bit e of live is set while barred[e]
+    # is not empty, so that until a label is barred no step reads a slot
     reads, bars = nogoods or ([0] * len(steps), [None] * len(steps))
-    barred, live = [0] * (mod + 2), 0
+    barred = [0] * mod + list(job[2:])
+    live = sum(1 << e for e in (mod, mod + 1) if barred[e])
 
-    def spread(e: int) -> Optional[Callable[[int], int]]:
-        # label step e bars a label alone (None) or, at the first two, its orbit
-        # under the units that keep the first label (all of them at step 0)
-        return None if e > 1 else partial(_orbit_mask, labels[steps[0][1]] if e else 0, mod, bit)
-
-    def barring(mask: int, slot: int, orbit: Optional[Callable[[int], int]]) -> Iterator[int]:
+    def barring(mask: int, slot: int) -> Iterator[int]:
         # _members(mask, later), each label barred in slot once its subtree is
-        # exhausted, with its orbit(label) if orbit is given; the slot is
-        # restored once the step ends
+        # exhausted; the slot is restored once the step ends
         nonlocal live
         before = barred[slot]
         while mask:
             low = mask & -mask
-            lam = later[low.bit_length() - 1]
-            yield lam
-            barred[slot] |= low if orbit is None else orbit(lam)
+            yield later[low.bit_length() - 1]
+            barred[slot] |= low
             live |= 1 << slot
             mask ^= low
         barred[slot] = before
         if not before:
             live &= ~(1 << slot)
-
-    if pair is not None and nogoods is not None:
-        # the serial walk, on reaching pair (g, b), has barred U*h in slot N for
-        # each first label h before g, and S_g*c in slot N + 1 for each (g, c)
-        # before the pair
-        for h, c in earlier:
-            e = int(h == pair[0])
-            if bars[e] is not None and bars[e] >= 0:
-                barred[bars[e]] |= _orbit_mask(h if e else 0, mod, bit, c if e else h)
-                live |= 1 << bars[e]
 
     used = mu = nodes = d = 0
     while True:
@@ -568,19 +552,9 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
             continue
         nodes += 1
         if nodes == tick:
-            if nodes > node_limit or (poll is not None and poll()):
+            if (poll is not None and not nodes % _POLL and poll()) or nodes > limit:
                 return finish(VERDICT_INCONCLUSIVE, nodes)
-            tick = min(node_limit + 1, nodes + _POLL)
-            if unbuilt:
-                unbuilt = False
-                reads, bars = _nogoods(graph, steps, deadline)
-                for e in range(d + 1):  # restart the label steps on the path
-                    if bars[e] == -1:  # it tries its current label only
-                        todo[e] = iter(())
-                    elif bars[e] is not None:  # it bars from its current label on
-                        rest = sum(map(bit.__getitem__, todo[e]))
-                        todo[e] = barring(rest | bit[applied[e]], bars[e], spread(e))
-                        next(todo[e])
+            tick = min(limit + 1, nodes + _POLL)
         p, consts = par[d], mus[d]
         if label:
             labels[a] = x
@@ -624,11 +598,7 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
         par[d], mus[d] = p, consts
         applied[d] = -1
         if steps[d][0]:
-            if d > 1:
-                free = everything
-            elif (free := second_masks.get(x)) is None:  # x is still the first label
-                free = second_masks[x] = sum(bit[lam] for lam in second[x])
-            free &= ~used
+            free = (everything if d > 1 else second) & ~used
             for y in steps[d][4]:
                 free &= bit[(mu - pw[y]) % mod] | bit[(pw[y] - mu) % mod]
             slots = live & reads[d]  # the slots read that bar a label
@@ -641,10 +611,10 @@ def _search(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan:
             elif bars[d] < 0:
                 todo[d] = _members(free & -free, later)  # the first label only
             else:
-                todo[d] = barring(free, bars[d], spread(d))
+                todo[d] = barring(free, bars[d])
 
 
-def _add_nodes(run: Tuple, k: int) -> bool:
+def _add_nodes(run: List, k: int) -> bool:
     """Add k nodes to the run's count, and stop the run once the count is
     past the node budget or the clock past the deadline; true once stopped."""
     stop, shared_nodes, _, node_budget, deadline = run[:5]
@@ -652,36 +622,38 @@ def _add_nodes(run: Tuple, k: int) -> bool:
         shared_nodes.value += k
         over = node_budget is not None and shared_nodes.value > node_budget
     if over or (deadline is not None and perf_counter() > deadline):
-        stop.set()
-    return stop.is_set()
+        stop.value = 1
+    return bool(stop.value)
 
 
-def _take_pairs(run: Tuple, add: Optional[Callable] = None) -> List[Tuple]:
+def _take_pairs(run: List, add: Optional[Callable] = None) -> List[Tuple]:
     """(index, outcome) of each pair taken from the shared index until none is
-    left, the run stops or a witness turns up.  add(k), by default _add_nodes,
-    counts k nodes and says whether to stop.  An error stops the run."""
-    stop, _, next_pair, _, _, graph, config, parity, plan, nogoods, pairs = run
+    left, the run stops or a witness turns up; each job may visit the nodes
+    the budget has left.  add(k), by default _add_nodes, counts k nodes and
+    says whether to stop.  An error stops the run."""
+    stop, shared_nodes, next_pair, node_budget, _, graph, parity, plan = run[:8]
     add = add or partial(_add_nodes, run)
     done = []
     try:
-        while not stop.is_set():
+        while not stop.value:
             with next_pair.get_lock():
                 i, next_pair.value = next_pair.value, next_pair.value + 1
+            nogoods, pairs = run[8:]  # completed at the calling process's first add
             if i >= len(pairs):
                 break
-            out = _search(graph, config, parity, plan, perf_counter(), pairs[i],
-                          partial(add, _POLL), nogoods, pairs[:i])
+            left = sys.maxsize if node_budget is None else max(0, node_budget - shared_nodes.value)
+            out = _search(graph, parity, plan, pairs[i], nogoods, partial(add, _POLL), left)
             done.append((i, out))
             if out.certificate is not None:
-                stop.set()
+                stop.value = 1
             add(out.stats.nodes % _POLL)
     except BaseException:
-        stop.set()
+        stop.value = 1
         raise
     return done
 
 
-def _helper(run: Tuple, conn) -> None:
+def _helper(run: List, conn) -> None:
     """A helper process: send its pairs' outcomes, or its error, to conn."""
     try:
         conn.send(_take_pairs(run))
@@ -689,48 +661,75 @@ def _helper(run: Tuple, conn) -> None:
         conn.send(exc)
 
 
-def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _Plan,
-                  t0: float) -> SearchOutcome:
-    """Search the root subtrees under one stop signal: in the calling process,
-    and once the run passes _POLL nodes in up to workers - 1 helper processes
-    too, no more than there are pairs left, each taking kept pairs of first
-    two labels from one shared index.
+def _run(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _Plan,
+         t0: float) -> SearchOutcome:
+    """Search the kept pairs of first two labels (_pairs), each taken from one
+    shared index, under one stop signal: in the calling process, and with
+    workers > 1, once the run passes _POLL nodes, in up to workers - 1 helper
+    processes too, no more than there are pairs left.
 
-    Under reduce, the orbit nogoods are built before the first pair, which
-    they may cut (_pairs), and each job bars by them from its first node,
-    starting with what the pairs before it bar (see the module docstring).
-    The signal is set by the first witness, by an error, or by the worker that
-    polls past the deadline or takes the shared count past the node budget.
-    Workers see it on their next poll and take no pair after it; once every
-    helper is done, one pass tallies every pair's nodes, prunes and verdict.
-    If this process took every pair, no helper holds one, and the helpers are
-    ended rather than waited for: a spawned one may still be starting.
-    The witness returned is the first in job order, verified again here.
+    Under reduce, the twin nogoods are built before the first pair.  The
+    orbits of the first two label steps are found at this process's first
+    poll or at the end of its first job, whichever comes first, unless the
+    run has stopped: they complete the nogoods, cut the pairs and give each
+    its pre-bars (see the module docstring).  The pairs are listed there too,
+    in an unreduced run as well; until then the run knows its first pair
+    only, so it answers "exhausted" only once they are listed.
+
+    The signal is set by the first witness, by an error, or by the worker
+    that polls past the deadline or takes the shared count past the node
+    budget.  Workers see it on their next poll and take no pair after it;
+    once every helper is done, one pass tallies every pair's nodes, prunes
+    and verdict.  If this process took every pair, no helper holds one, and
+    the helpers are ended rather than waited for: a spawned one may still be
+    starting.  The witness returned is the first in job order, verified
+    again here.
     """
-    import multiprocessing
-
     deadline = None if config.time_budget is None else t0 + config.time_budget
-    nogoods = _nogoods(graph, plan[0], deadline) if config.reduce else None
-    pairs = _pairs(plan, nogoods)
-    job_config = replace(config, workers=1, node_budget=None, time_budget=None)
+    steps = plan[0]
+    nogoods = orbits = None
+    if config.reduce:
+        from . import symmetry  # compiled only by the runs that use it
+
+        nbrs, twin = symmetry.twins(graph)
+        nogoods = _nogoods(steps, twin)
+    if config.workers > 1:
+        import multiprocessing
+
+        shared = [multiprocessing.Value("q", 0) for _ in range(3)]
+    else:  # this process alone: plain stand-ins for the shared values
+        shared = [SimpleNamespace(value=0, get_lock=nullcontext) for _ in range(3)]
     # the workers share the stop signal, the node count, the next pair's index,
-    # the budgets, and what they search: graph, config, parity masks, plan,
-    # nogoods, pairs
-    run = (multiprocessing.Event(), multiprocessing.Value("q", 0), multiprocessing.Value("q", 0),
-           config.node_budget, deadline, graph, job_config, parity, plan, nogoods, pairs)
-    stop, shared_nodes, next_pair = run[:3]
+    # the budgets, and what they search: graph, parity masks, plan, nogoods,
+    # pairs, of which the first only until the first add lists them all
+    run = [*shared, config.node_budget, deadline, graph, parity, plan, nogoods,
+           [next(_pairs(plan))]]
+    stop, shared_nodes, next_pair = shared
     helpers = []
 
-    def add(k: int) -> bool:  # the calling process's poll also starts the helpers
-        if (not _add_nodes(run, k) and not helpers and shared_nodes.value >= _POLL
-                and next_pair.value < len(pairs)):
-            for _ in range(min(config.workers - 1, len(pairs) - next_pair.value)):
+    def add(k: int) -> bool:  # this process's poll also finds the orbits and starts the helpers
+        nonlocal orbits
+        if _add_nodes(run, k):
+            return True
+        if orbits is None:  # list the pairs, cut and pre-barred by the orbits if reduced
+            orbits = ()
+            if config.reduce:
+                # a sixteenth of the cap each: on path(4000) two refinements to
+                # the full cap prove nothing in 0.7 s, the time of some 600k nodes
+                cap, first_two = symmetry._AUTOMORPHISM_CAP >> 4, [steps[0][1], steps[1][1]]
+                orbits = [symmetry.orbit(nbrs, twin, v, first_two[:i], deadline, cap)
+                          for i, v in enumerate(first_two)]
+                run[-2] = _nogoods(steps, twin, orbits)
+            run[-1] = list(_pairs(plan, orbits))
+        if (config.workers > 1 and not helpers and shared_nodes.value >= _POLL
+                and next_pair.value < len(run[-1])):
+            for _ in range(min(config.workers - 1, len(run[-1]) - next_pair.value)):
                 receive, send = multiprocessing.Pipe(duplex=False)
                 helper = multiprocessing.Process(target=_helper, args=(run, send), daemon=True)
                 helper.start()
                 send.close()  # so that receive sees the end of a helper that died
                 helpers.append((helper, receive))
-        return stop.is_set()
+        return bool(stop.value)
 
     done: List[Tuple] = []
     try:
@@ -738,7 +737,7 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
     finally:  # wait for the helpers, which an error here has stopped
         results = []
         for helper, receive in helpers:
-            if len(done) == len(pairs):  # this process took every pair: no helper holds one
+            if len(done) == len(run[-1]):  # this process took every pair: no helper holds one
                 helper.terminate()
             else:
                 try:
@@ -751,13 +750,15 @@ def _run_parallel(graph: UndirectedGraph, config: SearchConfig, parity: _Parity,
         if isinstance(result, BaseException):
             raise result
         done += result
+    pairs = run[-1]  # final if the orbits are known
     outs = [out for _, out in sorted(done, key=lambda d: d[0])]
     stats = SearchStats(sum(out.stats.nodes for out in outs), {
         k: sum(out.stats.prunes[k] for out in outs) for k in _PRUNE_KEYS}, perf_counter() - t0)
     c = next((out.certificate for out in outs if out.certificate is not None), None)
     if c is not None:
         return SearchOutcome(VERDICT_WITNESS, verified(graph, c.orientation, c.labeling), stats)
-    exhausted = len(outs) == len(pairs) and all(out.verdict == VERDICT_EXHAUSTED for out in outs)
+    exhausted = orbits is not None and len(outs) == len(pairs) and all(
+        out.verdict == VERDICT_EXHAUSTED for out in outs)
     return SearchOutcome(VERDICT_EXHAUSTED if exhausted else VERDICT_INCONCLUSIVE, None, stats)
 
 
@@ -781,7 +782,4 @@ def decide_existence(graph: UndirectedGraph, config: Optional[SearchConfig] = No
         stats.prunes["parity"] += 1
         stats.elapsed = perf_counter() - t0
         return SearchOutcome(VERDICT_EXHAUSTED, None, stats)
-    plan = _steps(graph, config)
-    if config.workers > 1 and graph.vertex_count >= 2:
-        return _run_parallel(graph, config, parity, plan, t0)
-    return _search(graph, config, parity, plan, t0)
+    return _run(graph, config, parity, _steps(graph, config), t0)

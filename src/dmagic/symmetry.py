@@ -1,9 +1,9 @@
 """Automorphisms found by search: twin classes, and the orbit of a vertex
 under the automorphisms that fix a set of vertices.
 
-The search imports this module only when it builds its orbit nogoods
-(search._nogoods).  Every dmagic process imports search, so code here is
-compiled only by the runs that use it.
+The search imports this module only in a reduced run, for its orbit
+nogoods (search._run).  Every dmagic process imports search, so code here
+is compiled only by the runs that use it.
 """
 
 from __future__ import annotations

@@ -91,19 +91,20 @@ def test_every_pinned_pair_matches_brute_force():
         expected = brute_magic_label_pairs(n, g.edges, order[0], order[1])
         assert expected, g
         for config in configs:
-            # a reduced job bars labels by the orbit nogoods from its first node
+            # a reduced job bars labels by its twin nogoods from its first node
             parity, plan = search._root_parity_candidates(g, config), search._steps(g, config)
-            nogoods = search._nogoods(g, plan[0], None) if config.reduce else None
+            nogoods = search._nogoods(plan[0], symmetry.twins(g)[1]) if config.reduce else None
             got = {(a, b) for a in range(n) for b in range(n) if a != b and search._search(
-                g, config, parity, plan, perf_counter(), pair=(a, b),
-                nogoods=nogoods).verdict == VERDICT_WITNESS}
+                g, parity, plan, (a, b, 0, 0), nogoods).verdict == VERDICT_WITNESS}
             assert got == expected, (g, config)
 
 
 def test_single_vertex():
-    out = decide_existence(empty_graph(1))
-    assert out.verdict == VERDICT_WITNESS
-    assert out.certificate.mu == 0
+    # one label step and no second label: the run's one job still finds the witness
+    for config in (SearchConfig(), SearchConfig(workers=2), SearchConfig(reduce=False)):
+        out = decide_existence(empty_graph(1), config)
+        assert (out.verdict, out.stats.nodes) == (VERDICT_WITNESS, 1), config
+        assert out.certificate.mu == 0
 
 
 def test_zero_vertices_rejected():
@@ -206,13 +207,13 @@ def test_label_representatives_cover_every_pair(monkeypatch):
                     image = (u * g % n, u * b % n)
                     assert image == (g, b) or image not in kept_set, (n, g, b, u)
 
-    # the parallel run searches exactly the kept pairs, each once, in order,
-    # up to a witness; these runs end within one poll, so no helper starts
+    # serial and parallel runs search exactly the kept pairs, each once, in
+    # order, up to a witness; these runs end within one poll, so no helper starts
     searched, real_search = [], search._search
 
-    def spy(graph, config, parity, plan, t0, pair=None, poll=None, nogoods=None, earlier=()):
-        searched.append(pair)
-        return real_search(graph, config, parity, plan, t0, pair, poll, nogoods, earlier)
+    def spy(graph, parity, plan, job, *args):
+        searched.append(job[:2])
+        return real_search(graph, parity, plan, job, *args)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a run within one poll started helper processes")
@@ -227,10 +228,12 @@ def test_label_representatives_cover_every_pair(monkeypatch):
             (cycle(12), SearchConfig(workers=2, seed=2), True, False),
             (path(6), SearchConfig(workers=2, parity_prune=False), False, False),
             (path(7), SearchConfig(workers=2, parity_prune=False), False, False)):
+        searched.clear()
         serial = decide_existence(graph, replace(config, workers=1))
+        serial_searched = searched[:]
         searched.clear()
         out = decide_existence(graph, config)
-        assert out.verdict == serial.verdict
+        assert (out.verdict, searched) == (serial.verdict, serial_searched), graph
         first, second, _ = search._label_orders(graph.vertex_count, config)
         first = first[:1] if transitive else first
         kept = [(g, b) for g in first for b in second[g][:1 if rest_transitive else None]]
@@ -243,10 +246,46 @@ def test_label_representatives_cover_every_pair(monkeypatch):
 
 
 def test_node_budget_is_inconclusive_not_wrong():
-    out = decide_existence(complete(6), SearchConfig(parity_prune=False, node_budget=500))
+    # prism(4) without parity is exhausted in 9,683 nodes
+    out = decide_existence(prism(4), SearchConfig(parity_prune=False, node_budget=500))
     assert out.verdict == VERDICT_INCONCLUSIVE
     assert out.certificate is None
     assert out.stats.nodes == 501
+
+
+def test_serial_node_budget_holds_across_pairs():
+    # each job may visit the nodes the budget has left, so a serial run stops
+    # at exactly budget + 1 nodes in whichever pair the budget runs out: in the
+    # first, at a poll (1024) or not; at the start of the second, when the
+    # first uses the budget up exactly; or within the second
+    g, config = prism(4), SearchConfig(parity_prune=False)
+    plan = search._steps(g, config)
+    first_job = search._search(g, None, plan, next(search._pairs(plan)),
+                               search._nogoods(plan[0], symmetry.twins(g)[1])).stats.nodes
+    assert first_job == 8349
+    for budget in (1023, 1024, 5000, first_job, first_job + 1, first_job + 500):
+        out = decide_existence(g, replace(config, node_budget=budget))
+        assert (out.verdict, out.stats.nodes) == (VERDICT_INCONCLUSIVE, budget + 1), budget
+
+
+def test_deadline_is_checked_as_each_pair_ends():
+    # each of the 56 pairs of P8's unreduced tree ends before its first poll,
+    # so only the end of the first job can see that the deadline has passed.
+    # C12's first pair is exhausted before its first poll, and its witness
+    # lies in the second: a run that stops before it finds the orbits, which
+    # cut the pairs, does not know them all and may not answer "exhausted"
+    for g, config, count in ((path(8), SearchConfig(parity_prune=False, reduce=False, seed=3), 56),
+                             (cycle(12), SearchConfig(parity_prune=False, seed=2), 44)):
+        plan = search._steps(g, config)
+        nogoods = search._nogoods(plan[0], symmetry.twins(g)[1]) if config.reduce else None
+        jobs = [search._search(g, None, plan, pair, nogoods) for pair in search._pairs(plan)]
+        assert len(jobs) == count and jobs[0].verdict == VERDICT_EXHAUSTED
+        assert jobs[0].stats.nodes < search._POLL
+        for workers in (1, 2):
+            out = decide_existence(g, replace(config, time_budget=1e-6, workers=workers))
+            assert (out.verdict, out.stats.nodes) == (VERDICT_INCONCLUSIVE,
+                                                      jobs[0].stats.nodes), (g, workers)
+    assert any(job.verdict == VERDICT_WITNESS for job in jobs)  # C12's
 
 
 def test_time_budget_is_inconclusive():
@@ -331,24 +370,24 @@ def test_parallel_root_parity_closure():
 
 
 def _run_state(graph, config, node_budget=None, deadline=None):
-    """A parallel run's shared state, as _run_parallel builds it, with the one
-    pair (0, 1) left to take."""
+    """A parallel run's shared state, as _run builds it, with the one pair
+    (0, 1) left to take."""
     plan = search._steps(graph, config)
-    return (multiprocessing.Event(), multiprocessing.Value("q", 0), multiprocessing.Value("q", 0),
-            node_budget, deadline, graph, config, None, plan,
-            search._nogoods(graph, plan[0], deadline), [(0, 1)])
+    return [*(multiprocessing.Value("q", 0) for _ in range(3)), node_budget, deadline, graph,
+            None, plan, search._nogoods(plan[0], symmetry.twins(graph)[1]), [(0, 1, 0, 0)]]
 
 
 def _worker_search(run):
-    graph, config, _, plan, _, _ = run[5:]
-    return search._search(graph, config, None, plan, perf_counter(), None,
+    graph, _, plan, nogoods, pairs = run[5:]
+    return search._search(graph, None, plan, pairs[0], nogoods,
                           lambda: search._add_nodes(run, 1024))
 
 
 def test_stopped_worker_returns_within_one_poll():
-    run = _run_state(complete(6), SearchConfig(parity_prune=False))
+    # the job of prism(4)'s pair (0, 1) without parity passes 1024 nodes
+    run = _run_state(prism(4), SearchConfig(parity_prune=False))
     stop, shared_nodes, next_pair = run[:3]
-    stop.set()
+    stop.value = 1
     out = _worker_search(run)
     assert out.verdict == VERDICT_INCONCLUSIVE
     assert out.stats.nodes == 1024
@@ -359,20 +398,18 @@ def test_stopped_worker_returns_within_one_poll():
 
 
 def test_worker_past_the_shared_budget_sets_the_stop():
-    # the serial walk of prism(4) without parity passes 1,500 nodes; K6's ends
-    # at 1,041
+    # the job of prism(4)'s pair (0, 1) without parity passes 1,500 nodes
     run = _run_state(prism(4), SearchConfig(parity_prune=False), node_budget=1500)
     stop, shared_nodes, _ = run[:3]
     out = _worker_search(run)
     assert out.verdict == VERDICT_INCONCLUSIVE
     assert out.stats.nodes == shared_nodes.value == 2048
-    assert stop.is_set()
-    # a worker polling past the deadline sets the stop itself, also in a helper;
-    # the job of prism(4)'s pair (0, 1) passes 1024 nodes, K6's ends at 134
+    assert stop.value
+    # a worker polling past the deadline sets the stop itself, also in a helper
     run = _run_state(prism(4), SearchConfig(parity_prune=False), deadline=perf_counter())
     [(i, out)] = search._take_pairs(run)
     assert (i, out.verdict, out.stats.nodes) == (0, VERDICT_INCONCLUSIVE, 1024)
-    assert run[0].is_set()
+    assert run[0].value
 
 
 def test_parallel_time_budget_bounds_the_whole_run():
@@ -394,22 +431,24 @@ def test_parallel_node_budget_is_shared_by_the_workers(workers):
 # Reference search trees: verdict, nodes, prunes (weight, interval, parity)
 # and the first 8 hex characters of the md5 of the certificate text.  Any
 # change to the visit order, the candidate order or a pruning rule shows up
-# here.  A row with a pair runs one parallel job's subtree serially:
-# its first two labels are fixed, as _take_pairs fixes them.  K2[6]-unit-scaling
+# here.  Every run walks the kept pairs of first two labels, one job each,
+# and each job counts its first label's node.  A row with a pair runs one
+# job's subtree alone, without nogoods.  K2[6]-unit-scaling
 # tries first label 2 before 0, so its witness (mu = 6) starts from a nonzero
-# orbit representative and second labels from the stabilizer of 2.  The
-# exhaustive rows past 1024 nodes bar labels by orbit nogoods: K6, K8 and
-# prism(4) are vertex-transitive, so their proofs end within the first label's
-# subtree, and on K6 and K8, all of whose vertices are twins, every label
-# step ends after its first label.  K8-no-parity-budgeted is cut off by its
-# budget with the nogoods built; K8-no-parity-seeded, in another label order,
-# is exhausted in as many nodes as K8 in the default order.
+# orbit representative and second labels from the stabilizer of 2.  Reduced
+# rows bar labels by twin nogoods from their first node, and the exhaustive
+# ones by orbit nogoods once their first job ends or polls: K6, K8 and
+# prism(4) are vertex-transitive, so their proofs keep the first label's pairs
+# only, and on K6 and K8, all of whose vertices are twins, every label step
+# ends after its first label, so they keep one pair.  K8-no-parity-budgeted
+# is cut off by its budget; K8-no-parity-seeded, in another label order, is
+# exhausted in as many nodes as K8 in the default order.
 _BUDGETED = SearchConfig(seed=1, node_budget=100000)
 # a star with a tail, plus an isolated vertex that closes at its label step
 _LEAFY = UndirectedGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6)])
 _TREES = [
-    (path(12), SearchConfig(), VERDICT_EXHAUSTED, 3156, (872, 8, 46), None, None),
-    (complete(9), SearchConfig(), VERDICT_WITNESS, 146, (4, 34, 0), "df17a29c", None),
+    (path(12), SearchConfig(), VERDICT_EXHAUSTED, 3194, (872, 8, 68), None, None),
+    (complete(9), SearchConfig(), VERDICT_WITNESS, 114, (4, 18, 0), "df17a29c", None),
     (complete(7), _BUDGETED, VERDICT_WITNESS, 35, (4, 3, 0), "1c990400", None),
     (kmokn_graph(3, 3), _BUDGETED, VERDICT_WITNESS, 39, (0, 3, 0), "66ca6218", None),
     (kmokn_graph(3, 4), _BUDGETED, VERDICT_WITNESS, 373, (1, 64, 65), "6f7a6400", None),
@@ -417,25 +456,25 @@ _TREES = [
     (kmokn_graph(2, 6), replace(_BUDGETED, seed=4), VERDICT_WITNESS, 74, (15, 1, 0),
      "1c4a9cbc", None),
     (kmokn_graph(5, 2), _BUDGETED, VERDICT_WITNESS, 340, (4, 66, 56), "abcbe177", None),
-    (path(11), SearchConfig(), VERDICT_EXHAUSTED, 5254, (1548, 58, 0), None, None),
-    (cycle(12), SearchConfig(seed=2, reduce=False), VERDICT_WITNESS, 1429,
+    (path(11), SearchConfig(), VERDICT_EXHAUSTED, 5241, (1548, 54, 0), None, None),
+    (cycle(12), SearchConfig(seed=2, reduce=False), VERDICT_WITNESS, 1431,
      (383, 0, 16), "db9d9579", None),
-    (cycle(12), SearchConfig(seed=2, parity_prune=False), VERDICT_WITNESS, 632,
+    (cycle(12), SearchConfig(seed=2, parity_prune=False), VERDICT_WITNESS, 633,
      (164, 0, 0), "f3c5ba05", None),
-    (_LEAFY, SearchConfig(), VERDICT_EXHAUSTED, 1163, (278, 142, 86), None, None),
+    (_LEAFY, SearchConfig(), VERDICT_EXHAUSTED, 681, (128, 90, 62), None, None),
     (kmokn_graph(5, 2), SearchConfig(seed=1), VERDICT_WITNESS, 414, (6, 82, 67),
      "66287c12", (2, 9)),
-    (complete(6), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 1041, (0, 347, 0),
+    (complete(6), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 134, (0, 32, 0),
      None, None),
-    (prism(4), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 9681, (1080, 0, 0),
+    (prism(4), SearchConfig(parity_prune=False), VERDICT_EXHAUSTED, 9683, (1080, 0, 0),
      None, None),
-    (path(13), SearchConfig(), VERDICT_EXHAUSTED, 11064, (3384, 60, 0), None, None),
+    (path(13), SearchConfig(), VERDICT_EXHAUSTED, 11051, (3384, 56, 0), None, None),
     (complete(8), SearchConfig(parity_prune=False, node_budget=50000), VERDICT_INCONCLUSIVE,
-     50001, (0, 12481, 0), None, None),
-    (path(8), SearchConfig(parity_prune=False, reduce=False, seed=3), VERDICT_EXHAUSTED, 15472,
+     50001, (0, 12393, 0), None, None),
+    (path(8), SearchConfig(parity_prune=False, reduce=False, seed=3), VERDICT_EXHAUSTED, 15520,
      (3584, 688, 0), None, None),
-    (complete(8), SearchConfig(parity_prune=False, seed=1), VERDICT_EXHAUSTED, 66930,
-     (0, 16680, 0), None, None),
+    (complete(8), SearchConfig(parity_prune=False, seed=1), VERDICT_EXHAUSTED, 66086,
+     (0, 16384, 0), None, None),
 ]
 _TREE_IDS = ["P12", "K9", "K7", "K3[3]", "K3[4]", "K2[6]", "K2[6]-unit-scaling", "K5[2]", "P11",
              "C12-free-first-arc", "C12-no-parity", "leafy", "K5[2]-pinned", "K6-no-parity",
@@ -447,8 +486,7 @@ def _tree(graph, config, pinned):
     if pinned is None:
         return decide_existence(graph, config)
     psols = search._root_parity_candidates(graph, config)
-    return search._search(graph, config, psols, search._steps(graph, config), perf_counter(),
-                          pair=pinned)
+    return search._search(graph, psols, search._steps(graph, config), (*pinned, 0, 0))
 
 
 @pytest.mark.parametrize("graph, config, verdict, nodes, prunes, digest, pinned", _TREES,
@@ -493,17 +531,24 @@ def test_members_of_a_mask_over_places_keep_the_seeded_order():
 
 
 def test_witness_trees_never_check_transitivity(monkeypatch):
-    # every witness row ends within its first 1024 nodes, before the orbit
-    # nogoods are built, so symmetry costs a witness search nothing
+    # a run that ends within its first pair, before its first poll, refines
+    # nothing: the witness rows (but C12-no-parity, whose first pair is
+    # exhausted), serially and, where no helper can start, with 2 workers, and
+    # K11[5] stopped by its budget.  An unreduced run refines nothing at all.
     def refuse(*args):
-        raise AssertionError("a witness search asked for automorphisms")
+        raise AssertionError("a run within its first pair asked for orbits")
 
-    for module, name in ((search, "_nogoods"), (symmetry, "twins"), (symmetry, "orbit")):
-        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(symmetry, "orbit", refuse)
     for (graph, config, verdict, nodes, _, _, pinned), name in zip(_TREES, _TREE_IDS):
-        if verdict == VERDICT_WITNESS:
+        if verdict == VERDICT_WITNESS and name != "C12-no-parity":
             out = _tree(graph, config, pinned)
             assert (out.verdict, out.stats.nodes) == (verdict, nodes), name
+            if pinned is None and nodes < search._POLL:
+                out = decide_existence(graph, replace(config, workers=2))
+                assert (out.verdict, out.stats.nodes) == (verdict, nodes), name
+    for workers in (1, 2):
+        out = decide_existence(kmokn_graph(11, 5), SearchConfig(node_budget=1000, workers=workers))
+        assert (out.verdict, out.stats.nodes) == (VERDICT_INCONCLUSIVE, 1001), workers
 
 
 # 3-regular on 12 vertices, with no automorphism but the identity
@@ -614,11 +659,16 @@ def test_twin_quotient_decides_transitivity():
 
 
 def test_orbit_nogoods_keep_every_verdict_and_first_witness(monkeypatch):
-    # nogoods built from the first node on, or a few nodes in, which restarts
-    # the label steps on the path as barring steps, against none at all: the
-    # same verdict and first witness, on a subset of the nodes, and the verdict
-    # of the unreduced tree, on random graphs of order at most 7; each label
-    # order meets other exhausted labels on the way to the first witness
+    # nogoods against none at all, with symmetry that proves no two vertices
+    # alike: the same verdict and first witness, on a subset of the nodes, and
+    # the verdict of the unreduced tree, on random graphs of order at most 7;
+    # each label order meets other exhausted labels on the way to the first
+    # witness
+    twins, orbit = symmetry.twins, symmetry.orbit
+
+    def no_twins(graph):
+        return twins(graph)[0], [(v,) for v in range(graph.vertex_count)]
+
     rng = random.Random(13)
     for i in range(200):
         g = _twin_rich(rng, 7) if i % 3 == 0 else _random_graph(rng, 7)
@@ -626,10 +676,12 @@ def test_orbit_nogoods_keep_every_verdict_and_first_witness(monkeypatch):
         reference = decide_existence(g, SearchConfig(parity_prune=parity, reduce=False))
         for seed in (0, 1, 2):
             config = SearchConfig(parity_prune=parity, seed=seed)
-            monkeypatch.setattr(search, "_POLL", (1, 5, 17)[seed])
             barred = decide_existence(g, config)
-            monkeypatch.setattr(search, "_POLL", 1 << 62)
+            monkeypatch.setattr(symmetry, "twins", no_twins)
+            monkeypatch.setattr(symmetry, "orbit", lambda nbrs, twin, v, *args: {v})
             plain = decide_existence(g, config)
+            monkeypatch.setattr(symmetry, "twins", twins)
+            monkeypatch.setattr(symmetry, "orbit", orbit)
             assert barred.verdict == plain.verdict == reference.verdict, (g, config)
             assert barred.stats.nodes <= plain.stats.nodes, (g, config)
             if plain.certificate is not None:
@@ -637,13 +689,12 @@ def test_orbit_nogoods_keep_every_verdict_and_first_witness(monkeypatch):
                     certificate_to_text(plain.certificate), (g, config)
 
 
-def test_parallel_jobs_walk_the_serial_barred_tree(monkeypatch):
-    # 2 workers answer as the unreduced tree, and an exhausted run visits the
-    # nodes of the serial walk with its nogoods built at its first node, plus
-    # the node of its first label once more in each job after that label's
-    # first.  The random graphs are those of the test above; K6, prism(4) and
-    # K8 have no solution (theorem1, then parity), and their unreduced trees
-    # without parity are too large to walk here.
+def test_parallel_jobs_walk_the_serial_barred_tree():
+    # 2 workers answer as the unreduced tree, and an exhausted run visits
+    # exactly the nodes of the serial walk.  The random graphs are those of
+    # the test above; K6, prism(4) and K8 have no solution (theorem1, then
+    # parity), and their unreduced trees without parity are too large to walk
+    # here.
     rng = random.Random(13)
     cases = []
     for i in range(200):
@@ -654,19 +705,11 @@ def test_parallel_jobs_walk_the_serial_barred_tree(monkeypatch):
     for g in (complete(6), prism(4), complete(8)):
         assert theorem1_check(g) or parity_feasibility(g), g
         cases.append((g, SearchConfig(parity_prune=False, seed=1), VERDICT_EXHAUSTED))
-    poll = search._POLL
     for g, config, reference in cases:
         out = decide_existence(g, replace(config, workers=2))
         assert out.verdict == reference, (g, config)
-        if out.verdict != VERDICT_EXHAUSTED or g.vertex_count < 2:
-            continue
-        monkeypatch.setattr(search, "_POLL", 1)
-        serial = decide_existence(g, config)
-        monkeypatch.setattr(search, "_POLL", poll)
-        plan = search._steps(g, config)
-        pairs = search._pairs(plan, search._nogoods(g, plan[0], None))
-        again = len(pairs) - len({first for first, _ in pairs}) if serial.stats.nodes else 0
-        assert out.stats.nodes == serial.stats.nodes + again, (g, config)
+        if out.verdict == VERDICT_EXHAUSTED:
+            assert out.stats.nodes == decide_existence(g, config).stats.nodes, (g, config)
 
 
 def test_transitive_rule_keeps_every_verdict():
@@ -686,10 +729,8 @@ def test_transitive_rule_keeps_every_verdict():
 
 
 def test_parallel_transitive_proof_walks_the_first_label_only():
-    # the jobs walk the serial barred tree, with the nogoods built at its first
-    # node, split at the first label's kept pairs, whose first label's node each
-    # job counts once: K6 keeps one pair (134 nodes serially), prism(4) three
-    # (9,681 nodes serially)
+    # the jobs walk the serial barred tree, split at the first label's kept
+    # pairs: K6 keeps one pair, prism(4) three
     config = SearchConfig(workers=2, parity_prune=False)
     for graph, nodes in ((complete(6), 134), (prism(4), 9683)):
         out = decide_existence(graph, config)
@@ -698,7 +739,9 @@ def test_parallel_transitive_proof_walks_the_first_label_only():
 
 def test_plan_is_built_once_per_run(monkeypatch):
     # the workers search the plan and the nogoods the run built, and build none
-    # of their own; prism(4)'s first job passes 1024 nodes, so a helper starts
+    # of their own: the nogoods are built from the twins before the first pair,
+    # and once more with the first two orbits, at the end of K6's one job and
+    # at prism(4)'s first poll, where a helper starts
     here, built = os.getpid(), []
 
     def here_only(build):
@@ -714,7 +757,7 @@ def test_plan_is_built_once_per_run(monkeypatch):
         built.clear()
         out = decide_existence(graph, SearchConfig(workers=2, parity_prune=False))
         assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, nodes), graph
-        assert built == ["_steps", "_nogoods"], graph
+        assert built == ["_steps", "_nogoods", "_nogoods"], graph
 
 
 def test_parallel_job_error_is_raised_once_the_pool_drains(monkeypatch):
@@ -789,11 +832,12 @@ def test_more_workers_than_cores_take_every_pair_once():
     for graph in (path(11), path(12)):
         config = SearchConfig()
         parity, plan = search._root_parity_candidates(graph, config), search._steps(graph, config)
-        nogoods = search._nogoods(graph, plan[0], None)
-        pairs = search._pairs(plan, nogoods)
-        expected = sum(search._search(graph, config, parity, plan, perf_counter(), pair, None,
-                                      nogoods, pairs[:i]).stats.nodes
-                       for i, pair in enumerate(pairs))
+        nbrs, twin = symmetry.twins(graph)
+        first_two = [plan[0][0][1], plan[0][1][1]]
+        orbits = [symmetry.orbit(nbrs, twin, v, first_two[:k]) for k, v in enumerate(first_two)]
+        nogoods = search._nogoods(plan[0], twin, orbits)
+        expected = sum(search._search(graph, parity, plan, pair, nogoods).stats.nodes
+                       for pair in search._pairs(plan, orbits))
         for _ in range(3):
             out = decide_existence(graph, SearchConfig(workers=4))
             assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, expected)
@@ -855,13 +899,13 @@ def test_a_connected_2_regular_graph_is_transitive_at_once():
 
 
 def test_unproven_transitivity_leaves_the_tree_alone(monkeypatch):
-    # past the work cap nothing is proven, and K6 walks every first label's
-    # subtree; below the second label step its twins, which need no
-    # refinement, still bar labels
+    # past the work cap nothing is proven, and K6 walks every kept pair;
+    # below the second label step its twins, which need no refinement, still
+    # bar labels
     monkeypatch.setattr(symmetry, "_AUTOMORPHISM_CAP", 1)
     assert not _transitive(complete(6))
     out = decide_existence(complete(6), SearchConfig(parity_prune=False))
-    assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, 3039)
+    assert (out.verdict, out.stats.nodes) == (VERDICT_EXHAUSTED, 2144)
 
 
 def test_transitivity_check_stops_before_a_round_past_the_cap(monkeypatch):
