@@ -60,7 +60,7 @@ def _rotational(graph: UndirectedGraph, blocks: int, size: int) -> MagicCertific
         # u's edges run to later blocks in order; those past the window point into u
         lo, hi = i + bisect_left(heads, (u // size + window + 1) * size), i + len(heads)
         bits[lo:hi] = b"\1" * (hi - lo)
-    return verified(graph, Orientation(graph, tuple(bits)), Labeling(order, tuple(range(order))))
+    return verified(graph, Orientation(graph, bytes(bits)), Labeling(order, tuple(range(order))))
 
 
 def construct_complete(n: int) -> MagicCertificate:
@@ -77,7 +77,7 @@ def construct_empty(n: int) -> MagicCertificate:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     graph = empty_graph(n)
-    return verified(graph, Orientation(graph, ()), Labeling(n, tuple(range(n))))
+    return verified(graph, Orientation(graph, b""), Labeling(n, tuple(range(n))))
 
 
 def kmokn_graph(m: int, n: int) -> UndirectedGraph:
@@ -117,7 +117,7 @@ def construct_case1(m: int, n: int) -> MagicCertificate:
     for _, i, heads in graph._runs[:n]:  # block q after its special vertex points into block 1
         lo, hi = i + bisect_left(heads, special_vertex) + 1, i + bisect_left(heads, q * n)
         bits[lo:hi] = b"\1" * (hi - lo)
-    return verified(graph, Orientation(graph, tuple(bits)), Labeling(order, tuple(labels)))
+    return verified(graph, Orientation(graph, bytes(bits)), Labeling(order, tuple(labels)))
 
 
 def construct_case2(m: int, n: int) -> MagicCertificate:

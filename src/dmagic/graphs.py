@@ -24,6 +24,13 @@ so a blown-up clique is built, written, read and verified without its edge
 tuple; where they go a line or an arc at a time, _edge_pairs makes the
 pairs from the table as they are taken.
 
+An Orientation holds its bits as one immutable bytes object, a byte 0 or 1
+per canonical edge.  It copies any other sequence of 0s and 1s into bytes
+once and checks the values with bytes.count; the constructions, the
+search's witness and the certificate readers build a bytearray or bytes and
+hand it over, and the weight sum and the certificate writer read it as it
+is, so no layer makes an int object per arc.
+
 Graph text is written one vertex u's run of canonical edges at a time, its
 lines joined under the shared prefix 'e u ' from the names of the vertices up
 to the largest head, made once.  A graph whose tails average fewer than
@@ -207,17 +214,26 @@ class Orientation:
     """An orientation of a graph's edges.
 
     bits[i] = 0 orients stored edge (u, v) as the arc u -> v, bits[i] = 1 as
-    v -> u.
+    v -> u.  bits is one immutable bytes object, a byte 0 or 1 per edge:
+    any other sequence of 0s and 1s (a tuple, a list, a bytearray) is copied
+    into bytes once, here, so equal bits give equal orientations with equal
+    hashes, and a bytearray changed afterwards leaves the orientation as it
+    was.
     """
 
     graph: UndirectedGraph
-    bits: Tuple[int, ...]
+    bits: bytes
 
     def __post_init__(self) -> None:
         if len(self.bits) != self.graph._size:
             raise ValueError(
                 f"expected {self.graph._size} orientation bits, got {len(self.bits)}"
             )
+        if type(self.bits) is not bytes:
+            try:
+                object.__setattr__(self, "bits", bytes(self.bits))
+            except (TypeError, ValueError):  # a value outside 0..255, or not an int
+                raise ValueError("orientation bits must be 0 or 1") from None
         if self.bits.count(0) + self.bits.count(1) != len(self.bits):  # b == 0 or b == 1, in bulk
             raise ValueError("orientation bits must be 0 or 1")
 
@@ -226,21 +242,21 @@ class Orientation:
         """Build an orientation from (tail, head) pairs covering each edge once."""
         edges = graph.edges
         index = {e: i for i, e in enumerate(edges)}
-        bits: List[Optional[int]] = [None] * len(edges)
+        bits = bytearray(b"\2") * len(edges)  # 2: not oriented yet
         for tail, head in arcs:
             key = (tail, head) if tail < head else (head, tail)
             if key not in index:
                 raise ValueError(f"arc ({tail}, {head}) is not an edge of the graph")
             i = index[key]
-            if bits[i] is not None:
+            if bits[i] != 2:
                 raise ValueError(f"edge {key} oriented twice")
-            bits[i] = 0 if (tail, head) == key else 1
-        missing = [edges[i] for i, b in enumerate(bits) if b is None]
-        if missing:
+            bits[i] = tail > head
+        if 2 in bits:
+            missing = [edges[i] for i, b in enumerate(bits) if b == 2]
             # name a few: a certificate without arcs on a large graph misses them all
             shown = ", ".join(map(str, missing[:3])) + (", ..." if len(missing) > 3 else "")
             raise ValueError(f"{len(missing)} edges left unoriented: {shown}")
-        return cls(graph, tuple(b for b in bits if b is not None))
+        return cls(graph, bits)
 
 
 def _from_runs(n: int, runs: Iterable[Tuple[int, Sequence[int]]]) -> UndirectedGraph:

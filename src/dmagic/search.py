@@ -222,7 +222,7 @@ class SearchOutcome:
 _Parity = Optional[Tuple[int, Tuple[Tuple[int, int], ...], Tuple[int, int]]]
 _Orders = Tuple[List[int], List[List[int]], List[int]]  # see _label_orders
 _Plan = Tuple[List[Tuple], _Orders, int]  # see _steps
-_Nogoods = Tuple[List[int], List[Optional[int]]]  # see _nogoods
+_Nogoods = Tuple[List[int], List[Optional[int]], int]  # see _nogoods
 _Pair = Tuple[int, int, int, int]  # see _pairs
 
 
@@ -295,19 +295,22 @@ def _label_orders(n: int, config: SearchConfig) -> _Orders:
 
 def _nogoods(steps: List[Tuple], twin: List[Tuple[int, ...]],
              orbits: Sequence[Set[int]] = ()) -> _Nogoods:
-    """(reads, bars), for each step: reads, the slots whose barred labels it
-    skips, as a mask over slot numbers; bars, for a label step below the
-    second, the slot it bars its exhausted labels in, or -1 if it ends after
-    its first label, else None.  twin is symmetry.twins' classes.
+    """(reads, bars, slots), for each step: reads, the slots whose barred
+    labels it skips, as a mask over slot numbers; bars, for a label step
+    below the second, the slot it bars its exhausted labels in, or -1 if it
+    ends after its first label, else None; and the number of slots.  twin is
+    symmetry.twins' classes.
 
-    Below the second label step a label step's orbit is its unlabeled twins,
-    which refinement would pay for at every depth.  A step whose orbit holds
-    every vertex not yet labeled ends after its first label; a step whose
-    orbit holds any other vertex bars its labels from that vertex's step, in
-    its twin class's slot, named by the class's least vertex, which the
-    class's later steps share.  The first two label steps try one label in a
-    job; given their orbits, the other vertices of each that does not end
-    read its slot, N or N + 1, which holds the job's pre-bars (_pairs).
+    Slots are numbered in the order they are made, so a mask has no more
+    bits than there are slots.  Below the second label step a label step's
+    orbit is its unlabeled twins, which refinement would pay for at every
+    depth.  A step whose orbit holds every vertex not yet labeled ends after
+    its first label; a step whose orbit holds any other vertex bars its
+    labels from that vertex's step, in its twin class's slot, 2, 3, ..., made
+    by the class's first such step and shared by its later steps.  The first
+    two label steps try one label in a job; given their orbits, the other
+    vertices of each that does not end read its slot, 0 or 1, which holds the
+    job's pre-bars (_pairs).
     """
     at = [d for d, step in enumerate(steps) if step[0]]
     order = [steps[d][1] for d in at]
@@ -320,25 +323,24 @@ def _nogoods(steps: List[Tuple], twin: List[Tuple[int, ...]],
     for k, (v, orbit) in enumerate(zip(order, orbits)):
         if len(orbit) < n - k:  # else that step ends: _pairs keeps its first label only
             for w in orbit - {v}:
-                reads[at[rank[w]]] |= 1 << n + k
-    shared = set()  # classes barred in
+                reads[at[rank[w]]] |= 1 << k
+    slot: Dict[int, int] = {}  # the slot of each class barred in, by its least vertex
     for k in range(2, n):
         d, v = at[k], order[k]
-        if twin[v][0] in shared:
-            reads[d] |= 1 << twin[v][0]
+        if twin[v][0] in slot:
+            reads[d] |= 1 << slot[twin[v][0]]
         orbit = [w for w in twin[v] if rank[w] >= k]
         if len(orbit) == n - k:
             bars[d] = -1
         elif len(orbit) > 1:
-            bars[d] = twin[v][0]
-            shared.add(bars[d])
-    return reads, bars
+            bars[d] = slot.setdefault(twin[v][0], 2 + len(slot))
+    return reads, bars, 2 + len(slot)
 
 
 def _pairs(plan: _Plan, orbits: Sequence[Set[int]] = ()) -> Iterator[_Pair]:
     """The kept pairs (g, b) of first two labels in walk order, each with the
-    masks of the labels the walk has barred on reaching it: in slot N, U*h for
-    each first label h before g, and in slot N + 1, S_g*c for each pair (g, c)
+    masks of the labels the walk has barred on reaching it: in slot 0, U*h for
+    each first label h before g, and in slot 1, S_g*c for each pair (g, c)
     before it, S_g the units u with u*g = g.
 
     Given the orbits of the first two label steps (see _nogoods), only the
@@ -474,7 +476,7 @@ def _search(graph: UndirectedGraph, parity: _Parity, plan: _Plan, job: _Pair,
             limit: int = sys.maxsize) -> SearchOutcome:
     """Run the step loop of plan, _steps(graph, config), from the root, over
     the subtree of one kept pair of first two labels: job, (g, b, pre-bars in
-    slot N, pre-bars in slot N + 1), of _pairs.
+    slot 0, pre-bars in slot 1), of _pairs.
 
     nogoods, _nogoods(...), if given, bar labels from the first node.  poll,
     if given, is called every _POLL nodes, and the search stops as
@@ -508,12 +510,12 @@ def _search(graph: UndirectedGraph, parity: _Parity, plan: _Plan, job: _Pair,
     mus = [everything] * len(steps)  # the magic constants still possible there, as bits
     todo[0] = iter(job[:1])  # no label is used yet
     # orbit nogoods (see the module docstring), reduced only: barred[slot] holds
-    # the labels barred in slot, by the label steps on the path and, in slots N
-    # and N + 1, by the job's pre-bars; bit e of live is set while barred[e]
+    # the labels barred in slot, in slots 0 and 1 by the job's pre-bars, in the
+    # others by the label steps on the path; bit e of live is set while barred[e]
     # is not empty, so that until a label is barred no step reads a slot
-    reads, bars = nogoods or ([0] * len(steps), [None] * len(steps))
-    barred = [0] * mod + list(job[2:])
-    live = sum(1 << e for e in (mod, mod + 1) if barred[e])
+    reads, bars, slots = nogoods or ([0] * len(steps), [None] * len(steps), 2)
+    barred = [*job[2:], *[0] * (slots - 2)]
+    live = sum(1 << e for e in (0, 1) if barred[e])
 
     def barring(mask: int, slot: int) -> Iterator[int]:
         # _members(mask, later), each label barred in slot once its subtree is
@@ -591,7 +593,7 @@ def _search(graph: UndirectedGraph, parity: _Parity, plan: _Plan, job: _Pair,
                 if not label:
                     bits[bisect_left(graph.edges, (a, b))] = x
             return finish(VERDICT_WITNESS, nodes, verified(
-                graph, Orientation(graph, tuple(bits)), Labeling(mod, tuple(labels))))
+                graph, Orientation(graph, bytes(bits)), Labeling(mod, tuple(labels))))
         # descend; a label step skips the labels used above it, below the pin
         # those that leave a forward-checked vertex off mu, and those barred for it
         d += 1

@@ -10,19 +10,25 @@ where the orientation bit changes.  A bit-0 run is the arcs u -> heads, a
 bit-1 run the arcs heads -> u, so the run moves w(u) by -/+ the sum of its
 heads' labels and each head by +/- l(u).  The heads of a run are taken to
 be consecutive vertices, as in every blown-up clique: the sum is one slice
-of the labels and the heads' share one step in a difference array.  When a
-tail's heads are not consecutive, or the graph's runs, or the bit runs found
-so far, average fewer than _LONG_RUN arcs, the weights are summed an arc at
-a time.
-all_weights reads only the graph's run table (an arc at a time, its
-edges), the bits and the labels.
+of the labels and the heads' share one step in a difference array.  The
+bits are Orientation.bits, one bytes object with a byte per arc, so each
+bit change is found by bytes.index, a scan in C.  When a tail's heads are
+not consecutive, or the graph's runs average fewer than _LONG_RUN arcs, or
+the bit runs found so far are already too many for the graph's edges to
+average _LONG_RUN arcs a run, the weights are summed an arc at a time.  An
+early cluster of bit changes is judged against every edge of the graph, not
+the edges up to it, so it alone does not end the runs.  all_weights reads
+only the graph's run table (an arc at a time, its edges), the bits and the
+labels.
 
 Certificate text is written and read as graph text is (see the graphs
 module).  The arcs are written one vertex u's run of edges at a time, split
 where the orientation bit changes: the lines of a bit-0 run share the
-prefix 'a u ', those of a bit-1 run the ending ' u'.  Runs that average
-fewer than _LONG_RUN arcs, or a graph that would need more vertex names than
-it has edges, are written a line per arc.  parse_certificate is the line
+prefix 'a u ', those of a bit-1 run the ending ' u'.  The writer reads the
+bits as they are: it counts the bit changes in one pass over them read as
+one int, and finds each run's end with bytes.find.  Runs that average fewer
+than _LONG_RUN arcs, or a graph that would need more vertex names than it
+has edges, are written a line per arc.  parse_certificate is the line
 reader: any spacing, comments and blank lines, and every error message.
 read_certificate is the bulk reader; dmagic verify reads every certificate
 through it.  It reads a certificate against the graph it is bound to, as
@@ -32,12 +38,14 @@ way it points, so the graph alone fixes where each tail's run of lines
 starts and ends.  Inside a run, str.find of ' u\n' (the end of a bit-1
 line) or '\na u ' (the start of a bit-0 line) finds each bit change, and
 counting the line ends before it gives its edge index; each bit run is one
-slice of the bits.  When the graph's runs, or the bit runs found so far,
-average fewer than _LONG_RUN arcs, it reads word by word instead: only the
-tail of each arc line, a bounded chunk of lines at a time, bit i being
-whether that tail differs from the tail of edge i.  Either way the result
-is kept only if the writer of certificate_to_text, given that graph, those
-bits, the labels and mu, gives back the input exactly.  That guard is
+slice of the bits.  When the graph's runs average fewer than _LONG_RUN
+arcs, or the bit runs found so far are already too many for its edges to
+average _LONG_RUN arcs a run, it reads word by word instead: only the tail
+of each arc line, a bounded chunk of lines at a time, bit i being whether
+that tail differs from the tail of edge i.  Either reader makes the bits as
+one bytes object, which the Orientation keeps as it is.  Either way the
+result is kept only if the writer of certificate_to_text, given that graph,
+those bits, the labels and mu, gives back the input exactly.  That guard is
 sound, whatever the bits were read from: the line reader reads that text
 back into the same order, mu and labels, and into the graph's edges, in
 canonical order, oriented by those bits, which bind_certificate binds to
@@ -129,15 +137,16 @@ def all_weights(graph: UndirectedGraph, orientation: Orientation, labeling: Labe
     return [x % mod for x in w]
 
 
-def _run_weights(graph: UndirectedGraph, bits: Sequence[int],
+def _run_weights(graph: UndirectedGraph, bits: bytes,
                  lab: Sequence[int]) -> Optional[List[int]]:
     """The raw weights summed a tail's run of one bit at a time; None when a
-    tail's heads are not consecutive, or when the graph's runs or the bit
-    runs found average fewer than _LONG_RUN arcs."""
+    tail's heads are not consecutive, when the graph's runs average fewer
+    than _LONG_RUN arcs, or when the bit runs found are too many for its
+    edges to average _LONG_RUN arcs a run."""
     runs = _tail_runs(graph, 0)
     if runs is None:
         return None
-    n = graph.vertex_count
+    n, size = graph.vertex_count, graph._size
     w, steps, found = [0] * n, [0] * (n + 1), 0  # steps: what consecutive heads gain, as differences
     for u, i, heads in runs:
         if type(heads) is not range:  # the heads are not consecutive
@@ -157,7 +166,7 @@ def _run_weights(graph: UndirectedGraph, bits: Sequence[int],
             total = sum(lab[lo:hi])
             w[u] += total if b else -total
             k, found = m, found + 1
-            if not _long_runs(j, found):  # even if the tail's run ended here
+            if not _long_runs(size, found):  # even if every later arc were in this run
                 return None
     return list(map(add, w, accumulate(steps)))
 
@@ -206,11 +215,10 @@ def certificate_to_text(cert: MagicCertificate) -> str:
 def _certificate_text(order: int, mu: int, labels: Sequence[int], orientation: Orientation) -> str:
     """The text of a certificate; the arcs are written a run of one tail and
     one bit at a time, as the module docstring says."""
-    graph, bits = orientation.graph, orientation.bits
-    flags = bytes(bits)
+    graph, bits = orientation.graph, orientation.bits  # a byte 0 or 1 per arc
     parts = [f"certificate {order}\n{_CONVENTION_LINE}\nmu {mu}\n",
              "l %d %d\n" * len(labels) % tuple(chain.from_iterable(enumerate(labels)))]
-    runs = _edge_runs(graph, flags.count(b"\0\1") + flags.count(b"\1\0"))  # the bit changes
+    runs = _edge_runs(graph, _bit_changes(bits))
     if runs is None:
         ends = [0] * (2 * len(bits))  # tail, head, tail, head, ...
         ends[::2] = map(getitem, _edge_pairs(graph), bits)
@@ -218,7 +226,7 @@ def _certificate_text(order: int, mu: int, labels: Sequence[int], orientation: O
         parts.append("a %d %d\n" * len(bits) % tuple(ends))
         return "".join(parts)
     for tail, start, heads in runs:
-        tail_flags, i = flags[start:start + len(heads)], 0
+        tail_flags, i = bits[start:start + len(heads)], 0
         while i < len(heads):
             j = tail_flags.find(tail_flags[i] ^ 1, i)
             if j < 0:
@@ -230,6 +238,14 @@ def _certificate_text(order: int, mu: int, labels: Sequence[int], orientation: O
                 parts.append(_run_text(f"a {tail} ", run))
             i = j
     return "".join(parts)
+
+
+def _bit_changes(bits: bytes) -> int:
+    """The places where the bit changes from one arc to the next, counted in
+    one pass over bits read as one int x: byte i of x ^ x >> 8 is bits[i] ^
+    bits[i + 1], and the last byte is the last bit itself."""
+    x = int.from_bytes(bits, "little")
+    return (x ^ x >> 8).bit_count() - (bits[-1] if bits else 0)
 
 
 @dataclass(frozen=True)
@@ -348,20 +364,22 @@ def read_certificate(text: str, graph: UndirectedGraph) -> Tuple[Orientation, La
     # text that is not dmagic's can give either reader more or fewer bits than edges
     if (len(bits) == graph._size and 0 < order == graph.vertex_count == len(labels)
             and 0 <= min(labels) and max(labels) < order):
-        orientation = Orientation(graph, tuple(bits))
+        orientation = Orientation(graph, bits)
         if _certificate_text(order, mu, labels, orientation) == text:
             return orientation, Labeling(order, labels), mu % order
     return bind_certificate(parse_certificate(text), graph)
 
 
-def _run_bits(text: str, start: int, graph: UndirectedGraph) -> Optional[bytearray]:
+def _run_bits(text: str, start: int, graph: UndirectedGraph) -> Optional[bytes]:
     """The orientation bits of the arc lines from offset start, read a tail's
     run of one bit at a time, as the module docstring says; None when the
-    graph's runs or the bit runs found average fewer than _LONG_RUN arcs."""
+    graph's runs average fewer than _LONG_RUN arcs, or when the bit runs
+    found are too many for its edges to average _LONG_RUN arcs a run."""
     runs = _tail_runs(graph, 0)
     if runs is None:
         return None
-    bits, found = bytearray(graph._size), 0
+    size = graph._size
+    bits, found = bytearray(size), 0
     for u, i, heads in runs:
         j, last = i + len(heads), heads[-1]
         zero, one = f"\na {u} ", f" {u}\n"  # the start of a bit-0 line, the end of a bit-1 line
@@ -377,7 +395,7 @@ def _run_bits(text: str, start: int, graph: UndirectedGraph) -> Optional[bytearr
             n = k + text.count("\n", s, z)
             bits[k:n] = b"\1" * (n - k)
             found += (k < n) + (z < end)
-            if not _long_runs(j, found):  # even if the tail's run ended here
+            if not _long_runs(size, found):  # even if every later arc were in this run
                 return None
             o = text.find(one, z, end)  # within the first bit-1 line after z
             if o < 0:
@@ -387,4 +405,4 @@ def _run_bits(text: str, start: int, graph: UndirectedGraph) -> Optional[bytearr
                 return None
             k = n + text.count("\n", z, s)
         start = end
-    return bits
+    return bytes(bits)

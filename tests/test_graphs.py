@@ -205,7 +205,7 @@ def test_incidence():
 def test_orientation_from_arcs():
     g = cycle(3)
     o = Orientation.from_arcs(g, [(0, 1), (2, 0), (1, 2)])
-    assert o.bits == (0, 1, 0)
+    assert o.bits == b"\0\1\0"
     with pytest.raises(ValueError):
         Orientation.from_arcs(g, [(0, 1), (0, 1), (1, 2)])
     with pytest.raises(ValueError):
@@ -215,6 +215,31 @@ def test_orientation_from_arcs():
 def test_orientation_length_mismatch():
     with pytest.raises(ValueError):
         Orientation(cycle(3), (0, 1))
+
+
+def test_orientation_bits_are_one_bytes_object():
+    # any sequence of 0s and 1s is copied into bytes once: the same bits as a
+    # tuple, a list, a bytearray or bytes are the same orientation
+    g = cycle(4)
+    forms = [(0, 1, 1, 0), [0, 1, 1, 0], bytearray(b"\0\1\1\0"), b"\0\1\1\0"]
+    orientations = [Orientation(g, bits) for bits in forms]
+    assert all(type(o.bits) is bytes and o.bits == b"\0\1\1\0" for o in orientations)
+    assert len(set(orientations)) == 1
+    assert len({hash(o) for o in orientations}) == 1
+    # the bytes given are kept as they are
+    assert Orientation(g, forms[3]).bits is forms[3]
+    # a bytearray changed afterwards leaves the orientation as it was
+    mutable = bytearray(b"\0\1\1\0")
+    o = Orientation(g, mutable)
+    mutable[0] = 1
+    assert o.bits == b"\0\1\1\0" and o == orientations[0]
+
+
+@pytest.mark.parametrize("bits", [(0, 2, 0), (0, -1, 0), (0, 256, 0), (0, "1", 0),
+                                  [1, 0, 2], b"\0\2\1", bytearray(b"\3\0\0")])
+def test_orientation_bits_other_than_0_or_1_are_rejected(bits):
+    with pytest.raises(ValueError, match="^orientation bits must be 0 or 1$"):
+        Orientation(cycle(3), bits)
 
 
 def test_product_indexing_bijection():
@@ -280,7 +305,7 @@ def test_from_arcs_binds_canonical_and_shuffled_order_alike(g, rng):
     arcs = [(v, u) if b else (u, v) for (u, v), b in zip(g.edges, bits)]
     shuffled = arcs[:]
     rng.shuffle(shuffled)
-    assert Orientation.from_arcs(g, arcs).bits == Orientation.from_arcs(g, shuffled).bits == bits
+    assert Orientation.from_arcs(g, arcs).bits == Orientation.from_arcs(g, shuffled).bits == bytes(bits)
     assert all(type(b) is int for b in Orientation.from_arcs(g, arcs).bits)
 
 

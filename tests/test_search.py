@@ -689,6 +689,29 @@ def test_orbit_nogoods_keep_every_verdict_and_first_witness(monkeypatch):
                     certificate_to_text(plain.certificate), (g, config)
 
 
+def test_nogood_slot_masks_have_no_more_bits_than_slots():
+    # slots are numbered as they are made, 0 and 1 for the pre-bars, then one
+    # for each twin class that bars: on two disjoint cycles, with label steps
+    # in index order, the first step's orbit is the first cycle, whose every
+    # other vertex reads slot 0, and no mask grows with the vertex numbers
+    a = 100
+    two_cycles = UndirectedGraph.from_edges(
+        2 * a + 1, [*cycle(a).edges, *((u + a, v + a) for u, v in cycle(a + 1).edges)])
+    graphs = [two_cycles, kmokn_graph(3, 4), lexicographic(path(4), empty_graph(3)),
+              lexicographic(cycle(5), complete(2))]
+    for g in graphs:
+        nbrs, twin = symmetry.twins(g)
+        in_index_order = [(True, v, v, (), ()) for v in range(g.vertex_count)]
+        for steps in (in_index_order, search._steps(g, SearchConfig())[0]):
+            first_two = [step[1] for step in steps if step[0]][:2]
+            orbits = [symmetry.orbit(nbrs, twin, v, first_two[:i]) for i, v in enumerate(first_two)]
+            reads, bars, slots = search._nogoods(steps, twin, orbits)
+            assert max(reads).bit_length() <= slots, g
+            assert {b for b in bars if b is not None and b >= 0} == set(range(2, slots)), g
+            if g is two_cycles and steps is in_index_order:
+                assert orbits[0] == set(range(a)) and sum(r & 1 for r in reads) == a - 1
+
+
 def test_parallel_jobs_walk_the_serial_barred_tree():
     # 2 workers answer as the unreduced tree, and an exhausted run visits
     # exactly the nodes of the serial walk.  The random graphs are those of
