@@ -17,12 +17,13 @@ tail with an edge, in order, the heads a range when they are consecutive
 vertices, else a tuple.  _from_runs is the one place that checks the
 generators' output, a run at a time: a run given as a range costs O(1), a
 list one pass.  The other form is made on first use and kept: edges is
-flattened from the table (search, obstructions, from_arcs), _runs is
+flattened from the table (from_arcs, and a search's witness), _runs is
 derived from the tuple by one bisection per tail.  The writers, the
 certificate readers, the weight sum and the constructions read the table,
-so a blown-up clique is built, written, read and verified without its edge
-tuple; where they go a line or an arc at a time, _edge_pairs makes the
-pairs from the table as they are taken.
+and the search, the twins and the parity rows its neighbour table _nbrs,
+so a blown-up clique is built, written, read, verified and searched
+without its edge tuple; where they go a line or an arc at a time,
+_edge_pairs makes the pairs from the table as they are taken.
 
 An Orientation holds its bits as one immutable bytes object, a byte 0 or 1
 per canonical edge.  It copies any other sequence of 0s and 1s into bytes
@@ -178,29 +179,23 @@ class UndirectedGraph:
         return cls(vertex_count, tuple(sorted(seen)))
 
     @cached_property
-    def _incidence(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        inc: List[List[Tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for idx, (u, v) in enumerate(self.edges):
-            inc[u].append((idx, v))
-            inc[v].append((idx, u))
-        return tuple(tuple(x) for x in inc)
-
-    def incident(self, v: int) -> Tuple[Tuple[int, int], ...]:
-        """(edge_index, neighbor) pairs for vertex v."""
-        return self._incidence[v]
-
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return tuple(n for _, n in self._incidence[v])
-
-    def degree(self, v: int) -> int:
-        return len(self._incidence[v])
+    def _nbrs(self) -> Tuple[Tuple[int, ...], ...]:
+        """Each vertex's neighbours, ascending, read off the run table: the
+        one neighbour table of the search, the twins and the parity rows."""
+        below: List[List[int]] = [[] for _ in range(self.vertex_count)]
+        above: List[Sequence[int]] = [()] * self.vertex_count
+        for u, _, heads in self._runs:
+            above[u] = heads
+            for h in heads:
+                below[h].append(u)
+        return tuple((*b, *a) for b, a in zip(below, above))
 
 
 def regularity(graph: UndirectedGraph) -> Optional[int]:
     """The common degree r if the graph is r-regular, else None."""
     if graph.vertex_count == 0:
         return 0
-    counts = Counter(chain.from_iterable(_edge_pairs(graph)))  # no incidence lists
+    counts = Counter(chain.from_iterable(_edge_pairs(graph)))  # no neighbour table
     degrees = set(counts.values())
     if len(counts) < graph.vertex_count:
         degrees.add(0)  # isolated vertices

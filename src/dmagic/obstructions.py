@@ -53,14 +53,6 @@ def theorem1_check(graph: UndirectedGraph) -> Optional[NonexistenceCertificate]:
     return NonexistenceCertificate(graph, REASON_THEOREM1, {"r": r, "order": n})
 
 
-def _neighbor_masks(graph: UndirectedGraph) -> List[int]:
-    masks = [0] * graph.vertex_count
-    for u, v in graph.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
 def parity_solutions(graph: UndirectedGraph, *, max_solutions: Optional[int] = None,
                      deadline: Optional[float] = None) -> Optional[Dict[int, List[int]]]:
     """All parity vectors solving the weight-parity system, keyed by constant c.
@@ -73,7 +65,7 @@ def parity_solutions(graph: UndirectedGraph, *, max_solutions: Optional[int] = N
     n = graph.vertex_count
     if n % 2 != 0:
         return None
-    rows = _neighbor_masks(graph)
+    rows = [sum(1 << w for w in nb) for nb in graph._nbrs]  # neighbour masks
     limit = None if max_solutions is None else max_solutions + 1
     out: Dict[int, List[int]] = {}
     for c in (0, 1):

@@ -85,8 +85,8 @@ first label step bars the whole unit orbit U*x, and the second, below first
 label g, the stabilizer orbit S_g*x.  A later label step's candidates lose
 the labels barred for its vertex, so, as forward-checked labels, they are
 never nodes.  If the orbit holds every vertex not yet labeled, x has nowhere
-left to go and the step ends at once: at the first step on a
-vertex-transitive graph, one exhausted first label ends the search.
+left to go and the step ends at once: one exhausted first label ends the
+search on a graph symmetry.orbit proves vertex-transitive within its cap.
 
 Take a witness W below the step's prefix P, the labels and arcs fixed above
 it, with l(w) = u*x for some w in the orbit and u in the group barred with x
@@ -242,17 +242,17 @@ def _members(mask: int, order: List[int]) -> Iterator[int]:
 
 def _visit_order(graph: UndirectedGraph) -> List[int]:
     """Maximum-adjacency order: next vertex has most labeled neighbors."""
-    n = graph.vertex_count
+    n, nbrs = graph.vertex_count, graph._nbrs
     # (labeled neighbours, degree, -v) packed into one int
-    key = [graph.degree(v) * n + n - 1 - v for v in range(n)]
+    key = [len(nb) * n + n - 1 - v for v, nb in enumerate(nbrs)]
     rest = set(range(n))
     order = []
     while rest:
         best = max(rest, key=key.__getitem__)
         order.append(best)
         rest.discard(best)
-        for _, nb in graph.incident(best):
-            key[nb] += n * n
+        for w in nbrs[best]:
+            key[w] += n * n
     return order
 
 
@@ -368,6 +368,23 @@ def _pairs(plan: _Plan, orbits: Sequence[Set[int]] = ()) -> Iterator[_Pair]:
             slot_n |= sum(bit[y] for y in {u * g % n for u in units})
 
 
+@dataclass(frozen=True)
+class _AllPairs:
+    """The pairs of an unreduced run, as _pairs lists them: each (g, b) with
+    b != g, in seeded label order, nothing barred.  Pair i is found by
+    arithmetic, so the N(N - 1) pairs are never held."""
+
+    labels: List[int]
+
+    def __len__(self) -> int:
+        return len(self.labels) * (len(self.labels) - 1) or 1  # one vertex: the pair (g, g)
+
+    def __getitem__(self, i: int) -> _Pair:
+        n = len(self.labels)
+        q, r = divmod(i, n - 1 or 1)  # b is the r-th label other than g, or g alone
+        return self.labels[q], self.labels[(r + (r >= q)) % n], 0, 0
+
+
 def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
     """The check plan: steps in visit order, label orders, pin depth.
 
@@ -388,23 +405,23 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
 
     The counts come from a running state, not from the step's place in the
     label-then-arcs shape: y's labeled neighbours on undecided edges are
-    pend[y][start[y]:], those labeled before y in incidence order, then each
-    one labeled after y.  Edges are decided in that same order at both ends
-    (an earlier vertex waits on at most the second-to-last vertex and then
-    the last), so an arc step only advances start, and only a label step
-    makes a tuple.  Steps share these tuples, so the plan takes O(N + E)
-    memory.
+    pend[y][start[y]:], those labeled before y in ascending order, then each
+    one labeled after y, read off the neighbour table graph._nbrs.  Edges are
+    decided in that same order at both ends (an earlier vertex waits on at
+    most the second-to-last vertex and then the last), so an arc step only
+    advances start, and only a label step makes a tuple.  Steps share these
+    tuples, so the plan takes O(N + E) memory.
 
     Step 0 takes its labels from the first label order, step 1 from the
     second order of the label step 0 chose, and every later label step from
     the last (see _label_orders).
     """
-    n = graph.vertex_count
+    n, nbrs = graph.vertex_count, graph._nbrs
     order = _visit_order(graph)
     pos = sorted(range(n), key=order.__getitem__)  # pos[v] is v's place in order
     last_arc = 0 if config.reduce else 1
     labeled = [False] * n
-    unlabeled = [graph.degree(v) for v in range(n)]
+    unlabeled = list(map(len, nbrs))
     pend: List[Tuple[int, ...]] = [()] * n  # pend[y][start[y]:] are y's labeled
     start = [0] * n                          # neighbours on undecided edges
     steps: List[Tuple] = []
@@ -429,25 +446,25 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
 
     def label(v: int) -> None:
         labeled[v] = True
-        nbrs = [u for _, u in graph.incident(v) if labeled[u]]
-        for u in nbrs:
+        earlier = [u for u in nbrs[v] if labeled[u]]
+        for u in earlier:
             pend[u] = pend[u][start[u]:] + (v,)
             start[u] = 0
-        for _, u in graph.incident(v):
+        for u in nbrs[v]:
             unlabeled[u] -= 1
-        pend[v] = tuple(nbrs)
-        steps.append((True, v, v) + checks([v] + nbrs, v))
+        pend[v] = tuple(earlier)
+        steps.append((True, v, v) + checks([v] + earlier, v))
 
     for i, v in enumerate(order):
         if not labeled[v]:
             label(v)
         if i == n - 2:
             label(order[-1])
-        for e, w in graph.incident(v):
+        for w in nbrs[v]:
             if pos[w] < i:
                 start[w] += 1  # the edge leads to the first pending neighbour
                 start[v] += 1  # of each endpoint
-                a, b = graph.edges[e]
+                a, b = (w, v) if w < v else (v, w)
                 steps.append((False, a, b, checks([w, v])[0], last_arc))
                 last_arc = 1
     return steps, _label_orders(n, config), pin
@@ -588,7 +605,7 @@ def _search(graph: UndirectedGraph, parity: _Parity, plan: _Plan, job: _Pair,
                 prunes["parity"] += 1
                 continue
         if d == last:  # an arc step's (a, b) is a stored edge, and its choice is the edge's bit
-            bits = bytearray(len(graph.edges))
+            bits = bytearray(graph._size)
             for (label, a, b, _, _), x in zip(steps, applied):
                 if not label:
                     bits[bisect_left(graph.edges, (a, b))] = x
@@ -675,8 +692,9 @@ def _run(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _P
     poll or at the end of its first job, whichever comes first, unless the
     run has stopped: they complete the nogoods, cut the pairs and give each
     its pre-bars (see the module docstring).  The pairs are listed there too,
-    in an unreduced run as well; until then the run knows its first pair
-    only, so it answers "exhausted" only once they are listed.
+    and until then the run knows its first pair only, so it answers
+    "exhausted" only once they are listed; unreduced, it finds them by
+    arithmetic (_AllPairs) from the start.
 
     The signal is set by the first witness, by an error, or by the worker
     that polls past the deadline or takes the shared count past the node
@@ -689,12 +707,12 @@ def _run(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _P
     """
     deadline = None if config.time_budget is None else t0 + config.time_budget
     steps = plan[0]
-    nogoods = orbits = None
+    nogoods, orbits, pairs = None, (), _AllPairs(plan[1][2])  # unreduced: no orbits
     if config.reduce:
         from . import symmetry  # compiled only by the runs that use it
 
-        nbrs, twin = symmetry.twins(graph)
-        nogoods = _nogoods(steps, twin)
+        twin = symmetry.twins(graph)
+        nogoods, orbits, pairs = _nogoods(steps, twin), None, [next(_pairs(plan))]
     if config.workers > 1:
         import multiprocessing
 
@@ -703,9 +721,8 @@ def _run(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _P
         shared = [SimpleNamespace(value=0, get_lock=nullcontext) for _ in range(3)]
     # the workers share the stop signal, the node count, the next pair's index,
     # the budgets, and what they search: graph, parity masks, plan, nogoods,
-    # pairs, of which the first only until the first add lists them all
-    run = [*shared, config.node_budget, deadline, graph, parity, plan, nogoods,
-           [next(_pairs(plan))]]
+    # pairs, of which a reduced run knows the first only until the first add
+    run = [*shared, config.node_budget, deadline, graph, parity, plan, nogoods, pairs]
     stop, shared_nodes, next_pair = shared
     helpers = []
 
@@ -713,16 +730,13 @@ def _run(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _P
         nonlocal orbits
         if _add_nodes(run, k):
             return True
-        if orbits is None:  # list the pairs, cut and pre-barred by the orbits if reduced
-            orbits = ()
-            if config.reduce:
-                # a sixteenth of the cap each: on path(4000) two refinements to
-                # the full cap prove nothing in 0.7 s, the time of some 600k nodes
-                cap, first_two = symmetry._AUTOMORPHISM_CAP >> 4, [steps[0][1], steps[1][1]]
-                orbits = [symmetry.orbit(nbrs, twin, v, first_two[:i], deadline, cap)
-                          for i, v in enumerate(first_two)]
-                run[-2] = _nogoods(steps, twin, orbits)
-            run[-1] = list(_pairs(plan, orbits))
+        if orbits is None:  # list the pairs, cut and pre-barred by the orbits
+            # a sixteenth of the cap each: on path(4000) two refinements to
+            # the full cap prove nothing in 0.7 s, the time of some 600k nodes
+            cap, first_two = symmetry._AUTOMORPHISM_CAP >> 4, [steps[0][1], steps[1][1]]
+            orbits = [symmetry.orbit(graph._nbrs, twin, v, first_two[:i], deadline, cap)
+                      for i, v in enumerate(first_two)]
+            run[-2:] = _nogoods(steps, twin, orbits), list(_pairs(plan, orbits))
         if (config.workers > 1 and not helpers and shared_nodes.value >= _POLL
                 and next_pair.value < len(run[-1])):
             for _ in range(min(config.workers - 1, len(run[-1]) - next_pair.value)):

@@ -8,6 +8,7 @@ is compiled only by the runs that use it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -20,9 +21,8 @@ from .graphs import UndirectedGraph
 _AUTOMORPHISM_CAP = 1 << 20
 
 
-def twins(graph: UndirectedGraph) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
-    """Each vertex's neighbours, ascending, read off the run table, and its
-    twin class.
+def twins(graph: UndirectedGraph) -> List[Tuple[int, ...]]:
+    """Each vertex's twin class, read off the neighbour table graph._nbrs.
 
     Twins share their open neighbourhood (false twins, never adjacent) or
     their closed one (true twins, always adjacent), and swapping two of them
@@ -32,33 +32,28 @@ def twins(graph: UndirectedGraph) -> Tuple[List[Tuple[int, ...]], List[Tuple[int
     that holds another vertex, else its closed one, and the classes, each an
     independent set or a clique, part V.  One hashing pass per kind: O(N + E).
     """
-    n = graph.vertex_count
-    below: List[List[int]] = [[] for _ in range(n)]
-    above: List[Sequence[int]] = [()] * n
-    for u, _, heads in graph._runs:
-        above[u] = heads
-        for h in heads:
-            below[h].append(u)
-    nbrs = [(*b, *a) for b, a in zip(below, above)]
-    twin = [(v,) for v in range(n)]
+    twin = [(v,) for v in range(graph.vertex_count)]
     for closed in (True, False):
         classes: Dict[Tuple[int, ...], List[int]] = {}
-        for v, (nb, b) in enumerate(zip(nbrs, below)):
-            classes.setdefault((*b, v, *above[v]) if closed else nb, []).append(v)
+        for v, nb in enumerate(graph._nbrs):
+            if closed:  # v put into its ascending place
+                k = bisect_left(nb, v)
+                nb = nb[:k] + (v,) + nb[k:]
+            classes.setdefault(nb, []).append(v)
         for members in classes.values():
             if len(members) > 1:
                 for v in (members := tuple(members)):
                     twin[v] = members
-    return nbrs, twin
+    return twin
 
 
-def orbit(nbrs: List[Tuple[int, ...]], twin: List[Tuple[int, ...]], v: int,
+def orbit(nbrs: Sequence[Tuple[int, ...]], twin: List[Tuple[int, ...]], v: int,
            fixed: Sequence[int] = (), deadline: Optional[float] = None,
            cap: Optional[int] = None) -> Set[int]:
     """The orbit of v under automorphisms that fix every vertex of fixed,
     found reading at most cap colours (default _AUTOMORPHISM_CAP) and before
     perf_counter() passes deadline; {v} alone once the search gives up,
-    proving nothing.  nbrs and twin are twins(graph).
+    proving nothing.  nbrs is graph._nbrs and twin is twins(graph).
 
     The search runs on the quotient whose pieces are the twin classes, each
     vertex of fixed split off alone.  A piece is an independent set or a

@@ -40,6 +40,16 @@ class ProductIndexing:
         return vertex_id // self.inner_count + 1, vertex_id % self.inner_count + 1
 
 
+def adjacency(vertex_count: int, edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
+    """Each vertex's neighbours, ascending, from the edge list, an edge at a
+    time."""
+    adj: List[List[int]] = [[] for _ in range(vertex_count)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(nb) for nb in adj]
+
+
 def graph_text(vertex_count: int, edges: Sequence[Tuple[int, int]]) -> str:
     """Graph text from the format's definition: the header, then one
     'e u v' line per edge."""

@@ -22,7 +22,7 @@ from dmagic.graphs import (
     prism,
     regularity,
 )
-from oracles import ProductIndexing
+from oracles import ProductIndexing, adjacency
 
 
 def test_complete_counts():
@@ -83,7 +83,7 @@ def test_complete_multipartite_counts():
     g = complete_multipartite([1, 2, 2])
     assert g.vertex_count == 5
     assert len(g.edges) == 8
-    assert sorted(g.degree(v) for v in range(5)) == [3, 3, 3, 3, 4]
+    assert sorted(map(len, adjacency(5, g.edges))) == [3, 3, 3, 3, 4]
 
 
 def test_lexicographic_blowup_equals_multipartite():
@@ -197,9 +197,8 @@ def test_graphs_are_immutable_in_either_form():
 
 def test_incidence():
     g = cycle(4)
-    assert g.neighbors(0) == (1, 3)
-    assert {e for e, _ in g.incident(0)} == {0, 1}
-    assert g.degree(2) == 2
+    assert adjacency(4, g.edges) == [[1, 3], [0, 2], [1, 3], [0, 2]]
+    assert g._nbrs == ((1, 3), (0, 2), (1, 3), (0, 2))
 
 
 def test_orientation_from_arcs():
@@ -312,7 +311,27 @@ def test_from_arcs_binds_canonical_and_shuffled_order_alike(g, rng):
 @settings(max_examples=60)
 @given(graphs)
 def test_handshake(g):
-    assert sum(g.degree(v) for v in range(g.vertex_count)) == 2 * len(g.edges)
+    assert sum(map(len, g._nbrs)) == 2 * len(g.edges)
+
+
+@settings(max_examples=60)
+@given(graphs)
+def test_neighbour_table_matches_the_edges(g):
+    assert list(map(list, g._nbrs)) == adjacency(g.vertex_count, g.edges)
+
+
+def test_neighbour_table_of_a_run_table_matches_its_edges():
+    # products built a run at a time, heads as ranges and as tuples, and
+    # blown-up cliques parse_graph builds from a header: the table is read
+    # off the runs, the edge tuple not built
+    built = [lexicographic(cycle(5), complete(3)), lexicographic(path(4), empty_graph(3)),
+             complete_multipartite([1, 2, 3]), complete(7), complete(1)]
+    parsed = [parse_graph(graph_to_text(complete_multipartite([b] * m)))
+              for m, b in ((2, 3), (5, 4), (7, 1))]
+    for g in built + parsed:
+        table = list(map(list, g._nbrs))
+        assert "edges" not in g.__dict__
+        assert table == adjacency(g.vertex_count, g.edges), g
 
 
 def _by_definition(g, h, adjacent):

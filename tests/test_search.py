@@ -2,6 +2,7 @@ import hashlib
 import multiprocessing
 import os
 import random
+import tracemalloc
 from dataclasses import replace
 from time import perf_counter
 
@@ -16,7 +17,9 @@ from dmagic.graphs import (
     complete_multipartite,
     cycle,
     empty_graph,
+    graph_to_text,
     lexicographic,
+    parse_graph,
     path,
     prism,
 )
@@ -30,6 +33,7 @@ from dmagic.search import (
 )
 from dmagic.verifier import Labeling, MagicCertificate, certificate_to_text, verify
 from oracles import (
+    adjacency,
     brute_magic_label_pairs,
     brute_magic_search,
     brute_orbit,
@@ -93,7 +97,7 @@ def test_every_pinned_pair_matches_brute_force():
         for config in configs:
             # a reduced job bars labels by its twin nogoods from its first node
             parity, plan = search._root_parity_candidates(g, config), search._steps(g, config)
-            nogoods = search._nogoods(plan[0], symmetry.twins(g)[1]) if config.reduce else None
+            nogoods = search._nogoods(plan[0], symmetry.twins(g)) if config.reduce else None
             got = {(a, b) for a in range(n) for b in range(n) if a != b and search._search(
                 g, parity, plan, (a, b, 0, 0), nogoods).verdict == VERDICT_WITNESS}
             assert got == expected, (g, config)
@@ -261,11 +265,48 @@ def test_serial_node_budget_holds_across_pairs():
     g, config = prism(4), SearchConfig(parity_prune=False)
     plan = search._steps(g, config)
     first_job = search._search(g, None, plan, next(search._pairs(plan)),
-                               search._nogoods(plan[0], symmetry.twins(g)[1])).stats.nodes
+                               search._nogoods(plan[0], symmetry.twins(g))).stats.nodes
     assert first_job == 8349
     for budget in (1023, 1024, 5000, first_job, first_job + 1, first_job + 500):
         out = decide_existence(g, replace(config, node_budget=budget))
         assert (out.verdict, out.stats.nodes) == (VERDICT_INCONCLUSIVE, budget + 1), budget
+
+
+def test_unreduced_pairs_by_arithmetic_are_the_listed_pairs():
+    for n in (1, 2, 3, 6):
+        for seed in (0, 5):
+            plan = search._steps(complete(n), SearchConfig(reduce=False, seed=seed))
+            pairs = search._AllPairs(plan[1][2])
+            assert [pairs[i] for i in range(len(pairs))] == list(search._pairs(plan)), (n, seed)
+
+
+def test_unreduced_run_holds_no_pair_list():
+    # cycle(600)'s first witness comes at 1,201 nodes, past the first poll,
+    # where the run once listed all N(N - 1) = 359,400 pairs, a 28 MB peak
+    g = cycle(600)
+    tracemalloc.start()
+    try:
+        out = decide_existence(g, SearchConfig(node_budget=5000, reduce=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.verdict, out.stats.nodes) == (VERDICT_WITNESS, 1201)
+    assert peak < 4 << 20, peak
+
+
+def test_budgeted_searches_and_parity_leave_a_run_table_unflattened():
+    # the plan, the twins and the parity rows read the neighbour table, so
+    # only a witness flattens a run-built graph's edge tuple: K6[4], built,
+    # and K5[4], parsed from its header, need N + E = 264 and 180 nodes for one
+    for make in (lambda: kmokn_graph(6, 4), lambda: parse_graph(graph_to_text(kmokn_graph(5, 4)))):
+        for workers in (1, 2):  # 2 workers start no helper below 1024 nodes
+            g = make()
+            out = decide_existence(g, SearchConfig(node_budget=150, workers=workers))
+            assert (out.verdict, out.stats.nodes) == (VERDICT_INCONCLUSIVE, 151)
+            assert "_nbrs" in g.__dict__ and "edges" not in g.__dict__, (g.vertex_count, workers)
+        g = make()
+        parity_feasibility(g)
+        assert "_nbrs" in g.__dict__ and "edges" not in g.__dict__, g.vertex_count
 
 
 def test_deadline_is_checked_as_each_pair_ends():
@@ -277,7 +318,7 @@ def test_deadline_is_checked_as_each_pair_ends():
     for g, config, count in ((path(8), SearchConfig(parity_prune=False, reduce=False, seed=3), 56),
                              (cycle(12), SearchConfig(parity_prune=False, seed=2), 44)):
         plan = search._steps(g, config)
-        nogoods = search._nogoods(plan[0], symmetry.twins(g)[1]) if config.reduce else None
+        nogoods = search._nogoods(plan[0], symmetry.twins(g)) if config.reduce else None
         jobs = [search._search(g, None, plan, pair, nogoods) for pair in search._pairs(plan)]
         assert len(jobs) == count and jobs[0].verdict == VERDICT_EXHAUSTED
         assert jobs[0].stats.nodes < search._POLL
@@ -374,7 +415,7 @@ def _run_state(graph, config, node_budget=None, deadline=None):
     (0, 1) left to take."""
     plan = search._steps(graph, config)
     return [*(multiprocessing.Value("q", 0) for _ in range(3)), node_budget, deadline, graph,
-            None, plan, search._nogoods(plan[0], symmetry.twins(graph)[1]), [(0, 1, 0, 0)]]
+            None, plan, search._nogoods(plan[0], symmetry.twins(graph)), [(0, 1, 0, 0)]]
 
 
 def _worker_search(run):
@@ -587,7 +628,8 @@ def _random_regular(rng, n, r):
 def _transitive(graph, deadline=None):
     """True once symmetry.orbit proves vertex 0's orbit is V, as the orbit
     nogoods prove that the first label step ends; false means not proven."""
-    return len(symmetry.orbit(*symmetry.twins(graph), 0, (), deadline)) == graph.vertex_count
+    orbit = symmetry.orbit(graph._nbrs, symmetry.twins(graph), 0, (), deadline)
+    return len(orbit) == graph.vertex_count
 
 
 def test_vertex_transitive_matches_brute_force():
@@ -637,8 +679,8 @@ def test_orbit_matches_brute_force():
         n = g.vertex_count
         v = rng.randrange(n)
         fixed = rng.sample([u for u in range(n) if u != v], rng.randint(0, min(2, n - 1)))
-        assert symmetry.orbit(*symmetry.twins(g), v, fixed) == brute_orbit(n, g.edges, v, fixed), \
-            (g, v, fixed)
+        assert symmetry.orbit(g._nbrs, symmetry.twins(g), v, fixed) == \
+            brute_orbit(n, g.edges, v, fixed), (g, v, fixed)
 
 
 def test_twin_quotient_decides_transitivity():
@@ -667,7 +709,7 @@ def test_orbit_nogoods_keep_every_verdict_and_first_witness(monkeypatch):
     twins, orbit = symmetry.twins, symmetry.orbit
 
     def no_twins(graph):
-        return twins(graph)[0], [(v,) for v in range(graph.vertex_count)]
+        return [(v,) for v in range(graph.vertex_count)]
 
     rng = random.Random(13)
     for i in range(200):
@@ -700,7 +742,7 @@ def test_nogood_slot_masks_have_no_more_bits_than_slots():
     graphs = [two_cycles, kmokn_graph(3, 4), lexicographic(path(4), empty_graph(3)),
               lexicographic(cycle(5), complete(2))]
     for g in graphs:
-        nbrs, twin = symmetry.twins(g)
+        nbrs, twin = g._nbrs, symmetry.twins(g)
         in_index_order = [(True, v, v, (), ()) for v in range(g.vertex_count)]
         for steps in (in_index_order, search._steps(g, SearchConfig())[0]):
             first_two = [step[1] for step in steps if step[0]][:2]
@@ -855,7 +897,7 @@ def test_more_workers_than_cores_take_every_pair_once():
     for graph in (path(11), path(12)):
         config = SearchConfig()
         parity, plan = search._root_parity_candidates(graph, config), search._steps(graph, config)
-        nbrs, twin = symmetry.twins(graph)
+        nbrs, twin = graph._nbrs, symmetry.twins(graph)
         first_two = [plan[0][0][1], plan[0][1][1]]
         orbits = [symmetry.orbit(nbrs, twin, v, first_two[:k]) for k, v in enumerate(first_two)]
         nogoods = search._nogoods(plan[0], twin, orbits)
@@ -965,26 +1007,27 @@ def _rescanned_checks(graph):
     right after the second-to-last."""
     order = search._visit_order(graph)
     pos = {v: i for i, v in enumerate(order)}
+    adj = adjacency(graph.vertex_count, graph.edges)
     labeled, decided, out = set(), set(), []
 
     def facts(touched):
-        return [(y, sum(z not in labeled for _, z in graph.incident(y)),
-                 sorted(z for e, z in graph.incident(y) if z in labeled and e not in decided))
+        return [(y, sum(z not in labeled for z in adj[y]),
+                 sorted(z for z in adj[y] if z in labeled and frozenset((y, z)) not in decided))
                 for y in touched]
 
     def label(v):
         labeled.add(v)
-        out.append((v, facts([v] + [u for _, u in graph.incident(v) if u in labeled])))
+        out.append((v, facts([v] + [u for u in adj[v] if u in labeled])))
 
     for i, v in enumerate(order):
         if v not in labeled:
             label(v)
         if i == len(order) - 2:
             label(order[-1])
-        for e, u in graph.incident(v):
+        for u in adj[v]:
             if pos[u] < i:
-                decided.add(e)
-                out.append((None, facts(graph.edges[e])))
+                decided.add(frozenset((u, v)))
+                out.append((None, facts(sorted((u, v)))))
     return out
 
 
@@ -1027,13 +1070,14 @@ def test_visit_order_is_maximum_adjacency():
     # highest degree, then the least index
     for graph in [*_random_graphs(), kmokn_graph(30, 30)]:
         n = graph.vertex_count
-        visited, degree = [0] * n, [graph.degree(v) for v in range(n)]
+        adj = adjacency(n, graph.edges)
+        visited, degree = [0] * n, list(map(len, adj))
         rest, expected = set(range(n)), []
         while rest:
             best = max(rest, key=lambda v: (visited[v], degree[v], -v))
             expected.append(best)
             rest.discard(best)
-            for _, u in graph.incident(best):
+            for u in adj[best]:
                 visited[u] += 1
         assert search._visit_order(graph) == expected, graph
 

@@ -21,7 +21,7 @@ from dmagic.verifier import (
     parse_certificate,
     verify,
 )
-from oracles import brute_weights, reversed_orientation, scaled, units
+from oracles import adjacency, brute_weights, reversed_orientation, scaled, units
 
 
 CERT2 = ("certificate 2\n"
@@ -216,8 +216,8 @@ def test_weight_parity_ignores_orientation_for_even_order(seed):
     a = [w % 2 for w in all_weights(g, o, labeling)]
     b = [w % 2 for w in all_weights(g, flipped, labeling)]
     assert a == b
-    expected = [sum(labeling.labels[y] for y in g.neighbors(x)) % 2
-                for x in range(g.vertex_count)]
+    expected = [sum(labeling.labels[y] for y in nb) % 2
+                for nb in adjacency(g.vertex_count, g.edges)]
     assert a == expected
 
 
