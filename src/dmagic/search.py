@@ -123,14 +123,13 @@ from __future__ import annotations
 import random
 import sys
 from bisect import bisect_left
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from math import gcd
 from time import perf_counter
-from types import SimpleNamespace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from . import fanout
 from .graphs import Orientation, UndirectedGraph
 from .obstructions import parity_solutions
 from .verifier import Labeling, MagicCertificate, verified
@@ -655,8 +654,7 @@ def _take_pairs(run: List, add: Optional[Callable] = None) -> List[Tuple]:
     done = []
     try:
         while not stop.value:
-            with next_pair.get_lock():
-                i, next_pair.value = next_pair.value, next_pair.value + 1
+            i = fanout.take(next_pair)
             nogoods, pairs = run[8:]  # completed at the calling process's first add
             if i >= len(pairs):
                 break
@@ -670,14 +668,6 @@ def _take_pairs(run: List, add: Optional[Callable] = None) -> List[Tuple]:
         stop.value = 1
         raise
     return done
-
-
-def _helper(run: List, conn) -> None:
-    """A helper process: send its pairs' outcomes, or its error, to conn."""
-    try:
-        conn.send(_take_pairs(run))
-    except BaseException as exc:  # raised again in the calling process
-        conn.send(exc)
 
 
 def _run(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _Plan,
@@ -713,12 +703,7 @@ def _run(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _P
 
         twin = symmetry.twins(graph)
         nogoods, orbits, pairs = _nogoods(steps, twin), None, [next(_pairs(plan))]
-    if config.workers > 1:
-        import multiprocessing
-
-        shared = [multiprocessing.Value("q", 0) for _ in range(3)]
-    else:  # this process alone: plain stand-ins for the shared values
-        shared = [SimpleNamespace(value=0, get_lock=nullcontext) for _ in range(3)]
+    shared = fanout.values(3, config.workers > 1)  # plain stand-ins when this process runs alone
     # the workers share the stop signal, the node count, the next pair's index,
     # the budgets, and what they search: graph, parity masks, plan, nogoods,
     # pairs, of which a reduced run knows the first only until the first add
@@ -739,29 +724,16 @@ def _run(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _P
             run[-2:] = _nogoods(steps, twin, orbits), list(_pairs(plan, orbits))
         if (config.workers > 1 and not helpers and shared_nodes.value >= _POLL
                 and next_pair.value < len(run[-1])):
-            for _ in range(min(config.workers - 1, len(run[-1]) - next_pair.value)):
-                receive, send = multiprocessing.Pipe(duplex=False)
-                helper = multiprocessing.Process(target=_helper, args=(run, send), daemon=True)
-                helper.start()
-                send.close()  # so that receive sees the end of a helper that died
-                helpers.append((helper, receive))
+            count = min(config.workers - 1, len(run[-1]) - next_pair.value)
+            fanout.start(helpers, _take_pairs, run, count)
         return bool(stop.value)
 
     done: List[Tuple] = []
     try:
         done = _take_pairs(run, add)
     finally:  # wait for the helpers, which an error here has stopped
-        results = []
-        for helper, receive in helpers:
-            if len(done) == len(run[-1]):  # this process took every pair: no helper holds one
-                helper.terminate()
-            else:
-                try:
-                    results.append(receive.recv())
-                except EOFError:  # it died before it could send
-                    results.append(RuntimeError("a search helper process died"))
-            receive.close()
-            helper.join()
+        results = fanout.collect(helpers, len(done) == len(run[-1]),
+                                 "a search helper process died")
     for result in results:
         if isinstance(result, BaseException):
             raise result

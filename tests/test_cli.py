@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import io
+import multiprocessing
 import os
 import re
 import shutil
@@ -9,11 +10,11 @@ import stat
 import subprocess
 import sys
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, sleep
 
 import pytest
 
-from dmagic import cli
+from dmagic import cli, fanout
 from dmagic.cli import main
 from dmagic.graphs import complete, graph_to_text, parse_graph, prism
 from dmagic.search import SearchConfig
@@ -464,7 +465,9 @@ def test_table(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["family", "m", "n", "order", "status", "mu", "method", "time_ms"]
-    assert len(rows) == 13
+    # one row per cell, in (m, n) order, though the cells are decided largest first
+    assert [(r[1], r[2]) for r in rows[1:]] == [(str(m), str(n)) for m in range(1, 5)
+                                                for n in range(1, 4)]
     by_cell = {(r[1], r[2]): r for r in rows[1:]}
     assert by_cell[("2", "3")][4:7] == ["not-magic", "", "theorem1"]
     assert by_cell[("4", "1")][4:7] == ["not-magic", "", "parity"]
@@ -480,6 +483,136 @@ def test_table(tmp_path, capsys):
         code, out, _ = run(capsys, "verify", "--graph", str(graph_file),
                            "--cert", str(cert_file))
         assert code == 0
+
+
+@pytest.mark.parametrize("m, n", [("-2", "3"), ("3", "0")])
+def test_table_rejects_a_grid_side_below_1(tmp_path, capsys, m, n):
+    out_file = tmp_path / "table.csv"
+    code, out, err = run(capsys, "table", "--max-m", m, "--max-n", n, "-o", str(out_file))
+    name, value = ("max-m", m) if int(m) < 1 else ("max-n", n)
+    assert (code, out, err) == (2, "", f"error: --{name} must be at least 1, got {value}\n")
+    assert not out_file.exists()
+
+
+def _table_files(capsys, cores, monkeypatch, *argv):
+    """(exit code, stderr) of table with the cores forced, and the helpers it started."""
+    started, start = [], fanout.start
+
+    def recording(helpers, *args):
+        start(helpers, *args)
+        started.extend(helper for helper, _ in helpers)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_cores", lambda: cores)
+        patch.setattr(fanout, "start", recording)
+        code, _, err = run(capsys, "table", *argv)
+    # every helper was joined before table returned
+    assert all(helper.exitcode is not None for helper in started)
+    assert multiprocessing.active_children() == []
+    return code, err, started
+
+
+def _a_helper_takes_the_first_cell(monkeypatch):
+    """Make this process wait to take a cell until a helper has taken the
+    first, the largest."""
+    here, take = os.getpid(), fanout.take
+
+    def waiting(counter):
+        deadline = perf_counter() + 60
+        while os.getpid() == here and counter.value == 0 and perf_counter() < deadline:
+            sleep(0.001)
+        return take(counter)
+
+    monkeypatch.setattr(fanout, "take", waiting)
+
+
+def _contents(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_table_bytes_do_not_depend_on_the_process_count(tmp_path, capsys, monkeypatch, method):
+    # the 12x12 grid starts helpers, one of which takes the largest cell,
+    # K12[12]; 4 processes on fewer cores share the next cell's index too
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        written = {}
+        for cores in (1, 2, 4):
+            certs, out_file = tmp_path / f"certs{cores}", tmp_path / f"table{cores}.csv"
+            if cores == 2:  # and on, for 4
+                _a_helper_takes_the_first_cell(monkeypatch)
+            code, _, started = _table_files(capsys, cores, monkeypatch, "--max-m", "12",
+                                            "--max-n", "12", "--cert-dir", str(certs),
+                                            "-o", str(out_file))
+            assert (code, len(started)) == (0, cores - 1)
+            rows = [row[:7] for row in csv.reader(io.StringIO(out_file.read_text()))]
+            written[cores] = rows, _contents(certs)
+    finally:
+        multiprocessing.set_start_method(before, force=True)
+    rows, files = written[1]
+    assert len(rows) == 145 and len(files) == 2 * sum(row[4] == "magic" for row in rows)
+    assert written[2] == written[4] == written[1]
+
+
+def test_small_tables_start_no_helper(tmp_path, capsys, monkeypatch):
+    for side in ("3", "8"):
+        certs = tmp_path / side
+        code, _, started = _table_files(capsys, 4, monkeypatch, "--max-m", side, "--max-n", side,
+                                        "--cert-dir", str(certs))
+        assert (code, started) == (0, [])
+    code, _, started = _table_files(capsys, 4, monkeypatch, "--max-m", "4", "--max-n", "3")
+    assert (code, started) == (0, [])
+
+
+def test_table_os_error_in_a_helper_is_the_serial_error(tmp_path, capsys, monkeypatch):
+    # the helper takes K12[12] and cannot replace the directory in its
+    # certificate's place
+    certs, out_file = tmp_path / "certs", tmp_path / "table.csv"
+    (certs / "kmokn-12-12.cert").mkdir(parents=True)
+    argv = ["--max-m", "12", "--max-n", "12", "--cert-dir", str(certs), "-o", str(out_file)]
+    errors = []
+    for cores in (1, 2):
+        if cores == 2:
+            _a_helper_takes_the_first_cell(monkeypatch)
+        code, err, started = _table_files(capsys, cores, monkeypatch, *argv)
+        assert (code, len(started)) == (2, cores - 1)
+        errors.append(re.sub(r"\.dmagic\.[0-9a-f]{16}", ".dmagic.*", err))
+        assert not out_file.exists()
+        assert not list(tmp_path.rglob(".dmagic.*"))
+    assert errors[0].startswith("error: [Errno 21] Is a directory: ")
+    assert errors[1] == errors[0]
+
+
+def test_table_helper_that_dies_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # the helper dies in its first cell, K12[12], so the table may not be written
+    certs, out_file = tmp_path / "certs", tmp_path / "table.csv"
+    here, decide = os.getpid(), cli.decide_kmokn
+
+    def dies_in_a_helper(m, n):
+        if os.getpid() != here:
+            os._exit(1)
+        return decide(m, n)
+
+    monkeypatch.setattr(cli, "decide_kmokn", dies_in_a_helper)
+    _a_helper_takes_the_first_cell(monkeypatch)
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)  # the helper inherits the patch
+    try:
+        code, err, started = _table_files(capsys, 2, monkeypatch, "--max-m", "12", "--max-n", "12",
+                                          "--cert-dir", str(certs), "-o", str(out_file))
+    finally:
+        multiprocessing.set_start_method(before, force=True)
+    assert (code, len(started)) == (3, 1)
+    assert "internal error: RuntimeError: a table helper process died" in err
+    assert not out_file.exists()
+
+
+def test_importing_the_cli_imports_no_multiprocessing():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dmagic.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env=source_env())
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 def test_module_entry_point():
