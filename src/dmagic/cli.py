@@ -173,6 +173,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_obstruct(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
+    if graph.vertex_count < 1:
+        raise ValueError("obstruct needs at least one vertex")
     cert = theorem1_check(graph) or parity_feasibility(graph)
     if cert is None:
         return _answer("inconclusive")

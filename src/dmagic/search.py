@@ -51,7 +51,7 @@ discards only branches that hold no witness, so the walk meets the first
 witness of that order, the one it meets with no pruning at all.
 
 A label step's candidates are one bit mask over places in the seeded label
-order (_label_orders), from which the used labels and the forward check clear
+order (_steps), from which the used labels and the forward check clear
 bits; the step tries the set bits low to high, so in seeded order, at a cost
 that grows with the candidates left rather than with N.
 
@@ -69,7 +69,7 @@ one witness of each of their orbits:
   unit group    for a unit u of Z_N, u*l is again a bijection onto Z_N (u*x =
                 u*y gives x = y), and a weight is a signed sum of labels, so
                 w_{u*l} = u*w_l: a witness with constant mu becomes one with
-                u*mu.  The first two labels are a kept pair (_label_orders).
+                u*mu.  The first two labels are a kept pair (_pairs).
 
 Reversal acts on the arcs alone and the units on the labels alone, so the two
 commute: a witness is moved by a reversal to one whose first arc takes its
@@ -219,8 +219,7 @@ class SearchOutcome:
 # a (vertex parity pattern, weight parity c) pair; by_vertex[v][b] keeps those
 # giving v label parity b, by_c[c] those with weight parity c.
 _Parity = Optional[Tuple[int, Tuple[Tuple[int, int], ...], Tuple[int, int]]]
-_Orders = Tuple[List[int], List[List[int]], List[int]]  # see _label_orders
-_Plan = Tuple[List[Tuple], _Orders, int]  # see _steps
+_Plan = Tuple[List[Tuple], List[int], int]  # see _steps
 _Nogoods = Tuple[List[int], List[Optional[int]], int]  # see _nogoods
 _Pair = Tuple[int, int, int, int]  # see _pairs
 
@@ -253,43 +252,6 @@ def _visit_order(graph: UndirectedGraph) -> List[int]:
         for w in nbrs[best]:
             key[w] += n * n
     return order
-
-
-def _label_orders(n: int, config: SearchConfig) -> _Orders:
-    """The label candidates: first, second[g] after a first label g, and later.
-
-    Each is a list in seeded order; used labels are skipped when a step is
-    entered.  Unreduced, every one is all of Z_N.  Reduced, by the unit group
-    U of Z_N: the first labels are one element of each U-orbit, and second[g]
-    is the least element of each orbit of Z_N - {g} under the stabilizer
-    S_g = {u in U : u*g = g}.  Every pair (a, b), a != b, is then mapped by
-    some unit onto exactly one kept pair (g, b'):
-
-    - The U-orbits are the sets {y : gcd(y, N) = d} for d | N, each with
-      least element d (0 for d = N), so the first labels are 0 and the proper
-      divisors of N.  A unit keeps gcd(y, N).  Conversely, for y = d*y' with
-      gcd(y', N/d) = 1, let t be the product of the primes of N that divide
-      neither y' nor N/d: no prime of N divides u = y' + (N/d)*t, so u is a
-      unit, and u*d = y.
-    - S_g fixes g, so no S_g-orbit of Z_N - {g} contains g.  Given (a, b),
-      a unit u takes a to its representative g, and some s in S_g takes u*b
-      to the least element of its S_g-orbit; s*u maps (a, b) onto a kept pair.
-    - Two kept pairs in one U-orbit share their first label g, so the unit
-      between them lies in S_g and their second labels share an S_g-orbit:
-      they are the same pair.
-    """
-    labels = list(range(n))
-    if config.seed != 0:
-        random.Random(config.seed).shuffle(labels)
-    second = [labels] * n
-    if not config.reduce:
-        return labels, second, labels
-    units = [u for u in range(n) if gcd(u, n) == 1]
-    first = [g for g in labels if g == 0 or n % g == 0]
-    for g in first:
-        stab = [u for u in units if u * g % n == g]
-        second[g] = [b for b in labels if b != g and all(u * b % n >= b for u in stab)]
-    return first, second, labels
 
 
 def _nogoods(steps: List[Tuple], twin: List[Tuple[int, ...]],
@@ -337,28 +299,50 @@ def _nogoods(steps: List[Tuple], twin: List[Tuple[int, ...]],
 
 
 def _pairs(plan: _Plan, orbits: Sequence[Set[int]] = ()) -> Iterator[_Pair]:
-    """The kept pairs (g, b) of first two labels in walk order, each with the
-    masks of the labels the walk has barred on reaching it: in slot 0, U*h for
-    each first label h before g, and in slot 1, S_g*c for each pair (g, c)
-    before it, S_g the units u with u*g = g.
+    """The kept pairs (g, b) of first two labels of a reduced run in walk
+    order, each with the masks of the labels the walk has barred on reaching
+    it: in slot 0, U*h for each first label h before g, and in slot 1, S_g*c
+    for each pair (g, c) before it.
+
+    The pairs are those of the unit group U of Z_N, in the seeded label
+    order plan[1]: the first labels g are one element of each U-orbit, and
+    after g the second labels b are the least element of each orbit of
+    Z_N - {g} under the stabilizer S_g = {u in U : u*g = g}.  Every pair
+    (a, b), a != b, is then mapped by some unit onto exactly one kept pair:
+
+    - The U-orbits are the sets {y : gcd(y, N) = d} for d | N, each with
+      least element d (0 for d = N), so the first labels are 0 and the proper
+      divisors of N.  A unit keeps gcd(y, N).  Conversely, for y = d*y' with
+      gcd(y', N/d) = 1, let t be the product of the primes of N that divide
+      neither y' nor N/d: no prime of N divides u = y' + (N/d)*t, so u is a
+      unit, and u*d = y.
+    - S_g fixes g, so no S_g-orbit of Z_N - {g} contains g.  Given (a, b),
+      a unit u takes a to its representative g, and some s in S_g takes u*b
+      to the least element of its S_g-orbit; s*u maps (a, b) onto a kept pair.
+    - Two kept pairs in one U-orbit share their first label g, so the unit
+      between them lies in S_g and their second labels share an S_g-orbit:
+      they are the same pair.
 
     Given the orbits of the first two label steps (see _nogoods), only the
     first label's pairs are kept if step 0's holds every vertex, only the
     first pair of each first label if step 1's holds every vertex but the
     first, and a step whose orbit is its vertex alone bars nothing.  Without
-    them every kept pair is listed, with nothing barred.
+    them every kept pair is listed, with nothing barred.  The pairs after g
+    are found only once g's are listed.
     """
-    first, second, later = plan[1]
-    n = len(later)
+    seeded = plan[1]
+    n = len(seeded)
     size = [len(orbit) for orbit in orbits] or [1, 1]
     bit = [0] * n
-    for i, lam in enumerate(later):
+    for i, lam in enumerate(seeded):
         bit[lam] = 1 << i
     units, slot_n = [u for u in range(n) if gcd(u, n) == 1], 0
+    first = [g for g in seeded if g == 0 or n % g == 0]
     for g in first[:1] if size[0] == n else first:
-        # a single vertex has no second label: its one job never reads b
-        kept, slot_n1 = [b for b in second[g] if b != g] or [g], 0
         stab = [u for u in units if u * g % n == g]
+        # a single vertex has no second label: its one job never reads b
+        kept = [b for b in seeded if b != g and all(u * b % n >= b for u in stab)] or [g]
+        slot_n1 = 0
         for b in kept[:1] if size[1] == n - 1 else kept:
             yield g, b, slot_n, slot_n1
             if size[1] > 1:
@@ -369,9 +353,9 @@ def _pairs(plan: _Plan, orbits: Sequence[Set[int]] = ()) -> Iterator[_Pair]:
 
 @dataclass(frozen=True)
 class _AllPairs:
-    """The pairs of an unreduced run, as _pairs lists them: each (g, b) with
-    b != g, in seeded label order, nothing barred.  Pair i is found by
-    arithmetic, so the N(N - 1) pairs are never held."""
+    """The pairs of an unreduced run: each (g, b) with b != g, in seeded
+    label order, nothing barred.  Pair i is found by arithmetic, so the
+    N(N - 1) pairs are never held."""
 
     labels: List[int]
 
@@ -385,7 +369,7 @@ class _AllPairs:
 
 
 def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
-    """The check plan: steps in visit order, label orders, pin depth.
+    """The check plan: steps in visit order, seeded label order, pin depth.
 
     The last vertex's label step comes right after the second-to-last's
     (see the module docstring).
@@ -411,9 +395,8 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
     advances start, and only a label step makes a tuple.  Steps share these
     tuples, so the plan takes O(N + E) memory.
 
-    Step 0 takes its labels from the first label order, step 1 from the
-    second order of the label step 0 chose, and every later label step from
-    the last (see _label_orders).
+    Every label step tries its labels in the seeded order, a shuffle of Z_N
+    by config.seed; a run's pairs (_pairs, _AllPairs) fix the first two.
     """
     n, nbrs = graph.vertex_count, graph._nbrs
     order = _visit_order(graph)
@@ -466,7 +449,10 @@ def _steps(graph: UndirectedGraph, config: SearchConfig) -> _Plan:
                 a, b = (w, v) if w < v else (v, w)
                 steps.append((False, a, b, checks([w, v])[0], last_arc))
                 last_arc = 1
-    return steps, _label_orders(n, config), pin
+    labels = list(range(n))
+    if config.seed != 0:
+        random.Random(config.seed).shuffle(labels)
+    return steps, labels, pin
 
 
 def _root_parity_candidates(graph: UndirectedGraph, config: SearchConfig,
@@ -498,13 +484,13 @@ def _search(graph: UndirectedGraph, parity: _Parity, plan: _Plan, job: _Pair,
     if given, is called every _POLL nodes, and the search stops as
     inconclusive once it returns true, or once it passes limit nodes.
     """
-    steps, (_, _, later), pin = plan
+    steps, seeded, pin = plan
     mod = graph.vertex_count
     everything = (1 << mod) - 1
-    # label sets are masks over places in the seeded order later: bit[lam] is
-    # lam's place's bit
+    # label sets are masks over places in the seeded order: bit[lam] is lam's
+    # place's bit
     bit = [0] * mod
-    for i, lam in enumerate(later):
+    for i, lam in enumerate(seeded):
         bit[lam] = 1 << i
     second = bit[job[1]]  # the only label step 1 tries
     root, by_vertex, by_c = parity or (-1, ((-1, -1),) * mod, (-1, -1))
@@ -534,13 +520,13 @@ def _search(graph: UndirectedGraph, parity: _Parity, plan: _Plan, job: _Pair,
     live = sum(1 << e for e in (0, 1) if barred[e])
 
     def barring(mask: int, slot: int) -> Iterator[int]:
-        # _members(mask, later), each label barred in slot once its subtree is
+        # _members(mask, seeded), each label barred in slot once its subtree is
         # exhausted; the slot is restored once the step ends
         nonlocal live
         before = barred[slot]
         while mask:
             low = mask & -mask
-            yield later[low.bit_length() - 1]
+            yield seeded[low.bit_length() - 1]
             barred[slot] |= low
             live |= 1 << slot
             mask ^= low
@@ -625,9 +611,9 @@ def _search(graph: UndirectedGraph, parity: _Parity, plan: _Plan, job: _Pair,
                 free &= ~barred[top]
                 slots ^= 1 << top
             if bars[d] is None:
-                todo[d] = _members(free, later)
+                todo[d] = _members(free, seeded)
             elif bars[d] < 0:
-                todo[d] = _members(free & -free, later)  # the first label only
+                todo[d] = _members(free & -free, seeded)  # the first label only
             else:
                 todo[d] = barring(free, bars[d])
 
@@ -697,7 +683,7 @@ def _run(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _P
     """
     deadline = None if config.time_budget is None else t0 + config.time_budget
     steps = plan[0]
-    nogoods, orbits, pairs = None, (), _AllPairs(plan[1][2])  # unreduced: no orbits
+    nogoods, orbits, pairs = None, (), _AllPairs(plan[1])  # unreduced: no orbits
     if config.reduce:
         from . import symmetry  # compiled only by the runs that use it
 
@@ -716,10 +702,8 @@ def _run(graph: UndirectedGraph, config: SearchConfig, parity: _Parity, plan: _P
         if _add_nodes(run, k):
             return True
         if orbits is None:  # list the pairs, cut and pre-barred by the orbits
-            # a sixteenth of the cap each: on path(4000) two refinements to
-            # the full cap prove nothing in 0.7 s, the time of some 600k nodes
-            cap, first_two = symmetry._AUTOMORPHISM_CAP >> 4, [steps[0][1], steps[1][1]]
-            orbits = [symmetry.orbit(graph._nbrs, twin, v, first_two[:i], deadline, cap)
+            first_two = [steps[0][1], steps[1][1]]
+            orbits = [symmetry.orbit(graph._nbrs, twin, v, first_two[:i], deadline)
                       for i, v in enumerate(first_two)]
             run[-2:] = _nogoods(steps, twin, orbits), list(_pairs(plan, orbits))
         if (config.workers > 1 and not helpers and shared_nodes.value >= _POLL

@@ -419,6 +419,14 @@ def test_obstruct(tmp_path, capsys):
     assert out.strip() == "inconclusive"
 
 
+@pytest.mark.parametrize("command", ["search", "obstruct"])
+def test_a_graph_without_vertices_is_rejected(tmp_path, capsys, command):
+    graph = tmp_path / "zero.graph"
+    graph.write_text("graph 0 0\n")
+    code, out, err = run(capsys, command, "--graph", str(graph))
+    assert (code, out, err) == (2, "", f"error: {command} needs at least one vertex\n")
+
+
 def test_partition(capsys):
     code, out, _ = run(capsys, "partition", "--N", "10", "--sizes", "2,3,5")
     assert code == 0

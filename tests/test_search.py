@@ -4,6 +4,8 @@ import os
 import random
 import tracemalloc
 from dataclasses import replace
+from itertools import groupby
+from operator import itemgetter
 from time import perf_counter
 
 import pytest
@@ -196,8 +198,11 @@ def test_label_representatives_cover_every_pair(monkeypatch):
     for n in range(1, 41):
         us = units(n)
         for seed in (0, n):
-            first, second, _ = search._label_orders(n, SearchConfig(seed=seed))
-            kept = [(g, b) for g in first for b in second[g]]
+            plan = search._steps(empty_graph(n), SearchConfig(seed=seed))
+            kept = [job[:2] for job in search._pairs(plan)]
+            if n == 1:  # no two distinct labels: the one job is the first label's
+                assert kept == [(0, 0)]
+                continue
             assert all(g != b for g, b in kept) and len(set(kept)) == len(kept), n
             kept_set = set(kept)
             # complete: a unit maps every pair of distinct labels onto a kept pair
@@ -238,9 +243,10 @@ def test_label_representatives_cover_every_pair(monkeypatch):
         searched.clear()
         out = decide_existence(graph, config)
         assert (out.verdict, searched) == (serial.verdict, serial_searched), graph
-        first, second, _ = search._label_orders(graph.vertex_count, config)
-        first = first[:1] if transitive else first
-        kept = [(g, b) for g in first for b in second[g][:1 if rest_transitive else None]]
+        by_first = [[job[:2] for job in jobs] for _, jobs in
+                    groupby(search._pairs(search._steps(graph, config)), key=itemgetter(0))]
+        kept = [pair for pairs in by_first[:1 if transitive else None]
+                for pair in pairs[:1 if rest_transitive else None]]
         if out.verdict == VERDICT_WITNESS:
             assert searched == kept[:len(searched)], graph
             assert out.certificate.labeling.labels[search._visit_order(graph)[0]] \
@@ -273,11 +279,15 @@ def test_serial_node_budget_holds_across_pairs():
 
 
 def test_unreduced_pairs_by_arithmetic_are_the_listed_pairs():
+    # every (g, b) with b != g in seeded order, nothing barred; a single
+    # vertex's one job is (g, g)
     for n in (1, 2, 3, 6):
         for seed in (0, 5):
-            plan = search._steps(complete(n), SearchConfig(reduce=False, seed=seed))
-            pairs = search._AllPairs(plan[1][2])
-            assert [pairs[i] for i in range(len(pairs))] == list(search._pairs(plan)), (n, seed)
+            labels = search._steps(complete(n), SearchConfig(reduce=False, seed=seed))[1]
+            listed = [(g, b, 0, 0) for g in labels for b in labels if b != g] or \
+                [(g, g, 0, 0) for g in labels]
+            pairs = search._AllPairs(labels)
+            assert [pairs[i] for i in range(len(pairs))] == listed, (n, seed)
 
 
 def test_unreduced_run_holds_no_pair_list():
@@ -319,7 +329,8 @@ def test_deadline_is_checked_as_each_pair_ends():
                              (cycle(12), SearchConfig(parity_prune=False, seed=2), 44)):
         plan = search._steps(g, config)
         nogoods = search._nogoods(plan[0], symmetry.twins(g)) if config.reduce else None
-        jobs = [search._search(g, None, plan, pair, nogoods) for pair in search._pairs(plan)]
+        pairs = list(search._pairs(plan)) if config.reduce else search._AllPairs(plan[1])
+        jobs = [search._search(g, None, plan, pairs[i], nogoods) for i in range(len(pairs))]
         assert len(jobs) == count and jobs[0].verdict == VERDICT_EXHAUSTED
         assert jobs[0].stats.nodes < search._POLL
         for workers in (1, 2):
@@ -685,8 +696,9 @@ def test_orbit_matches_brute_force():
 
 def test_twin_quotient_decides_transitivity():
     # twin-rich graphs of order at most 8 against brute force; a blown-up
-    # clique is proven through its quotient K_m, K30[30] within 0.5 s though
-    # one round on the graph itself would pass the work cap
+    # clique is proven through its quotient K_m, K25[30] within 0.5 s though
+    # one round on the graph itself would pass the work cap, and the cap is
+    # passed on K_26 and beyond, so K26[2] and K30[30] are not proven
     rng = random.Random(12)
     graphs = [_twin_rich(rng, 8) for _ in range(40)] + [
         lexicographic(cycle(4), empty_graph(2)), lexicographic(cycle(4), complete(2)),
@@ -696,8 +708,10 @@ def test_twin_quotient_decides_transitivity():
     assert _transitive(lexicographic(cycle(7), complete(3)))
     assert not _transitive(lexicographic(path(4), empty_graph(3)))
     started = perf_counter()
-    assert _transitive(kmokn_graph(30, 30))
+    assert _transitive(kmokn_graph(25, 30))
     assert perf_counter() - started < 0.5
+    assert not _transitive(kmokn_graph(26, 2))
+    assert not _transitive(kmokn_graph(30, 30))
 
 
 def test_orbit_nogoods_keep_every_verdict_and_first_witness(monkeypatch):
@@ -988,8 +1002,8 @@ def test_transitivity_check_stops_before_a_round_past_the_cap(monkeypatch):
 def test_transitivity_check_skips_a_graph_whose_round_passes_the_cap(monkeypatch):
     # the crown graph on 2 * 520 vertices, K(520, 520) less a perfect matching,
     # has no twins, so one round on its quotient, itself, reads 2(1040 + 2 *
-    # 269,880) colours, past 2^20: the check gives up before any round.  A
-    # round on K30[30] would read more, but its quotient is K30.
+    # 269,880) colours, past the cap: the check gives up before any round.  A
+    # round on K25[30] would read more, but its quotient is K25.
     def refuse(*args):
         raise AssertionError("a refinement round ran past the work cap")
 
