@@ -21,6 +21,7 @@ import csv
 import functools
 import io
 import os
+import stat
 import sys
 import traceback
 from pathlib import Path
@@ -68,23 +69,69 @@ def _answer(line: str, file: Optional[TextIO] = None) -> int:
     return ANSWER_EXIT[line.split()[0]]
 
 
+# bytes read at a time when comparing a file with the output
+_COMPARE_CHUNK = 1 << 20
+
+
+def _holds(target: str, data: bytes) -> bool:
+    """Whether target is a regular file with one link that holds exactly data.
+
+    The target is opened without following a symlink, and without blocking
+    on a FIFO, and checked by fstat before a byte is read; anything else, or
+    any error, is False.
+    """
+    try:
+        fd = os.open(target, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    except OSError:
+        return False
+    try:
+        info = os.fstat(fd)
+        if not (stat.S_ISREG(info.st_mode) and info.st_nlink == 1 and info.st_size == len(data)):
+            return False
+        offset = 0
+        while offset < len(data):
+            chunk = os.read(fd, _COMPARE_CHUNK)
+            if not chunk or not data.startswith(chunk, offset):
+                return False
+            offset += len(chunk)
+        return True
+    except OSError:
+        return False
+    finally:
+        os.close(fd)
+
+
 def _write_text(target: Optional[str], text: str) -> None:
-    """Write to stdout, or atomically to a file (temp file plus rename)."""
+    """Write text to stdout, or to a file.
+
+    A file is written atomically: a temp file in its directory, made with
+    the mode 0666 less the umask, is renamed over it.  A target that is
+    already a regular file with one link holding exactly these bytes is left
+    as it is, its inode, mode and times kept, so a re-run that writes the
+    same output replaces nothing.  An error names the target, not the temp
+    file.
+    """
     if target is None or target == "-":
         sys.stdout.write(text)
         return
+    data = text.encode()
+    if _holds(target, data):
+        return
     directory = os.path.dirname(os.path.abspath(target)) or "."
     tmp = os.path.join(directory, f".dmagic.{os.urandom(8).hex()}")
-    # mode 0666 less the umask, as open() gives; mkstemp would give 0600
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        # mode 0666 less the umask, as open() gives; mkstemp would give 0600
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, target) from exc
 
 
 def _read_graph(path_str: str) -> UndirectedGraph:
@@ -191,10 +238,15 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 # Helpers start only when the grid's cells hold at least this much work,
 # counted as the sum of (mn)^2 over the cells, the edge count of K_m[n] up to
-# a constant, as starting one costs some 5-10 ms.  Median table --cert-dir
-# times on 2 cores, one process against two: 8x8 (41,616) 36 ms against 45,
-# 10x10 (148,225) 73 against 70, 11x11 (256,036) 96 against 72.
-_HELPER_WORK = 200_000
+# a constant, as starting one costs some 5-10 ms.  Median in-process table
+# times on 2 cores, one process against two, in three sets of 11-21 runs:
+# into a fresh cert dir, 9x9 (81,225) 33-62 ms against 37-59 and 10x10
+# (148,225) 36-82 against 40-82; into a dir already holding the files, which
+# are then left as they are, 9x9 23-38 against 17-22 and 10x10 30-47 against
+# 21-29; without a cert dir, 9x9 14-17 against 12-15 and 10x10 21-22 against
+# 14-18.  So 10x10 breaks even or gains in each case, while 9x9 lost into a
+# fresh dir in two sets of three.
+_HELPER_WORK = 100_000
 
 
 def _cores() -> int:
@@ -276,7 +328,8 @@ def _int_list(text: str) -> List[int]:
 
 def _add_output_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", metavar="FILE", default=None,
-                        help="write to FILE atomically instead of stdout")
+                        help="write to FILE atomically instead of stdout; a FILE that "
+                             "already holds exactly the output is left as it is")
 
 
 @functools.cache
@@ -369,7 +422,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for starting processes, the cells are decided, largest first, on every "
                     "core available to this process; taskset limits them (taskset -c 0 "
                     "uses one).  The output bytes do not depend on how many cores that is, "
-                    "apart from the time_ms column.")
+                    "apart from the time_ms column.  A file that already holds exactly "
+                    "its bytes is left as it is, so a re-run into the same --cert-dir "
+                    "replaces only the files whose bytes differ.")
     p_table.add_argument("--max-m", type=int, default=8)
     p_table.add_argument("--max-n", type=int, default=8)
     p_table.add_argument("--cert-dir", default=None,

@@ -67,6 +67,92 @@ def test_output_files_take_the_umask(tmp_path, capsys):
     assert stat.S_IMODE(target.stat().st_mode) == 0o644
 
 
+def _no_temp_files(directory):
+    return not list(directory.rglob(".dmagic.*"))
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    # compare 7 bytes at a time, so that a test's files span many chunks
+    monkeypatch.setattr(cli, "_COMPARE_CHUNK", 7)
+
+
+def test_a_write_of_the_bytes_a_file_holds_leaves_it_untouched(tmp_path, small_chunks):
+    # a re-run that writes the same output must not replace the file: its
+    # inode and modification time stay (set in the past here), and its
+    # change time shows that nothing else was done to it
+    target = tmp_path / "out.txt"
+    text = "graph 3 3\n0 1\n0 2\n1 2\n"
+    cli._write_text(str(target), text)
+    os.utime(target, ns=(10**9, 10**9))
+    before = target.stat()
+    cli._write_text(str(target), text)
+    after = target.stat()
+    assert ((after.st_ino, after.st_mtime_ns, after.st_ctime_ns)
+            == (before.st_ino, 10**9, before.st_ctime_ns))
+    assert target.read_text() == text
+    assert _no_temp_files(tmp_path)
+
+
+@pytest.mark.parametrize("old", ["graph 3 3\n0 1\n0 2\n1 3\n", "Graph 3 3\n0 1\n0 2\n1 2\n"])
+def test_a_file_of_the_same_size_with_other_bytes_is_replaced(tmp_path, small_chunks, old):
+    # the size check alone would keep these; the first and the last chunk differ
+    target = tmp_path / "out.txt"
+    text = "graph 3 3\n0 1\n0 2\n1 2\n"
+    target.write_text(old)
+    inode = target.stat().st_ino
+    cli._write_text(str(target), text)
+    assert target.read_text() == text
+    assert target.stat().st_ino != inode
+    assert _no_temp_files(tmp_path)
+
+
+@pytest.mark.parametrize("link", ["symlink", "hardlink"])
+def test_a_linked_file_with_the_same_bytes_is_replaced(tmp_path, link):
+    # a write replaces the link itself, as it always has: the file linked to
+    # keeps its inode and bytes, and the target is a new regular file
+    text = "graph 2 1\n0 1\n"
+    other, target = tmp_path / "other.txt", tmp_path / "out.txt"
+    other.write_text(text)
+    inode = other.stat().st_ino
+    (os.symlink if link == "symlink" else os.link)(other, target)
+    cli._write_text(str(target), text)
+    assert not target.is_symlink()
+    assert target.stat().st_ino != inode and target.stat().st_nlink == 1
+    assert target.read_text() == text
+    assert (other.stat().st_ino, other.stat().st_nlink, other.read_text()) == (inode, 1, text)
+    assert _no_temp_files(tmp_path)
+
+
+def test_a_fifo_target_is_replaced_without_blocking(tmp_path):
+    # opening a FIFO with no writer to compare it would block: the write must
+    # return, in a child process so that a hang fails the test, and replace it
+    target = tmp_path / "out.graph"
+    os.mkfifo(target)
+    proc = subprocess.run([sys.executable, "-m", "dmagic", "graph", "--family", "complete",
+                           "--n", "3", "-o", str(target)],
+                          capture_output=True, text=True, env=source_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert stat.S_ISREG(target.lstat().st_mode)
+    assert target.read_text() == graph_to_text(complete(3))
+    assert _no_temp_files(tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+def test_a_failed_write_names_the_target_not_the_temp_file(tmp_path, capsys, monkeypatch, kind):
+    # the error line names the file the user gave, and no temp file is left
+    monkeypatch.chdir(tmp_path)
+    if kind == "missing-dir":
+        target, message = "missing/x.graph", "[Errno 2] No such file or directory"
+    else:
+        target, message = "x.graph", "[Errno 21] Is a directory"
+        (tmp_path / target).mkdir()
+    code, out, err = run(capsys, "construct", "--family", "kmokn", "--m", "2", "--n", "2",
+                         "--graph-out", target)
+    assert (code, out, err) == (2, "", f"error: {message}: '{target}'\n")
+    assert _no_temp_files(tmp_path)
+
+
 def test_graph_to_stdout(capsys):
     code, out, _ = run(capsys, "graph", "--family", "cycle", "--n", "4")
     assert code == 0
@@ -571,6 +657,24 @@ def test_small_tables_start_no_helper(tmp_path, capsys, monkeypatch):
         assert (code, started) == (0, [])
     code, _, started = _table_files(capsys, 4, monkeypatch, "--max-m", "4", "--max-n", "3")
     assert (code, started) == (0, [])
+
+
+def test_a_table_rerun_replaces_no_file(tmp_path, capsys, monkeypatch):
+    # a re-run into the same cert dir writes the same bytes, so it leaves
+    # every file as it is, also one a helper would write
+    certs, out_file = tmp_path / "certs", tmp_path / "table.csv"
+    argv = ["--max-m", "12", "--max-n", "12", "--cert-dir", str(certs), "-o", str(out_file)]
+    code, _, _ = _table_files(capsys, 1, monkeypatch, *argv)
+    assert code == 0
+    for file in certs.iterdir():
+        os.utime(file, ns=(10**9, 10**9))
+    before = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in certs.iterdir()}
+    _a_helper_takes_the_first_cell(monkeypatch)
+    code, _, started = _table_files(capsys, 2, monkeypatch, *argv)
+    assert (code, len(started)) == (0, 1)
+    after = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in certs.iterdir()}
+    assert after == before and len(before) == 246
+    assert _no_temp_files(tmp_path)
 
 
 def test_table_os_error_in_a_helper_is_the_serial_error(tmp_path, capsys, monkeypatch):
